@@ -22,10 +22,16 @@ def test_ext_dynamic_much_cheaper_than_fresh_batches(benchmark):
     panel = results[0]
     rows = {row[0]: row for row in panel.rows}
     incremental = rows["incremental (fresh after every edge)"]
+    once = rows["incremental (one read at the end)"]
     per_edge = rows["batch SCAN per edge (equivalent freshness)"]
-    assert incremental[1] < per_edge[1] / 50  # orders of magnitude cheaper
-    # Both end at the same clustering.
-    assert incremental[2] == per_edge[2]
+    batch_once = rows["batch SCAN once (final state only)"]
+    # σ is counted in refreshed row slots: each edge refreshes the whole
+    # rows of {u, v} ∪ N(u) ∪ N(v), still an order of magnitude below a
+    # batch re-run per edge; a single read never costs more than one.
+    assert incremental[1] < per_edge[1] / 10
+    assert once[1] <= batch_once[1]
+    # All end at the same clustering.
+    assert incremental[2] == once[2] == per_edge[2]
     benchmark.extra_info["sigma_evals"] = {
         "incremental": int(incremental[1]),
         "batch_per_edge": int(per_edge[1]),

@@ -2,8 +2,8 @@
 
 * ``ext_explorer`` — interactive parameter exploration: one σ-table
   precompute vs. re-running pSCAN for every (μ, ε) probe.
-* ``ext_dynamic`` — incremental SCAN under an edge stream vs. periodic
-  batch re-clustering.
+* ``ext_dynamic`` — incremental SCAN under an edge stream (σ rows
+  refreshed per read) vs. periodic batch re-clustering.
 
 Both quantify capabilities the paper motivates (interactivity; the
 dynamic-network setting of its related work) but does not evaluate.
@@ -66,7 +66,7 @@ def ext_explorer(
 def ext_dynamic(
     scale: str = "bench", quick: bool = False
 ) -> List[ExperimentResult]:
-    """Edge-stream maintenance: incremental σ repairs vs batch re-runs."""
+    """Edge-stream maintenance: per-read σ row refreshes vs batch re-runs."""
     use_scale = "tiny" if quick else scale
     graph = load_dataset("GR02", use_scale)
     edges = list(graph.edges())
@@ -75,16 +75,19 @@ def ext_dynamic(
     stream = edges[: len(edges) // 4]  # the "new arrivals"
     base_edges = edges[len(edges) // 4 :]
 
-    base = AdjacencyGraph(graph.num_vertices)
-    for u, v, w in base_edges:
-        base.add_edge(u, v, w)
-    dyn = DynamicSCAN(base, 5, 0.5)
-    init_cost = dyn.sigma_recomputations
-
-    for u, v, w in stream:
-        dyn.add_edge(u, v, w)
-    incremental = dyn.sigma_recomputations - init_cost
-    final = dyn.clustering()
+    def incremental(read_every: int):
+        """σ slots refreshed over the stream, reading every k edges."""
+        base = AdjacencyGraph(graph.num_vertices)
+        for u, v, w in base_edges:
+            base.add_edge(u, v, w)
+        dyn = DynamicSCAN(base, 5, 0.5)
+        init_cost = dyn.sigma_recomputations
+        for i, (u, v, w) in enumerate(stream, start=1):
+            dyn.add_edge(u, v, w)
+            if i % read_every == 0:
+                dyn.core_mask()
+        final = dyn.clustering()
+        return dyn.sigma_recomputations - init_cost, final.num_clusters
 
     batch_run = run_algorithm("SCAN", graph, 5, 0.5)
     panel = ExperimentResult(
@@ -92,9 +95,9 @@ def ext_dynamic(
         title=f"GR02: {len(stream):,d} edge insertions (μ=5, ε=0.5)",
         headers=["approach", "σ evaluations", "result clusters"],
     )
+    panel.add_row("incremental (fresh after every edge)", *incremental(1))
     panel.add_row(
-        "incremental (fresh after every edge)", incremental,
-        final.num_clusters,
+        "incremental (one read at the end)", *incremental(len(stream) + 1)
     )
     panel.add_row(
         "batch SCAN once (final state only)",
@@ -107,7 +110,8 @@ def ext_dynamic(
         batch_run.clustering.num_clusters,
     )
     panel.notes.append(
-        "per-update σ cost is O(deg(u) + deg(v)); the relabel on read is "
-        "σ-free"
+        "σ is refreshed per read: a read recomputes the σ rows of "
+        "{u, v} ∪ N(u) ∪ N(v) for every edge since the previous read; "
+        "the clustering itself is a σ-free index query"
     )
     return [panel]

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Tuple
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
+from repro.graph.patch import check_vertex, check_weight
 
 __all__ = ["AdjacencyGraph"]
 
@@ -61,8 +62,7 @@ class AdjacencyGraph:
         self._check(v)
         if u == v:
             raise GraphError("self-loops are not allowed")
-        if weight < 0:
-            raise GraphError("edge weights must be non-negative")
+        check_weight(weight)
         if v in self._adj[u]:
             raise GraphError(f"edge ({u}, {v}) already exists")
         self._adj[u][v] = float(weight)
@@ -82,10 +82,11 @@ class AdjacencyGraph:
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
         """Change an existing edge's weight."""
+        self._check(u)
+        self._check(v)
         if v not in self._adj[u]:
             raise GraphError(f"no edge ({u}, {v})")
-        if weight < 0:
-            raise GraphError("edge weights must be non-negative")
+        check_weight(weight)
         self._adj[u][v] = float(weight)
         self._adj[v][u] = float(weight)
 
@@ -115,6 +116,8 @@ class AdjacencyGraph:
         return v in self._adj[u]
 
     def edge_weight(self, u: int, v: int) -> float:
+        self._check(u)
+        self._check(v)
         if v not in self._adj[u]:
             raise GraphError(f"no edge ({u}, {v})")
         return self._adj[u][v]
@@ -127,8 +130,7 @@ class AdjacencyGraph:
                     yield u, v, w
 
     def _check(self, v: int) -> None:
-        if not 0 <= v < self.num_vertices:
-            raise GraphError(f"vertex {v} out of range")
+        check_vertex(v, self.num_vertices)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,37 +1,31 @@
 """Incremental SCAN maintenance under edge insertions and deletions.
 
 The paper's related work cites DENGRAPH for clustering *dynamic* social
-networks; this module provides that capability on top of our similarity
-semantics, as a natural extension of the reproduction.
+networks; this module provides that capability as an extension.
 
-Key observation: σ(x, y) (Definition 1) depends only on the
-neighborhoods of ``x`` and ``y``.  Inserting or deleting the edge
-``(u, v)`` therefore only changes
-
-* σ(u, ·) and σ(v, ·) for pairs incident to ``u`` or ``v`` (their
-  neighborhoods and lengths ``l_u``, ``l_v`` changed), and
-* nothing else.
-
-:class:`DynamicSCAN` keeps a per-edge σ cache; each update recomputes
-only the O(deg(u) + deg(v)) affected entries and marks the labeling
-dirty.  :meth:`clustering` rebuilds labels from the cache with one
-O(n + |E|) relabel pass — no σ work — so a stream of updates costs
-"σ on touched pairs" + "one cheap relabel per read", versus a full
-O(Σ degree-sums) batch re-run.
+σ(x, y) depends only on the neighborhoods of ``x`` and ``y``, so an
+update of the edge ``(u, v)`` only changes the σ rows of
+``{u, v} ∪ N(u) ∪ N(v)`` (:func:`repro.graph.patch.affected_rows`).
+:class:`DynamicSCAN` validates and applies each update on a mutable
+:class:`~repro.dynamic.graph.AdjacencyGraph` and records its endpoints;
+a read refreshes exactly those rows of a
+:class:`~repro.similarity.gsindex.ClusteringIndex` with the batched σ
+kernels (every σ kind and neighborhood mode) and answers the (ε, μ)
+query from the index with no further σ work.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+from typing import Set
 
 import numpy as np
 
-from repro.baselines._postprocess import finalize_clustering
-from repro.core.backend_scan import _expand_clusters
 from repro.dynamic.graph import AdjacencyGraph
 from repro.errors import ConfigError
+from repro.graph.patch import affected_rows
 from repro.result import Clustering
+from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig
 
 __all__ = ["DynamicSCAN"]
@@ -43,21 +37,16 @@ class DynamicSCAN:
     Parameters
     ----------
     graph:
-        The mutable graph; updates must go through this object's
-        :meth:`add_edge` / :meth:`remove_edge` so the σ cache stays
-        consistent (mutating the graph directly desynchronizes it).
+        The mutable graph; updates must go through this object so the
+        touched rows are recorded.
     mu, epsilon:
         SCAN parameters.
     similarity:
-        Similarity semantics (closed neighborhoods etc.), matching the
-        batch oracle's defaults.
-    seed_sigmas:
-        Optional pre-computed σ cache, keyed by undirected edge (order
-        of endpoints is normalized).  When it covers the graph's exact
-        edge set, the O(m) σ sweep of a fresh build is skipped entirely
-        — the service seeds this from a current
-        :class:`~repro.similarity.index.EdgeSimilarityIndex` so the
-        update mirror starts warm after recovery or an index build.
+        Similarity semantics, matching the batch oracle's defaults.
+
+    ``sigma_recomputations`` counts the directed edge slots whose σ was
+    computed: all of them at construction, then each refresh's
+    ``slots_recomputed``.
 
     Examples
     --------
@@ -75,7 +64,6 @@ class DynamicSCAN:
         epsilon: float,
         *,
         similarity: SimilarityConfig | None = None,
-        seed_sigmas: Dict[Tuple[int, int], float] | None = None,
     ) -> None:
         if mu < 1:
             raise ConfigError("mu must be a positive integer")
@@ -86,138 +74,65 @@ class DynamicSCAN:
         self.epsilon = epsilon
         self.config = similarity or SimilarityConfig()
         self.config.validate()
-        self._sigma: Dict[Tuple[int, int], float] = {}
-        self._lengths: Dict[int, float] = {}
-        self.sigma_recomputations = 0
+        snapshot = graph.to_csr()
+        self._index = ClusteringIndex.build(
+            snapshot, self.config, mu_cap=min(mu, DEFAULT_MU_CAP)
+        )
+        self.sigma_recomputations = int(snapshot.indices.shape[0])
+        self._touched: Set[int] = set()
         self._dirty = True
-        for u in range(graph.num_vertices):
-            self._lengths[u] = self._length_of(u)
-        if seed_sigmas is not None:
-            self._sigma = {
-                self._key(int(u), int(v)): float(sigma)
-                for (u, v), sigma in seed_sigmas.items()
-            }
-            expected = {self._key(u, v) for u, v, _ in graph.edges()}
-            if set(self._sigma) != expected:
-                raise ConfigError(
-                    "seed_sigmas must cover exactly the graph's current "
-                    "edge set"
-                )
-        else:
-            for u, v, _ in graph.edges():
-                self._sigma[self._key(u, v)] = self._compute_sigma(u, v)
-
-    # ------------------------------------------------------------------
-    # similarity over the adjacency representation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _key(u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
-    def _length_of(self, v: int) -> float:
-        total = sum(w * w for w in self.graph.neighbors(v).values())
-        if self.config.closed:
-            total += self.config.self_weight ** 2
-        return total
-
-    def _compute_sigma(self, u: int, v: int) -> float:
-        self.sigma_recomputations += 1
-        nu = self.graph.neighbors(u)
-        nv = self.graph.neighbors(v)
-        if len(nu) > len(nv):
-            u, v, nu, nv = v, u, nv, nu
-        total = sum(w * nv[r] for r, w in nu.items() if r in nv)
-        if self.config.closed:
-            sw = self.config.self_weight
-            if u == v:
-                total += sw * sw
-            elif v in nu:
-                total += 2.0 * sw * nu[v]
-        denom = math.sqrt(self._lengths[u] * self._lengths[v])
-        return total / denom if denom > 0 else 0.0
-
-    def _refresh_incident(self, *vertices: int) -> None:
-        """Recompute lengths of ``vertices`` and σ of incident edges."""
-        for x in vertices:
-            self._lengths[x] = self._length_of(x)
-        seen = set()
-        for x in vertices:
-            for y in self.graph.neighbors(x):
-                key = self._key(x, int(y))
-                if key not in seen:
-                    seen.add(key)
-                    self._sigma[key] = self._compute_sigma(*key)
 
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
     def add_vertex(self) -> int:
         """Append an isolated vertex."""
-        v = self.graph.add_vertex()
-        self._lengths[v] = self._length_of(v)
         self._dirty = True
-        return v
+        return self.graph.add_vertex()
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Insert an edge and repair the affected σ entries."""
+        """Insert an edge; its σ rows are refreshed on the next read."""
         self.graph.add_edge(u, v, weight)
-        self._refresh_incident(u, v)
-        self._dirty = True
+        self._touch(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete an edge and repair the affected σ entries."""
+        """Delete an edge; its σ rows are refreshed on the next read."""
         self.graph.remove_edge(u, v)
-        self._sigma.pop(self._key(u, v), None)
-        self._refresh_incident(u, v)
-        self._dirty = True
+        self._touch(u, v)
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
-        """Change an edge weight and repair the affected σ entries."""
+        """Change an edge weight; σ rows are refreshed on the next read."""
         self.graph.set_weight(u, v, weight)
-        self._refresh_incident(u, v)
+        self._touch(u, v)
+
+    def _touch(self, u: int, v: int) -> None:
+        self._touched.update((u, v))
         self._dirty = True
 
     # ------------------------------------------------------------------
     # reading the clustering
     # ------------------------------------------------------------------
+    def _refreshed(self) -> ClusteringIndex:
+        """The index, with the rows touched since the last read redone."""
+        old = self._index.graph
+        if self._touched or old.num_vertices != self.graph.num_vertices:
+            snapshot = self.graph.to_csr()
+            rows = affected_rows(old, self._touched, snapshot.num_vertices)
+            self._index, stats = self._index.refresh(snapshot, rows)
+            self.sigma_recomputations += stats["slots_recomputed"]
+            self._touched.clear()
+        return self._index
+
     def core_mask(self) -> np.ndarray:
-        """Current boolean core indicator from the σ cache."""
-        n = self.graph.num_vertices
-        counts = np.zeros(n, dtype=np.int64)
-        if self.config.count_self:
-            counts += 1
-        for (u, v), sigma in self._sigma.items():
-            if sigma >= self.epsilon:
-                counts[u] += 1
-                counts[v] += 1
-        return counts >= self.mu
+        """Current boolean core indicator."""
+        return self._refreshed().core_mask(self.epsilon, self.mu)
 
     def clustering(self, *, seed: int = 0) -> Clustering:
-        """Exact SCAN clustering of the current graph (cheap relabel).
-
-        Replays the reference BFS expansion of
-        :func:`repro.baselines.scan.scan` over the cached σ values —
-        same seeded visit order, same first-cluster-wins rule for shared
-        borders — so the labels are byte-identical to a fresh batch run
-        at the same ``seed``, not merely the same member partition.  No
-        σ work happens here; the ε-neighborhoods are threshold passes
-        over the cache.
-        """
-        n = self.graph.num_vertices
-        hoods: List[List[int]] = [[] for _ in range(n)]
-        for (u, v), sigma in self._sigma.items():
-            if sigma >= self.epsilon:
-                hoods[u].append(v)
-                hoods[v].append(u)
-        for hood in hoods:
-            hood.sort()  # CSR rows are sorted; match the oracle's order
-        bonus = 1 if self.config.count_self else 0
-        core = np.asarray(
-            [len(hood) + bonus >= self.mu for hood in hoods], dtype=bool
-        ).reshape(n)
-        labels = _expand_clusters(hoods, core, seed)
+        """Exact SCAN clustering of the current graph: byte for byte
+        :func:`repro.baselines.scan.scan` at the same ``seed``."""
+        result = self._refreshed().query(self.epsilon, self.mu, seed=seed)
         self._dirty = False
-        return finalize_clustering(self.graph.to_csr(), labels, core)
+        return result
 
     @property
     def pending_changes(self) -> bool:
@@ -225,11 +140,7 @@ class DynamicSCAN:
         return self._dirty
 
     def verify_cache(self) -> bool:
-        """Recompute every σ from scratch and compare (test hook)."""
-        before = self.sigma_recomputations
-        for (u, v), cached in self._sigma.items():
-            fresh = self._compute_sigma(u, v)
-            if abs(fresh - cached) > 1e-9:
-                return False
-        self.sigma_recomputations = before
-        return True
+        """Whether the σ array is bitwise a fresh build's (test hook)."""
+        index = self._refreshed()
+        fresh = EdgeSimilarityIndex.build(index.graph, self.config)
+        return index.edge.sigmas.tobytes() == fresh.sigmas.tobytes()

@@ -105,6 +105,8 @@ class Graph:
                 )
         if np.any(weights < 0):
             raise GraphError("edge weights must be non-negative")
+        if not np.all(np.isfinite(weights)):
+            raise GraphError("edge weights must be finite")
 
     @classmethod
     def from_edges(

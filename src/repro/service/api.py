@@ -15,7 +15,7 @@ generated from it, so they cannot drift apart.
 | GET    | /graphs/{name}            | graph_info     | one graph's fingerprint/size/index    |
 | GET    | /graphs/{name}/local-cluster | local_cluster | the seed vertex's exact cluster (§12) |
 | POST   | /graphs/{name}/index      | build_index    | build the GS*-style clustering index  |
-| POST   | /graphs/{name}/update-edges | update_edges | incremental inserts/deletes (DynamicSCAN) |
+| POST   | /graphs/{name}/update-edges | update_edges | edge inserts/deletes (CSR patch + index row refresh) |
 | POST   | /cluster                  | cluster        | submit an anytime clustering job      |
 | GET    | /jobs                     | list_jobs      | enumerate jobs                        |
 | GET    | /jobs/{id}                | job_status     | state/progress of one job             |
@@ -120,7 +120,7 @@ ROUTES: Tuple[Route, ...] = (
         "POST",
         "/graphs/{name}/update-edges",
         "update_edges",
-        "incremental edge inserts/deletes via DynamicSCAN",
+        "edge inserts/deletes: CSR patch + index row refresh",
     ),
     Route("POST", "/cluster", "cluster", "submit an anytime job"),
     Route("GET", "/jobs", "list_jobs", "enumerate jobs"),

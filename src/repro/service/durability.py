@@ -36,7 +36,6 @@ sites):
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -1082,15 +1081,3 @@ class DurabilityManager:
         if self.wal is not None:
             self.wal.close()
             self.wal = None
-
-
-def entry_snapshot(entry: GraphEntry) -> GraphEntry:
-    """A checkpoint-stable copy of one entry (mirror dropped).
-
-    The CSR arrays, fingerprint and index objects are replaced — never
-    mutated — by the store's update path, so sharing references with a
-    copy taken under the store lock is safe; the
-    :class:`~repro.dynamic.scan.DynamicSCAN` mirror is the one mutable
-    piece and is excluded (it is rebuilt, σ-seeded, on demand).
-    """
-    return dataclasses.replace(entry, dynamic=None)

@@ -19,8 +19,9 @@ The cache discipline implements the issue's interactivity story:
   :class:`~repro.similarity.index.IndexedOracle` when σ is
   materialized — near-miss (ε, μ) queries then also run without σ
   evaluations, just threshold passes over stored values;
-* `update-edges` mutates through DynamicSCAN and invalidates exactly
-  the entries keyed by the pre-update fingerprint.
+* `update-edges` patches the CSR arrays, refreshes the affected rows
+  of the clustering index, and invalidates exactly the entries keyed by
+  the pre-update fingerprint.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ The serving layer's data plane:
   semantics and (optionally) an :class:`~repro.similarity.index.EdgeSimilarityIndex`,
   so repeat clustering queries at new (ε, μ) settings are answered from
   stored σ values with zero σ evaluations.
-* ``update-edges`` requests are routed through
-  :class:`~repro.dynamic.scan.DynamicSCAN` on a lazily-built mutable
-  mirror: each update repairs only the O(deg(u)+deg(v)) affected σ
-  entries, the CSR snapshot and fingerprint are refreshed, and the old
-  fingerprint is returned so the caller can invalidate exactly the
-  cache entries that answered for the pre-update graph.
+* ``update-edges`` batches are applied straight to the CSR arrays
+  (:func:`~repro.graph.patch.apply_edge_batch`); a clustering index
+  recomputes only the σ rows the batch can change, the fingerprint is
+  refreshed, and the old fingerprint is returned so the caller can
+  invalidate exactly the cache entries that answered for the
+  pre-update graph.
 * :class:`ResultCache` is an LRU over :class:`CacheKey` — the full
   identity of a clustering query: exact graph content (fingerprint),
   the σ-semantics fields of the similarity config, μ and ε.  Anything
@@ -32,11 +32,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dynamic.graph import AdjacencyGraph
-from repro.dynamic.scan import DynamicSCAN
 from repro.errors import ConfigError
 from repro.faults import fault_point
 from repro.graph.csr import Graph
+from repro.graph.patch import apply_edge_batch
 from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
 from repro.similarity.index import (
     EdgeSimilarityIndex,
@@ -71,23 +70,6 @@ _JOURNAL_SIMILARITY_FIELDS = _SEMANTIC_FIELDS + ("pruning",)
 def similarity_signature(config: SimilarityConfig) -> Tuple[object, ...]:
     """Hashable tuple of the σ-semantic fields of a similarity config."""
     return tuple(getattr(config, name) for name in _SEMANTIC_FIELDS)
-
-
-def _collect_affected(
-    affected: set, mirror: AdjacencyGraph, u: int, v: int
-) -> None:
-    """Record the σ rows an edge op on (u, v) can change.
-
-    A row x changes when x's own neighborhood changes (x ∈ {u, v}) or
-    when an entry σ(x, u)/σ(x, v) of it does (x adjacent to u or v).
-    Out-of-range endpoints are skipped — the op itself raises the
-    proper error; this collector must not pre-empt it.
-    """
-    n = mirror.num_vertices
-    for x in (u, v):
-        if 0 <= x < n:
-            affected.add(x)
-            affected.update(mirror.neighbors(x))
 
 
 @dataclass(frozen=True)
@@ -322,8 +304,6 @@ class GraphEntry:
     #: by the store's publisher on every mutation that republishes the
     #: entry; attached readers compare epochs to revalidate.
     epoch: int = 0
-    # Mutable mirror backing update-edges; built on the first update.
-    dynamic: Optional[DynamicSCAN] = field(default=None, repr=False)
 
     def info(self) -> Dict[str, object]:
         return {
@@ -351,7 +331,8 @@ class UpdateStats:
     """Outcome of one update-edges request.
 
     ``index_rows_refreshed`` counts the σ rows the clustering index
-    recomputed in place (0 when no clustering index was present, or
+    recomputed in place and ``sigma_recomputations`` the directed edge
+    slots among them (both 0 when no clustering index was present, or
     when it had to be dropped instead of patched).
     """
 
@@ -362,8 +343,8 @@ class UpdateStats:
     deleted: int
     sigma_recomputations: int
     index_rows_refreshed: int = 0
-    #: σ rows the batch could have changed (endpoints plus everything
-    #: adjacent to them, pre- and post-op).  Local-query cache entries
+    #: σ rows the batch could have changed (endpoints plus their
+    #: pre-batch neighbors).  Local-query cache entries
     #: whose read set is disjoint from this survive the update
     #: (:meth:`ResultCache.migrate_local`).
     affected_vertices: Tuple[int, ...] = ()
@@ -470,14 +451,12 @@ class GraphStore:
         Taken under the store lock: because journaled mutations append
         *and* apply while holding it, every record up to the returned
         sequence number is reflected in the copied entries and no later
-        one is.  The copies share the immutable CSR/index objects (the
-        update path replaces them, never mutates) and drop the mutable
-        :class:`~repro.dynamic.scan.DynamicSCAN` mirror.
+        one is.  The shallow copies share the immutable CSR/index
+        objects: the update path replaces them, never mutates them.
         """
         with self._lock:
             entries = [
-                dataclasses.replace(entry, dynamic=None)
-                for entry in self._entries.values()
+                dataclasses.replace(entry) for entry in self._entries.values()
             ]
             seq = (
                 self._journal.last_seq if self._journal is not None else 0
@@ -701,7 +680,7 @@ class GraphStore:
         return entry
 
     # ------------------------------------------------------------------
-    # dynamic updates (routed through DynamicSCAN)
+    # edge updates (CSR patch + index row refresh)
     # ------------------------------------------------------------------
     @staticmethod
     def _wire_batch(
@@ -725,32 +704,6 @@ class GraphStore:
             wire.append(row)
         return wire
 
-    def _sigma_seed_locked(self, entry: GraphEntry):
-        """σ seed for the entry's mirror, from its edge index.
-
-        When the index answers for the current fingerprint it already
-        holds σ for every edge, so the mirror can start from those rows
-        instead of recomputing all of them (ROADMAP item 4 leftover:
-        the seed also survives recovery and shared-memory epochs, since
-        checkpoints archive the index).  Keys are ``(min, max)`` pairs —
-        :meth:`~repro.similarity.index.EdgeSimilarityIndex.forward_edges`
-        iterates u < v, matching the mirror's key order.
-        """
-        index = entry.index
-        if index is None or index.fingerprint != entry.fingerprint:
-            return None
-        us, vs, sigmas = index.forward_edges()
-        seed = {
-            (int(u), int(v)): float(s)
-            for u, v, s in zip(us.tolist(), vs.tolist(), sigmas.tolist())
-        }
-        if self.metrics is not None:
-            self.metrics.record_event(
-                "mirror_sigma_seeded",
-                {"graph": entry.name, "rows": len(seed)},
-            )
-        return seed
-
     def update_edges(
         self,
         name: str,
@@ -762,11 +715,13 @@ class GraphStore:
     ) -> UpdateStats:
         """Apply an edge-update batch and refresh the CSR snapshot.
 
-        Updates go through the entry's persistent
-        :class:`~repro.dynamic.scan.DynamicSCAN`, so the per-edge σ
-        cache is repaired incrementally rather than recomputed.  The σ
-        index (if any) answers for the *old* graph and is dropped;
-        ``auto_index`` entries rebuild it lazily on the next query.
+        The batch is applied by :func:`~repro.graph.patch.apply_edge_batch`
+        (add vertices, then inserts, then deletes, each in order).  If an
+        op fails, the valid prefix before it is installed and then the
+        op's error is raised.  A clustering index recomputes only the
+        affected σ rows; an edge index alone answers for the *old* graph
+        and is dropped (``auto_index`` entries rebuild it lazily on the
+        next query).
 
         With a journal attached the batch — including
         ``idempotency_key``, which the store records but does not
@@ -791,91 +746,41 @@ class GraphStore:
                         "key": idempotency_key,
                     }
                 )
-            if entry.dynamic is None:
-                # μ/ε are irrelevant for updates (only for DynamicSCAN's
-                # own clustering reads); any valid pair works here.
-                entry.dynamic = DynamicSCAN(
-                    AdjacencyGraph.from_csr(entry.graph),
-                    mu=2,
-                    epsilon=0.5,
-                    similarity=entry.similarity,
-                    seed_sigmas=self._sigma_seed_locked(entry),
-                )
-            dynamic = entry.dynamic
-            before_recomputations = dynamic.sigma_recomputations
             old_fingerprint = entry.fingerprint
-            inserted = deleted = 0
-            # σ rows the batch touches: for an edge op on (u, v), the
-            # endpoints plus everything adjacent to either — before
-            # *and* after the op, so deletions cover the lost
-            # adjacency and insertions the gained one.  Collected even
-            # for ops that subsequently fail (a superset only costs a
-            # few extra row recomputations, never correctness).
-            affected: set = set()
-            rows_refreshed = 0
-            try:
-                for _ in range(add_vertices):
-                    dynamic.add_vertex()
-                for spec in insert:
-                    if len(spec) == 2:
-                        u, v, weight = int(spec[0]), int(spec[1]), 1.0
-                    elif len(spec) == 3:
-                        u, v, weight = (
-                            int(spec[0]),
-                            int(spec[1]),
-                            float(spec[2]),
-                        )
-                    else:
-                        raise ConfigError(
-                            "insert entries must be [u, v] or "
-                            "[u, v, weight]"
-                        )
-                    _collect_affected(affected, dynamic.graph, u, v)
-                    dynamic.add_edge(u, v, weight)
-                    _collect_affected(affected, dynamic.graph, u, v)
-                    inserted += 1
-                for spec in delete:
-                    if len(spec) != 2:
-                        raise ConfigError("delete entries must be [u, v]")
-                    u, v = int(spec[0]), int(spec[1])
-                    _collect_affected(affected, dynamic.graph, u, v)
-                    dynamic.remove_edge(u, v)
-                    _collect_affected(affected, dynamic.graph, u, v)
-                    deleted += 1
-            finally:
-                # A mid-batch failure leaves the mirror partially
-                # mutated; the CSR snapshot (and any index) must follow
-                # it either way — a stale index answering for the old
-                # graph would be silent corruption.
-                if inserted or deleted or add_vertices:
-                    entry.graph = dynamic.graph.to_csr()
-                    entry.fingerprint = graph_fingerprint(entry.graph)
-                    entry.updates_applied += 1
-                    rows_refreshed = self._refresh_indexes_locked(
-                        entry, affected
-                    )
-                    # One epoch bump per batch: attached readers flip to
-                    # the post-update snapshot atomically (DESIGN.md §11).
-                    self._publish_locked(entry)
-            n = entry.graph.num_vertices
+            batch = apply_edge_batch(
+                entry.graph,
+                insert=insert,
+                delete=delete,
+                add_vertices=add_vertices,
+            )
+            refresh: Dict[str, int] = {}
+            if batch.inserted or batch.deleted or add_vertices:
+                # Installed even when an op failed: a stale index
+                # answering for the pre-batch graph would be silent
+                # corruption once the prefix is visible.
+                entry.graph = batch.graph
+                entry.fingerprint = graph_fingerprint(entry.graph)
+                entry.updates_applied += 1
+                refresh = self._refresh_indexes_locked(entry, batch.affected)
+                # One epoch bump per batch: attached readers flip to
+                # the post-update snapshot atomically (DESIGN.md §11).
+                self._publish_locked(entry)
+            if batch.error is not None:
+                raise batch.error
             return UpdateStats(
                 old_fingerprint=old_fingerprint,
                 new_fingerprint=entry.fingerprint,
                 vertices_added=int(add_vertices),
-                inserted=inserted,
-                deleted=deleted,
-                sigma_recomputations=(
-                    dynamic.sigma_recomputations - before_recomputations
-                ),
-                index_rows_refreshed=rows_refreshed,
-                affected_vertices=tuple(
-                    sorted(v for v in affected if 0 <= v < n)
-                ),
+                inserted=batch.inserted,
+                deleted=batch.deleted,
+                sigma_recomputations=refresh.get("slots_recomputed", 0),
+                index_rows_refreshed=refresh.get("rows_recomputed", 0),
+                affected_vertices=tuple(batch.affected.tolist()),
             )
 
     def _refresh_indexes_locked(
-        self, entry: GraphEntry, affected: set
-    ) -> int:
+        self, entry: GraphEntry, affected: np.ndarray
+    ) -> Dict[str, int]:
         """Carry the entry's indexes across a graph mutation.
 
         With a clustering index present, only the ``affected`` σ rows
@@ -885,17 +790,16 @@ class GraphStore:
         (``auto_index`` entries rebuild lazily on the next query).  Any
         patch failure degrades to the drop path: the one unacceptable
         outcome is an index still answering for the pre-update graph.
+        Returns the refresh's stats (empty when nothing was refreshed).
         """
         cluster_index = entry.cluster_index
         entry.index = None
         entry.cluster_index = None
         if cluster_index is None:
-            return 0
-        n = entry.graph.num_vertices
-        valid = {v for v in affected if 0 <= v < n}
+            return {}
         try:
             fault_point("store.index_refresh")
-            patched, stats = cluster_index.refresh(entry.graph, valid)
+            patched, stats = cluster_index.refresh(entry.graph, affected)
         except Exception as exc:
             # Degraded mode: drop the index (auto entries rebuild
             # lazily) — stale reads are impossible either way.  The
@@ -906,14 +810,14 @@ class GraphStore:
                     {
                         "graph": entry.name,
                         "error": f"{type(exc).__name__}: {exc}",
-                        "rows_affected": len(valid),
+                        "rows_affected": int(affected.shape[0]),
                     },
                 )
-            return 0
+            return {}
         entry.cluster_index = patched
         entry.index = patched.edge
         entry.index_rows_refreshed += int(stats["rows_recomputed"])
-        return int(stats["rows_recomputed"])
+        return stats
 
     def infos(self) -> List[Dict[str, object]]:
         with self._lock:

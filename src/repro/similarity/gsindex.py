@@ -490,13 +490,14 @@ class ClusteringIndex:
         ``affected`` rows.
 
         ``affected`` must cover every vertex whose σ row changed — for
-        an edge update (u, v) that is ``{u, v} ∪ N(u) ∪ N(v)`` (union
-        of pre- and post-update neighborhoods; the service's
-        ``DynamicSCAN`` mirror supplies exactly this set).  Rows outside
-        it are *copied*: their adjacency is required to be unchanged
-        (verified, :class:`ConfigError` otherwise), and σ of a pair
-        depends only on the two endpoint neighborhoods, so the copied
-        values are bitwise what a fresh build would produce.  The result
+        an edge update (u, v) that is ``{u, v} ∪ N(u) ∪ N(v)`` with the
+        pre-update neighborhoods, which
+        :func:`repro.graph.patch.affected_rows` computes for a whole
+        batch (the service store and ``DynamicSCAN`` both use it).
+        Rows outside it are *copied*: their adjacency is required to be
+        unchanged (verified, :class:`ConfigError` otherwise), and σ of a
+        pair depends only on the two endpoint neighborhoods, so the
+        copied values are bitwise what a fresh build would produce.  The result
         is therefore bitwise-identical to
         ``ClusteringIndex.build(new_graph, config, mu_cap=...)`` while
         charging σ-kernel work only for the affected rows.

@@ -16,9 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dynamic.graph import AdjacencyGraph
-from repro.dynamic.scan import DynamicSCAN
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.faults import FaultPlan, FaultRule, armed
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.service.client import ServiceClient, ServiceClientError
@@ -31,8 +29,6 @@ from repro.service.durability import (
     similarity_to_wire,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.store import GraphStore
-from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig
 
 pytestmark = pytest.mark.timeout(120)
@@ -242,6 +238,32 @@ def _free_pair(store, name, rng):
 
 
 class TestDurabilityManager:
+    def test_non_finite_weight_fails_identically_on_replay(self, tmp_path):
+        """A NaN weight after a valid prefix: live, the prefix applies
+        and the batch raises; replay reaches the same fingerprint."""
+        manager = DurabilityManager(tmp_path, checkpoint_every=1000)
+        store = _seed_store(manager)
+        rng = np.random.default_rng(4)
+        good = _free_pair(store, "g", rng)
+        bad = _free_pair(store, "g", rng)
+        with pytest.raises(GraphError, match="finite"):
+            store.update_edges(
+                "g", insert=[[*good, 1.0], [*bad, float("nan")]]
+            )
+        entry = store.get("g")
+        assert entry.graph.has_edge(*good)
+        assert np.isfinite(entry.graph.weights).all()
+        fingerprint = entry.fingerprint
+        manager.close()
+
+        again = DurabilityManager(tmp_path)
+        try:
+            state = again.recover()
+            assert state.failed_records == 1
+            assert state.store.get("g").fingerprint == fingerprint
+        finally:
+            again.close()
+
     def test_recovery_replays_the_wal_tail(self, tmp_path):
         manager = DurabilityManager(tmp_path, checkpoint_every=1000)
         store = _seed_store(manager)
@@ -398,85 +420,6 @@ class TestDurabilityManager:
             DurabilityManager(tmp_path, checkpoint_every=0)
         with pytest.raises(ConfigError):
             DurabilityManager(tmp_path, keep_checkpoints=0)
-
-
-class TestSigmaSeededMirror:
-    """Satellite: the DynamicSCAN mirror reuses the σ-cache across
-    rebuilds instead of recomputing every edge."""
-
-    def test_seeded_mirror_skips_all_recomputation(self):
-        graph = gnm_random_graph(80, 240, seed=11)
-        config = SimilarityConfig()
-        fresh = DynamicSCAN(
-            AdjacencyGraph.from_csr(graph), mu=2, epsilon=0.5,
-            similarity=config,
-        )
-        reference = fresh.clustering(seed=0)
-        assert fresh.sigma_recomputations > 0
-
-        index = EdgeSimilarityIndex.build(graph, config)
-        us, vs, sigmas = index.forward_edges()
-        seed = {
-            (int(u), int(v)): float(s)
-            for u, v, s in zip(us.tolist(), vs.tolist(), sigmas.tolist())
-        }
-        seeded = DynamicSCAN(
-            AdjacencyGraph.from_csr(graph), mu=2, epsilon=0.5,
-            similarity=config, seed_sigmas=seed,
-        )
-        clustering = seeded.clustering(seed=0)
-        assert seeded.sigma_recomputations == 0
-        np.testing.assert_array_equal(
-            clustering.canonical().labels, reference.canonical().labels
-        )
-        assert seeded.verify_cache()
-
-    def test_partial_seed_is_refused(self):
-        graph = gnm_random_graph(30, 60, seed=12)
-        config = SimilarityConfig()
-        index = EdgeSimilarityIndex.build(graph, config)
-        us, vs, sigmas = index.forward_edges()
-        seed = {
-            (int(u), int(v)): float(s)
-            for u, v, s in zip(us.tolist(), vs.tolist(), sigmas.tolist())
-        }
-        seed.popitem()
-        with pytest.raises(ConfigError):
-            DynamicSCAN(
-                AdjacencyGraph.from_csr(graph), mu=2, epsilon=0.5,
-                similarity=config, seed_sigmas=seed,
-            )
-
-    def test_store_mirror_is_seeded_from_the_index(self):
-        """An indexed entry's first update seeds the mirror from the
-        index (witnessed) and stays differentially identical to an
-        unindexed store applying the same batch."""
-        graph = gnm_random_graph(80, 240, seed=13)
-        metrics = ServiceMetrics()
-        seeded_store = GraphStore(metrics=metrics)
-        seeded_store.add(
-            "g", graph, similarity=SimilarityConfig(), build_index=True
-        )
-        plain_store = GraphStore()
-        plain_store.add("g", graph, similarity=SimilarityConfig())
-
-        rng = np.random.default_rng(14)
-        u, v = _free_pair(seeded_store, "g", rng)
-        seeded_stats = seeded_store.update_edges("g", insert=[[u, v, 1.0]])
-        plain_stats = plain_store.update_edges("g", insert=[[u, v, 1.0]])
-
-        events = metrics.events("mirror_sigma_seeded")
-        assert events and events[-1]["rows"] == graph.num_edges
-        assert seeded_stats.new_fingerprint == plain_stats.new_fingerprint
-        # The seeded mirror only ever recomputed the rows the insert
-        # touched; the unindexed one paid a full σ pass at construction
-        # (UpdateStats counts post-construction work only, so compare
-        # the mirrors' lifetime counters).
-        seeded_total = seeded_store.get("g").dynamic.sigma_recomputations
-        plain_total = plain_store.get("g").dynamic.sigma_recomputations
-        assert seeded_total == seeded_stats.sigma_recomputations
-        assert seeded_total < plain_total
-        assert seeded_store.get("g").dynamic.verify_cache()
 
 
 class TestClientCircuitBreaker:

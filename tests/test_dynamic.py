@@ -8,6 +8,7 @@ from repro.dynamic import AdjacencyGraph, DynamicSCAN
 from repro.errors import ConfigError, GraphError
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.metrics.comparison import explain_difference
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 
@@ -40,6 +41,31 @@ class TestAdjacencyGraph:
         g.add_edge(0, 1, 1.0)
         g.set_weight(0, 1, 3.0)
         assert g.edge_weight(1, 0) == 3.0
+
+    def test_set_weight_and_edge_weight_check_the_range(self):
+        # Negative ids used to wrap around to the last vertex.
+        g = AdjacencyGraph(3)
+        g.add_edge(1, 2, 1.0)
+        with pytest.raises(GraphError, match="vertex -1 out of range"):
+            g.set_weight(-1, 1, 5.0)
+        with pytest.raises(GraphError, match="vertex -1 out of range"):
+            g.set_weight(1, -1, 5.0)
+        with pytest.raises(GraphError, match="vertex -1 out of range"):
+            g.edge_weight(1, -1)
+        with pytest.raises(GraphError, match="vertex 3 out of range"):
+            g.edge_weight(3, 1)
+        assert g.neighbors(1) == {2: 1.0}
+        assert list(g.edges()) == [(1, 2, 1.0)]
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        g = AdjacencyGraph(2)
+        with pytest.raises(GraphError, match="finite"):
+            g.add_edge(0, 1, weight)
+        g.add_edge(0, 1)
+        with pytest.raises(GraphError, match="finite"):
+            g.set_weight(0, 1, weight)
+        assert g.edge_weight(0, 1) == 1.0
 
     def test_add_vertex(self):
         g = AdjacencyGraph(2)
@@ -131,9 +157,20 @@ class TestDynamicSCAN:
             dyn.add_edge(u, v)
         assert dyn.verify_cache()
 
-    def test_update_cost_is_local(self, lfr_medium):
+    def test_update_cost_is_local(self, lfr_medium, monkeypatch):
+        """One insert plus one read refreshes exactly the rows
+        {u, v} ∪ N(u) ∪ N(v), and counts their slots."""
         dyn = DynamicSCAN(AdjacencyGraph.from_csr(lfr_medium), 4, 0.5)
         base = dyn.sigma_recomputations
+        refreshes = []
+        original = ClusteringIndex.refresh
+
+        def spy(self, new_graph, affected):
+            patched, stats = original(self, new_graph, affected)
+            refreshes.append((list(affected), stats))
+            return patched, stats
+
+        monkeypatch.setattr(ClusteringIndex, "refresh", spy)
         # Insert one edge between two low-degree vertices.
         degrees = lfr_medium.degrees
         candidates = np.argsort(degrees)
@@ -144,8 +181,19 @@ class TestDynamicSCAN:
             if not lfr_medium.has_edge(u, int(x)) and int(x) != u
         )
         dyn.add_edge(u, v)
-        touched = dyn.sigma_recomputations - base
-        assert touched <= lfr_medium.degree(u) + lfr_medium.degree(v) + 2
+        assert dyn.sigma_recomputations == base  # nothing until a read
+        dyn.clustering()
+        (rows, stats), = refreshes
+        expected = {u, v}
+        expected.update(lfr_medium.neighbors(u).tolist())
+        expected.update(lfr_medium.neighbors(v).tolist())
+        assert sorted(rows) == sorted(expected)
+        assert stats["rows_recomputed"] == len(expected)
+        assert dyn.sigma_recomputations - base == stats["slots_recomputed"]
+        new_degrees = dyn.graph.to_csr().degrees
+        assert stats["slots_recomputed"] == int(
+            new_degrees[sorted(expected)].sum()
+        )
 
     def test_pending_changes_flag(self, triangle):
         dyn = DynamicSCAN(AdjacencyGraph.from_csr(triangle), 2, 0.5)

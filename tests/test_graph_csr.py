@@ -68,6 +68,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(indptr, indices, weights)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN passes every `weight < 0` test; it must still be refused.
+        indptr = np.array([0, 1, 2])
+        indices = np.array([1, 0])
+        with pytest.raises(GraphError, match="finite"):
+            Graph(indptr, indices, np.array([bad, bad]))
+
 
 class TestAccessors:
     def test_neighbors_sorted(self, karate):

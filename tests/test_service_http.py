@@ -197,13 +197,54 @@ def test_update_edges_invalidates_exactly_affected_entries(client):
     assert outcome["cache_entries_invalidated"] == 2
     assert outcome["inserted"] == 1
     assert outcome["fingerprint"] != outcome["previous_fingerprint"]
-    assert outcome["sigma_recomputations"] >= 1
+    # An edge index alone is dropped, not refreshed: no σ work.
+    assert outcome["sigma_recomputations"] == 0
 
     # The other graph's entries survived; upd-a's are gone.
     assert client.cluster("upd-b", 3, 0.5)["cached"] is True
     fresh = client.cluster("upd-a", 3, 0.5, wait=_WAIT)
     assert fresh["cached"] is False and fresh["state"] == "done"
     assert client.graph_info("upd-a")["updates_applied"] == 1
+
+
+def test_update_edges_refreshes_the_cluster_index(client):
+    graph = _lfr(150, seed=31)
+    client.load_graph("upd-c", graph=graph, build_cluster_index=True)
+    outcome = client.update_edges(
+        "upd-c", insert=[[graph.num_vertices, 0]], add_vertices=1
+    )
+    # The new vertex, vertex 0 and 0's neighbors are recomputed; their
+    # slots are the σ work reported.
+    rows = {graph.num_vertices, 0} | set(graph.neighbors(0).tolist())
+    assert outcome["index_rows_refreshed"] == len(rows)
+    slots = sum(graph.degree(v) for v in rows if v < graph.num_vertices)
+    assert outcome["sigma_recomputations"] == slots + 2
+    assert client.graph_info("upd-c")["cluster_indexed"] is True
+
+
+def test_update_edges_rejects_non_finite_weights(client, server):
+    graph = _lfr(150, seed=32)
+    client.load_graph("upd-nan", graph=graph)
+    before = client.graph_info("upd-nan")["fingerprint"]
+    u, v = next(
+        (u, v)
+        for u in range(graph.num_vertices)
+        for v in range(u + 1, graph.num_vertices)
+        if not graph.has_edge(u, v)
+    )
+    for weight in ("NaN", "Infinity"):
+        request = urllib.request.Request(
+            server.url + "/graphs/upd-nan/update-edges",
+            data=f'{{"insert": [[{u}, {v}, {weight}]]}}'.encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as http_error:
+            urllib.request.urlopen(request, timeout=_WAIT)
+        assert http_error.value.code == 400
+        body = json.loads(http_error.value.read().decode("utf-8"))
+        assert "finite" in body["error"]
+    assert client.graph_info("upd-nan")["fingerprint"] == before
 
 
 def test_pause_resume_priority_cancel_endpoints(client):

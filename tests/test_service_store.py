@@ -1,5 +1,5 @@
 """Data-plane contracts: cache-key semantics, LRU behaviour, the graph
-registry, and update-edges routed through DynamicSCAN.
+registry, and update-edges applied as a CSR patch plus index refresh.
 
 The load-bearing claims:
 
@@ -9,7 +9,7 @@ The load-bearing claims:
 * ``update_edges`` returns the pre-update fingerprint so exactly the
   affected entries can be invalidated;
 * a mid-batch failure leaves the CSR snapshot consistent with the
-  partially-applied mirror (never the stale pre-batch graph).
+  partially-applied batch (never the stale pre-batch graph).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.scan import scan
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.service.store import (
@@ -28,6 +28,7 @@ from repro.service.store import (
     make_cache_key,
     similarity_signature,
 )
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.similarity.index import IndexedOracle
@@ -179,11 +180,36 @@ class TestUpdateEdges:
         assert stats.old_fingerprint == old
         assert stats.new_fingerprint != old
         assert stats.inserted == 1 and stats.deleted == 0
-        assert stats.sigma_recomputations > 0
+        # An edge index alone is dropped, not refreshed: no σ work.
+        assert stats.sigma_recomputations == 0
         entry = store.get("g")
         assert entry.fingerprint == stats.new_fingerprint
         assert entry.index is None  # stale index dropped
         assert entry.updates_applied == 1
+
+    def test_cluster_index_refresh_counts_recomputed_slots(
+        self, monkeypatch
+    ):
+        store = GraphStore()
+        store.add(
+            "g", gnm_random_graph(30, 70, seed=6), build_cluster_index=True
+        )
+        refreshes = []
+        original = ClusteringIndex.refresh
+
+        def spy(self, new_graph, affected):
+            patched, stats = original(self, new_graph, affected)
+            refreshes.append(stats)
+            return patched, stats
+
+        monkeypatch.setattr(ClusteringIndex, "refresh", spy)
+        u, v = self._free_pair(store.get("g").graph)
+        stats = store.update_edges("g", insert=[[u, v]])
+        assert len(refreshes) == 1
+        assert stats.sigma_recomputations == refreshes[0]["slots_recomputed"]
+        assert stats.sigma_recomputations > 0
+        assert stats.index_rows_refreshed == refreshes[0]["rows_recomputed"]
+        assert store.get("g").cluster_index is not None
 
     def test_updated_snapshot_matches_batch_rebuild(self):
         """Incremental maintenance must equal building from scratch."""
@@ -218,6 +244,42 @@ class TestUpdateEdges:
         assert entry.graph.num_edges == old_edges + 1
         assert entry.fingerprint != old_fingerprint
         assert entry.fingerprint == graph_fingerprint(entry.graph)
+
+    def test_non_finite_weight_is_rejected(self):
+        store = self._store_with()
+        entry = store.get("g")
+        old = entry.fingerprint
+        u, v = self._free_pair(entry.graph)
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(GraphError, match="finite"):
+                store.update_edges("g", insert=[[u, v, weight]])
+        entry = store.get("g")
+        assert entry.fingerprint == old
+        assert np.isfinite(entry.graph.weights).all()
+
+    def test_indexed_and_unindexed_stores_agree(self):
+        """Same batch, three index tiers: same fingerprint, and the
+        refreshed clustering index equals a fresh build."""
+        graph = gnm_random_graph(80, 240, seed=13)
+        stores = [GraphStore() for _ in range(3)]
+        stores[0].add("g", graph)
+        stores[1].add("g", graph, build_index=True)
+        stores[2].add("g", graph, build_cluster_index=True)
+        u, v = self._free_pair(graph)
+        victim = next(iter(graph.edges()))
+        stats = [
+            store.update_edges(
+                "g", insert=[[u, v, 1.0]], delete=[list(victim[:2])]
+            )
+            for store in stores
+        ]
+        assert len({s.new_fingerprint for s in stats}) == 1
+        assert len({s.affected_vertices for s in stats}) == 1
+        refreshed = stores[2].get("g").cluster_index
+        fresh = ClusteringIndex.build(
+            stores[2].get("g").graph, SimilarityConfig()
+        )
+        assert refreshed.edge.sigmas.tobytes() == fresh.edge.sigmas.tobytes()
 
     def test_add_vertices(self):
         store = self._store_with(n=10, m=15, seed=9)

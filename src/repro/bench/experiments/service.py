@@ -17,8 +17,8 @@ client-side p50/p99 latency per level for two request mixes:
 
 Both mixes then repeat against a **multi-process fleet** (``repro
 serve --processes N`` machinery): N worker processes sharing the graph
-and its indexes zero-copy through named shared-memory segments, load
-balanced by ``SO_REUSEPORT``.  Every row carries ``process_count`` /
+and its indexes zero-copy through named shared-memory segments, all
+accepting on one pre-forked listening socket.  Every row carries ``process_count`` /
 ``worker_count`` / ``cpu_count`` so the single-vs-fleet comparison is
 interpretable: on a multi-core runner the 4-shard indexed mix should
 sustain ≥2× the single-process aggregate throughput; on a 1-CPU

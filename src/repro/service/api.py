@@ -82,7 +82,11 @@ class ServiceError(ReproError):
 
 
 class Route:
-    """One wire endpoint: method + path pattern + handler name."""
+    """One wire endpoint: method + path pattern + handler name.
+
+    A pattern with a ``{job_id}`` placeholder makes a *job route*: the
+    process that owns the job answers it (:func:`dispatch`).
+    """
 
     def __init__(
         self, method: str, pattern: str, handler: str, description: str
@@ -91,6 +95,7 @@ class Route:
         self.pattern = pattern
         self.handler = handler
         self.description = description
+        self.job_routed = "{job_id}" in pattern
         self.regex = re.compile(
             "^"
             + re.sub(r"\{[a-z_]+\}", r"([^/]+)", pattern)
@@ -243,7 +248,9 @@ def dispatch(
     Returns ``(status, body, endpoint_name)``; the endpoint name labels
     the latency histogram even for failed requests.  Query-string
     parameters are merged into the payload (body keys win) so GET
-    endpoints can take options such as ``?wait=5``.
+    endpoints can take options such as ``?wait=5``.  On a job route the
+    service's ``forward_job`` hook answers first: a fleet shard hands a
+    job another shard owns to that owner, everything else runs here.
     """
     split = urlsplit(raw_path)
     merged: Dict[str, object] = {
@@ -260,7 +267,13 @@ def dispatch(
         )
     handler = getattr(service, f"handle_{route.handler}")
     try:
-        body = handler(merged, *args)
+        body = None
+        if route.job_routed:
+            body = service.forward_job(  # type: ignore[attr-defined]
+                args[0], method, split.path, merged
+            )
+        if body is None:
+            body = handler(merged, *args)
         return 200, body, route.handler
     except ServiceError as exc:
         body: Dict[str, object] = {

@@ -9,9 +9,9 @@ without parsing bodies themselves.
 The transport holds **one persistent keep-alive connection** (the
 server speaks HTTP/1.1): repeat requests skip the TCP handshake, which
 both halves per-request overhead at bench scales and — against a
-``SO_REUSEPORT`` fleet — pins a client to one shard for the
-connection's lifetime, so job submit/poll sequences naturally land on
-the owning process.  The connection is an optimization, never a
+fleet — pins a client to the shard that accepted the connection for
+its lifetime, so job submit/poll sequences naturally land on the
+owning process.  The connection is an optimization, never a
 correctness dependency: any transport failure drops it and the next
 request dials fresh.
 

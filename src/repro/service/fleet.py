@@ -11,34 +11,36 @@ publication layer of :mod:`repro.service.shm`:
   (the only process that mutates graphs), mirrors its store through a
   :class:`~repro.service.shm.StorePublisher`, hosts the writer behind a
   loopback **control server**, and spawns N workers as fresh
-  interpreter subprocesses (``python -m repro.service.fleet.worker``
-  semantics via ``-c``-free module dispatch below).  A watch thread
-  respawns workers that die, so a SIGKILL'd shard comes back without
-  dropping the fleet.
+  interpreter subprocesses (``python -c`` calling :func:`worker_main`).
+  A watch thread respawns workers that die, so a SIGKILL'd shard comes
+  back without dropping the fleet.
+* The supervisor creates one listening socket on the public port and
+  every worker inherits it (``pass_fds``) and accepts on it: pre-forked
+  accept, which shares load on every POSIX kernel and keeps queued
+  connections when a shard dies.
 * Each worker builds an :class:`~repro.service.shm.AttachedGraphStore`
-  over the supervisor's manifest and serves the public port.  Load
-  sharing uses ``SO_REUSEPORT`` when the kernel offers it — every
-  worker binds its own listening socket on the shared port and the
-  kernel balances accepts — and falls back to **pre-forked accept** on
-  a single inherited listening socket otherwise.
-* Mutations (``/graphs``, ``…/index``, ``…/update-edges``,
-  ``/shutdown``) hitting a worker are forwarded over the control
-  channel to the writer, which republishes the affected entry as a new
-  epoch; the worker then refreshes its attachment before answering, so
-  a client that mutates through shard A and immediately reads from
-  shard A sees its own write.
-* Job ids are shard-prefixed (``w3-job-7``); a worker receiving a job
-  request it does not own proxies it to the owning shard's private
-  admin endpoint, found in the fleet table the supervisor publishes
-  through the manifest.
+  over the supervisor's manifest.  Mutations (``/graphs``, ``…/index``,
+  ``…/update-edges``, ``/shutdown``) hitting a worker are forwarded over
+  the control channel to the writer, which republishes the affected
+  entry as a new epoch; the worker then refreshes its attachment before
+  answering, so a client that mutates through shard A and immediately
+  reads from shard A sees its own write.
+* :class:`WriterFleet` is the one owner of the worker table and the
+  merged ``/fleet/metrics``; it lives with the writer and publishes the
+  table through the manifest.
+* Job ids are shard-prefixed (``w3-job-7``).  A worker receiving a
+  request on a job route (the :data:`~repro.service.api.ROUTES` entries
+  with a ``{job_id}`` placeholder) for a job another shard owns
+  forwards it verbatim to the owner's private admin endpoint, found in
+  the published worker table.
 
 Workers are deliberately *subprocesses*, not forks of the supervisor: a
 forked child inherits the publisher's segment registry along with its
 GC/atexit finalizers, and those must never unlink segments the parent
 still serves (the registries carry an owner-pid guard as a second line
 of defense).  A fresh interpreter sidesteps the inherited-lock and
-inherited-finalizer classes of bugs entirely; only the fallback
-listening socket crosses the boundary, via ``pass_fds``.
+inherited-finalizer classes of bugs entirely; only the listening
+socket crosses the boundary.
 
 **Durable HA mode** (``--processes N --data-dir DIR``, DESIGN.md §13):
 the writer moves *out* of the supervisor into its own subprocess
@@ -73,7 +75,10 @@ from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.parallel.processes import untrack_attachment
+from repro.parallel.processes import (
+    install_signal_cleanup,
+    untrack_attachment,
+)
 from repro.service.api import ServiceError, get_bool, get_int, get_str
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.metrics import ServiceMetrics, merge_metric_snapshots
@@ -91,11 +96,6 @@ __all__ = [
     "worker_main",
     "writer_main",
 ]
-
-#: Environment knob forcing the pre-forked-accept fallback even where
-#: ``SO_REUSEPORT`` exists — lets tests exercise both socket strategies
-#: on one kernel.
-_FORCE_FALLBACK_ENV = "REPRO_FLEET_NO_REUSEPORT"
 
 #: How long a spawning fleet waits for every worker to register.
 _READY_TIMEOUT_SECONDS = 60.0
@@ -169,44 +169,15 @@ def _scrape_shards(
     return results, failures
 
 
-def _reuseport_available() -> bool:
-    if os.environ.get(_FORCE_FALLBACK_ENV):
-        return False
-    return hasattr(socket, "SO_REUSEPORT")
-
-
-def _bind_public_socket(host: str, port: int, *, listen: bool) -> socket.socket:
-    """A public-port socket with ``SO_REUSEPORT`` set before bind.
-
-    The supervisor binds one with ``listen=False`` purely to pin down a
-    concrete port (resolving ``--port 0``) without joining the accept
-    pool — a TCP socket outside LISTEN state never receives
-    connections, so it cannot black-hole clients; workers bind theirs
-    with ``listen=True`` to join the kernel's balancing group.
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        if listen:
-            sock.listen(128)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
 class WriterFleet:
-    """Registration table + merged metrics for an out-of-supervisor writer.
+    """The fleet's worker table and merged metrics, owned by the writer.
 
-    The non-durable fleet's writer lives inside the supervisor, which
-    plays this role itself.  In durable HA mode the writer is a
-    subprocess (:func:`writer_main`) — and after a failover, a promoted
-    shard — so ``/fleet/register`` and ``/fleet/metrics`` land on a
-    process with no :class:`ServiceSupervisor`.  This lighter object
-    needs only the publisher (to publish the worker table) and the
-    writer's metrics registry.
+    Wherever the writer runs — inside the supervisor, in the durable
+    writer subprocess (:func:`writer_main`), or on a shard promoted
+    after a failover — this one object answers ``/fleet/register`` and
+    ``/fleet/metrics``.  It publishes the table through the manifest,
+    where shards read it to route jobs and the HA supervisor reads it to
+    count registrations and pick a promotion candidate.
     """
 
     def __init__(
@@ -214,11 +185,13 @@ class WriterFleet:
         publisher: StorePublisher,
         *,
         metrics,
+        processes: int,
         registrations: Optional[Dict[int, Dict[str, object]]] = None,
         self_index: Optional[int] = None,
     ) -> None:
         self.publisher = publisher
         self.metrics = metrics
+        self.processes = int(processes)
         # A promoted shard inherits the dead writer's table so one new
         # registration cannot clobber its surviving peers; its own
         # record is skipped when scraping (it *is* this process).
@@ -234,6 +207,11 @@ class WriterFleet:
                 dict(self._registrations[index])
                 for index in sorted(self._registrations)
             ]
+
+    def _publish_locked(self) -> None:
+        self.publisher.set_workers(
+            [self._registrations[i] for i in sorted(self._registrations)]
+        )
 
     def register_worker(
         self, payload: Dict[str, object]
@@ -254,26 +232,28 @@ class WriterFleet:
         }
         with self._lock:
             self._registrations[index] = record
-            self.publisher.set_workers(
-                [
-                    self._registrations[i]
-                    for i in sorted(self._registrations)
-                ]
-            )
+            self._publish_locked()
             registered = len(self._registrations)
         self.metrics.increment("workers_registered")
         self.metrics.record_event("worker_registered", record)
         return {"status": "registered", "workers": registered}
 
-    def merged_metrics(self) -> Dict[str, object]:
-        snapshots = [self.metrics.snapshot()]
+    def drop_worker(self, index: int) -> None:
+        """Forget a dead shard, so its jobs answer 410 until the index
+        re-registers."""
         with self._lock:
-            workers = [
-                dict(record)
-                for index, record in self._registrations.items()
-                if index != self._self_index
-            ]
-        workers.sort(key=lambda r: int(r["process_id"]))
+            if self._registrations.pop(index, None) is not None:
+                self._publish_locked()
+
+    def merged_metrics(self) -> Dict[str, object]:
+        """Fleet-wide ``/metrics``: summed counters, exactly merged
+        histograms, per-shard gauges/events under ``shards``."""
+        snapshots = [self.metrics.snapshot()]
+        workers = [
+            record
+            for record in self.worker_table()
+            if record["process_id"] != self._self_index
+        ]
         results, failures = _scrape_shards(
             workers, lambda shard: shard.metrics()
         )
@@ -282,8 +262,9 @@ class WriterFleet:
             snapshots.append(snapshot)
             scraped.append(record)
         for record, exc in failures:
-            # A shard mid-respawn answers nothing; report it absent
-            # rather than failing the whole scrape.
+            # A shard mid-respawn (or hung past the per-shard deadline)
+            # answers nothing; report it absent rather than failing the
+            # whole scrape.
             self.metrics.increment("metrics_scrape_failures")
             self.metrics.record_event(
                 "metrics_scrape_failed",
@@ -291,6 +272,7 @@ class WriterFleet:
             )
         merged = merge_metric_snapshots(snapshots)
         merged["fleet"] = {
+            "processes": self.processes,
             "scraped_shards": [r["process_id"] for r in scraped],
             "generation": self.publisher.generation(),
         }
@@ -341,7 +323,6 @@ class ServiceSupervisor:
         )
         self._lock = threading.Lock()
         self._procs: Dict[int, subprocess.Popen] = {}
-        self._registrations: Dict[int, Dict[str, object]] = {}
         self._respawns = 0
         self._closing = threading.Event()
         self._watch: Optional[threading.Thread] = None
@@ -359,33 +340,27 @@ class ServiceSupervisor:
 
         # Single-writer publication: every mutation of the writer's
         # store lands in shared memory as a fresh epoch.  In HA mode
-        # the writer subprocess owns the publisher instead.
+        # the writer subprocess owns the publisher and the worker table
+        # instead.
         self.publisher: Optional[StorePublisher] = None
+        self.fleet: Optional[WriterFleet] = None
         self._listen_sock: Optional[socket.socket] = None
-        self._probe_sock: Optional[socket.socket] = None
         self._control: Optional[ClusteringServer] = None
         try:
             if service is not None:
                 self.publisher = StorePublisher(metrics=service.metrics)
                 service.store.attach_publisher(self.publisher)
-                service.fleet = self
-            self.reuseport = _reuseport_available()
-            if self.reuseport:
-                # Reserve the concrete port; workers bind their own
-                # listeners against it.
-                self._probe_sock = _bind_public_socket(
-                    host, port, listen=False
+                self.fleet = service.fleet = WriterFleet(
+                    self.publisher,
+                    metrics=service.metrics,
+                    processes=self.processes,
                 )
-                resolved = self._probe_sock.getsockname()
-            else:
-                # Pre-fork fallback: one listening socket, inherited by
-                # every worker, which all accept on it.
-                self._listen_sock = socket.create_server(
-                    (host, port), backlog=128, reuse_port=False
-                )
-                resolved = self._listen_sock.getsockname()
-            self.host = resolved[0]
-            self.port = int(resolved[1])
+            # One listening socket, inherited by every worker, which
+            # all accept on it.
+            self._listen_sock = socket.create_server(
+                (host, port), backlog=128
+            )
+            self.host, self.port = self._listen_sock.getsockname()[:2]
             if service is not None:
                 # The control channel: the writer service itself, on a
                 # loopback port workers forward mutations to.
@@ -427,6 +402,7 @@ class ServiceSupervisor:
         }
 
     def _fleet_gauge(self) -> Dict[str, object]:
+        registered = self._registered()
         with self._lock:
             alive = sum(
                 1 for proc in self._procs.values() if proc.poll() is None
@@ -434,11 +410,17 @@ class ServiceSupervisor:
             return {
                 "processes": self.processes,
                 "alive": alive,
-                "registered": len(self._registrations),
+                "registered": registered,
                 "respawns": self._respawns,
-                "reuseport": self.reuseport,
                 "failovers": self._failovers,
             }
+
+    def _registered(self) -> int:
+        """Workers in the owner's table (in HA mode, as last read from
+        the manifest the writer publishes it through)."""
+        if self.fleet is not None:
+            return len(self.fleet.worker_table())
+        return len(self._worker_table)
 
     # ------------------------------------------------------------------
     # durable writer subprocess (HA mode)
@@ -454,6 +436,7 @@ class ServiceSupervisor:
             "recover": self.recover,
             "checkpoint_every": self.checkpoint_every,
             "handshake": handshake,
+            "processes": self.processes,
             "service": self._worker_options,
             "graphs": self._writer_graphs,
         }
@@ -501,13 +484,7 @@ class ServiceSupervisor:
 
     def _attach_manifest_reader(self) -> None:
         """(Re-)attach the supervisor's read-only manifest view."""
-        if self._manifest_shm is not None:
-            try:
-                self._manifest_shm.close()
-            except (OSError, BufferError) as exc:
-                self.metrics.record_event(
-                    "manifest_reader_close_skipped", {"error": str(exc)}
-                )
+        self._close_manifest_reader()
         assert self._worker_manifest is not None
         self._manifest_shm = shared_memory.SharedMemory(
             name=self._worker_manifest
@@ -516,6 +493,17 @@ class ServiceSupervisor:
         self._manifest_reader = ManifestBlock(
             self._manifest_shm, writer=False
         )
+
+    def _close_manifest_reader(self) -> None:
+        self._manifest_reader = None
+        if self._manifest_shm is not None:
+            try:
+                self._manifest_shm.close()
+            except (OSError, BufferError) as exc:
+                self.metrics.record_event(
+                    "manifest_reader_close_skipped", {"error": str(exc)}
+                )
+            self._manifest_shm = None
 
     def _poll_worker_table(self) -> None:
         """Cache the manifest's fleet table (promotion candidates)."""
@@ -596,6 +584,7 @@ class ServiceSupervisor:
         payload = {
             "data_dir": self.data_dir,
             "checkpoint_every": self.checkpoint_every,
+            "processes": self.processes,
         }
         for record in table:
             index = int(record.get("process_id", -1))
@@ -665,15 +654,7 @@ class ServiceSupervisor:
         name = self._worker_manifest
         if name is None:
             return
-        self._manifest_reader = None
-        if self._manifest_shm is not None:
-            try:
-                self._manifest_shm.close()
-            except (OSError, BufferError) as exc:
-                self.metrics.record_event(
-                    "manifest_reader_close_skipped", {"error": str(exc)}
-                )
-            self._manifest_shm = None
+        self._close_manifest_reader()
         try:
             leftover = StorePublisher.adopt(name, metrics=self.metrics)
         except (FileNotFoundError, ConfigError, OSError) as exc:
@@ -690,12 +671,19 @@ class ServiceSupervisor:
         """Replace every worker (the manifest they attached is gone)."""
         with self._lock:
             procs = dict(self._procs)
-            self._registrations = {}
-        for proc in procs.values():
+        self._stop_workers(procs.values())
+        with self._lock:
+            for index in procs:
+                self._respawns += 1
+                self._procs[index] = self._spawn(index)
+
+    def _stop_workers(self, procs) -> None:
+        """SIGTERM every live process; SIGKILL those still up after 5 s."""
+        for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
         deadline = time.monotonic() + 5.0
-        for proc in procs.values():
+        for proc in procs:
             remaining = max(0.0, deadline - time.monotonic())
             try:
                 proc.wait(timeout=remaining)
@@ -703,10 +691,6 @@ class ServiceSupervisor:
                 self.metrics.increment("worker_kill_escalations")
                 proc.kill()
                 proc.wait(timeout=5.0)
-        with self._lock:
-            for index in procs:
-                self._respawns += 1
-                self._procs[index] = self._spawn(index)
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -724,21 +708,15 @@ class ServiceSupervisor:
         return self
 
     def _spawn(self, index: int) -> subprocess.Popen:
+        assert self._listen_sock is not None
+        fd = self._listen_sock.fileno()
         options: Dict[str, object] = {
             "process_index": index,
             "manifest_name": self._worker_manifest,
             "control_url": self.control_url,
-            "host": self.host,
-            "port": self.port,
-            "reuseport": self.reuseport,
+            "listen_fd": fd,
             "service": self._worker_options,
         }
-        pass_fds: List[int] = []
-        if not self.reuseport:
-            assert self._listen_sock is not None
-            fd = self._listen_sock.fileno()
-            options["listen_fd"] = fd
-            pass_fds.append(fd)
         # -c, not -m: runpy would re-execute this module under __main__
         # after the package import already loaded it once.
         return subprocess.Popen(
@@ -749,7 +727,7 @@ class ServiceSupervisor:
                 "sys.exit(worker_main(sys.argv[1:]))",
                 json.dumps(options),
             ],
-            pass_fds=pass_fds,
+            pass_fds=[fd],
             stdin=subprocess.DEVNULL,
         )
 
@@ -776,7 +754,10 @@ class ServiceSupervisor:
                             "returncode": proc.returncode,
                         },
                     )
-                    self._registrations.pop(index, None)
+                    # Drop the record before the respawn can register
+                    # a successor at the same index.
+                    if self.fleet is not None:
+                        self.fleet.drop_worker(index)
                     if (
                         self.respawn
                         and not self._closing.is_set()
@@ -787,100 +768,15 @@ class ServiceSupervisor:
                         self._procs[index] = self._spawn(index)
                     else:
                         del self._procs[index]
-                if dead:
-                    self._publish_workers_locked()
-
-    def _publish_workers_locked(self) -> None:
-        # In HA mode registrations land on the writer subprocess (its
-        # WriterFleet publishes the table); the supervisor has nothing
-        # to publish.
-        if self.publisher is not None:
-            self.publisher.set_workers(
-                [
-                    self._registrations[index]
-                    for index in sorted(self._registrations)
-                ]
-            )
-
-    # ------------------------------------------------------------------
-    # control-channel callbacks (via the writer's /fleet/* handlers)
-    # ------------------------------------------------------------------
-    def register_worker(
-        self, payload: Dict[str, object]
-    ) -> Dict[str, object]:
-        try:
-            index = int(payload["process_id"])  # type: ignore[arg-type]
-            pid = int(payload["pid"])  # type: ignore[arg-type]
-            admin_url = str(payload["admin_url"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(
-                "fleet registration needs integer 'process_id'/'pid' "
-                "and string 'admin_url'"
-            ) from None
-        record = {
-            "process_id": index,
-            "pid": pid,
-            "admin_url": admin_url,
-        }
-        with self._lock:
-            self._registrations[index] = record
-            self._publish_workers_locked()
-            registered = len(self._registrations)
-        self.metrics.increment("workers_registered")
-        self.metrics.record_event("worker_registered", record)
-        return {"status": "registered", "workers": registered}
-
-    def merged_metrics(self) -> Dict[str, object]:
-        """Fleet-wide ``/metrics``: summed counters, exactly merged
-        histograms, per-shard gauges/events under ``shards``."""
-        snapshots = [self.metrics.snapshot()]
-        with self._lock:
-            workers = [
-                dict(record) for record in self._registrations.values()
-            ]
-        workers.sort(key=lambda r: int(r["process_id"]))
-        results, failures = _scrape_shards(
-            workers, lambda shard: shard.metrics()
-        )
-        scraped = []
-        for record, snapshot in results:
-            snapshots.append(snapshot)
-            scraped.append(record)
-        for record, exc in failures:
-            # A shard mid-respawn (or hung past the per-shard deadline)
-            # answers nothing; report it absent rather than failing the
-            # whole scrape.
-            self.metrics.increment("metrics_scrape_failures")
-            self.metrics.record_event(
-                "metrics_scrape_failed",
-                {"process_id": record["process_id"], "error": str(exc)},
-            )
-        merged = merge_metric_snapshots(snapshots)
-        merged["fleet"] = {
-            "processes": self.processes,
-            "scraped_shards": [r["process_id"] for r in scraped],
-            "respawns": self._respawns,
-            "generation": self.publisher.generation(),
-        }
-        return merged
 
     def wait_ready(
         self, timeout: float = _READY_TIMEOUT_SECONDS
     ) -> "ServiceSupervisor":
-        """Block until every worker registered (spawn-time barrier).
-
-        In HA mode the registrations live on the writer subprocess;
-        the supervisor observes them through the manifest's fleet
-        table instead of its own (empty) registration map.
-        """
+        """Block until every worker registered (spawn-time barrier)."""
         deadline = time.monotonic() + timeout
         while True:
-            if self.service is not None:
-                with self._lock:
-                    registered = len(self._registrations)
-            else:
-                self._poll_worker_table()
-                registered = len(self._worker_table)
+            self._poll_worker_table()
+            registered = self._registered()
             if registered >= self.processes:
                 return self
             if time.monotonic() > deadline:
@@ -904,24 +800,12 @@ class ServiceSupervisor:
         with self._lock:
             procs = list(self._procs.values())
             self._procs = {}
-            self._registrations = {}
         if any(proc.poll() is None for proc in procs):
             # Drain grace: a worker that just forwarded /shutdown to the
             # writer is still flushing that response to its client;
             # terminating instantly would reset the connection.
             time.sleep(0.3)
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + 5.0
-        for proc in procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                self.metrics.increment("worker_kill_escalations")
-                proc.kill()
-                proc.wait(timeout=5.0)
+        self._stop_workers(procs)
         writer, self._writer_proc = self._writer_proc, None
         if writer is not None:
             # Graceful stop: SIGTERM lets the writer take one final
@@ -937,25 +821,15 @@ class ServiceSupervisor:
         if self._control is not None:
             self._control.close()
             self._control = None
-        for sock in (self._probe_sock, self._listen_sock):
-            if sock is not None:
-                sock.close()
-        self._probe_sock = None
-        self._listen_sock = None
+        if self._listen_sock is not None:
+            self._listen_sock.close()
+            self._listen_sock = None
         if self.service is None:
             # HA teardown: whatever the (possibly killed) writer or a
             # promoted shard left behind gets retired here — durable
             # segments are untracked, so nobody else will.
             self._sweep_manifest()
-        self._manifest_reader = None
-        if self._manifest_shm is not None:
-            try:
-                self._manifest_shm.close()
-            except (OSError, BufferError) as exc:
-                self.metrics.record_event(
-                    "manifest_reader_close_skipped", {"error": str(exc)}
-                )
-            self._manifest_shm = None
+        self._close_manifest_reader()
         if self.publisher is not None:
             self.publisher.close()
 
@@ -974,8 +848,8 @@ class WorkerService(ClusteringService):
     by the writer is visible to the very next read.  Mutations forward
     over the control channel and then ``refresh()`` before answering —
     read-your-writes for the client that mutated.  Job requests whose
-    shard prefix names another worker proxy to that worker's admin URL
-    from the published fleet table.
+    shard prefix names another worker go to that worker's admin URL
+    from the published fleet table (:meth:`forward_job`).
     """
 
     def __init__(
@@ -1257,6 +1131,7 @@ class WorkerService(ClusteringService):
             self.fleet = WriterFleet(
                 publisher,
                 metrics=self.metrics,
+                processes=get_int(payload, "processes", len(peers)),
                 registrations=peers,
                 self_index=self.process_index,
             )
@@ -1288,7 +1163,7 @@ class WorkerService(ClusteringService):
         return self._attached.workers()
 
     # ------------------------------------------------------------------
-    # job routing (shard-prefixed ids; foreign ids proxy to the owner)
+    # job routing (shard-prefixed ids; foreign ids go to the owner)
     # ------------------------------------------------------------------
     def _job_peer(self, job_id: str) -> Optional[ServiceClient]:
         """The owning shard's admin client, or None for local ids."""
@@ -1319,60 +1194,20 @@ class WorkerService(ClusteringService):
             status=410,
         )
 
-    def _job_call(
-        self,
-        payload: Dict[str, object],
-        job_id: str,
-        method: str,
-        suffix: str,
-        local,
-    ) -> Dict[str, object]:
+    def forward_job(self, job_id, method, path, payload):
+        """Answer a job route for another shard's job from its owner:
+        the request goes verbatim to the owner's admin endpoint."""
         peer = self._job_peer(job_id)
         if peer is None:
-            return local(payload, job_id)
+            return None
         self.metrics.increment("jobs_proxied")
         try:
-            return peer.request(method, f"/jobs/{job_id}{suffix}", payload)
+            return peer.request(method, path, payload)
         except ServiceClientError as exc:
             raise ServiceError(
                 str(exc), status=exc.status or 502,
                 retry_after=exc.retry_after,
             ) from None
-
-    def handle_job_status(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "GET", "", super().handle_job_status
-        )
-
-    def handle_job_snapshot(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "GET", "/snapshot", super().handle_job_snapshot
-        )
-
-    def handle_job_result(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "GET", "/result", super().handle_job_result
-        )
-
-    def handle_pause_job(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "POST", "/pause", super().handle_pause_job
-        )
-
-    def handle_resume_job(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "POST", "/resume", super().handle_resume_job
-        )
-
-    def handle_cancel_job(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "POST", "/cancel", super().handle_cancel_job
-        )
-
-    def handle_set_priority(self, payload, job_id):
-        return self._job_call(
-            payload, job_id, "POST", "/priority", super().handle_set_priority
-        )
 
     def handle_list_jobs(self, payload):
         """Union of every shard's jobs (``shard_only`` stops fan-out)."""
@@ -1405,43 +1240,63 @@ class WorkerService(ClusteringService):
 
 
 # ----------------------------------------------------------------------
-# worker process entry point (`python -m repro.service.fleet <json>`)
+# process entry points (spawned with ``python -c``, one JSON argument)
 # ----------------------------------------------------------------------
-def worker_main(argv: Optional[List[str]] = None) -> int:
-    """Run one fleet worker until the fleet shuts down."""
+def _entry_options(
+    argv: Optional[List[str]], entry: str
+) -> Optional[Dict[str, object]]:
+    """Start a fleet subprocess: parse its one JSON argument, install
+    the shared-memory signal cleanup, and arm the fault plan named in
+    the service options.  ``None`` means a usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if len(argv) != 1:
-        print(
-            "usage: worker_main(['<options json>'])",
-            file=sys.stderr,
-        )
-        return 2
+        print(f"usage: {entry}(['<options json>'])", file=sys.stderr)
+        return None
     options = json.loads(argv[0])
-    from repro.parallel.processes import install_signal_cleanup
-
     install_signal_cleanup()
-    index = int(options["process_index"])
-    fault_plan = (options.get("service") or {}).pop("fault_plan", None)
+    service_options = dict(options.get("service") or {})
+    fault_plan = service_options.pop("fault_plan", None)
     if fault_plan:
         from repro.faults import FaultPlan, arm
 
         with open(fault_plan, "r", encoding="utf-8") as handle:
             arm(FaultPlan.from_json(handle.read()))
+    options["service"] = service_options
+    return options
+
+
+def _wait_for_release(service: ClusteringService) -> None:
+    """Serve until the service shuts down or the supervisor is gone.
+
+    A subprocess whose supervisor died without reaping it (it was
+    re-parented to init) stops rather than serve or journal for a fleet
+    nobody manages.
+    """
+    try:
+        while not service.shutdown_event.wait(timeout=0.2):
+            if os.getppid() == 1:
+                break
+    except KeyboardInterrupt:  # ^C stops the process, cleanly
+        service.metrics.increment("keyboard_interrupts")
+
+
+def worker_main(argv: Optional[List[str]] = None) -> int:
+    """Run one fleet worker until the fleet shuts down."""
+    options = _entry_options(argv, "worker_main")
+    if options is None:
+        return 2
+    index = int(options["process_index"])
     store = AttachedGraphStore(str(options["manifest_name"]))
     service = WorkerService(
         store=store,
         control_url=str(options["control_url"]),
         process_index=index,
-        **(options.get("service") or {}),
+        **options["service"],
     )
-    if options.get("reuseport"):
-        sock = _bind_public_socket(
-            str(options["host"]), int(options["port"]), listen=True
-        )
-    else:
-        sock = socket.socket(fileno=int(options["listen_fd"]))
-    public = ClusteringServer(service, sock=sock)
-    # The private admin endpoint: job proxying, metrics scrapes, and
+    public = ClusteringServer(
+        service, sock=socket.socket(fileno=int(options["listen_fd"]))
+    )
+    # The private admin endpoint: job forwarding, metrics scrapes, and
     # failover promotion land here, addressed per-shard, never
     # load-balanced.
     admin = ClusteringServer(service, host="127.0.0.1", port=0)
@@ -1470,13 +1325,7 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         with ServiceClient(fresh, timeout=10.0, max_retries=2) as control:
             control.request("POST", "/fleet/register", register)
     try:
-        while not service.shutdown_event.wait(timeout=0.2):
-            if os.getppid() == 1:
-                # The supervisor died without reaping us; exit rather
-                # than serve a manifest nobody maintains.
-                break
-    except KeyboardInterrupt:  # ^C stops the worker, cleanly
-        service.metrics.increment("keyboard_interrupts")
+        _wait_for_release(service)
     finally:
         admin.close()
         public.close()
@@ -1496,25 +1345,11 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     checkpoint before exit — a SIGKILL instead is exactly what the WAL
     protects against.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if len(argv) != 1:
-        print(
-            "usage: writer_main(['<options json>'])",
-            file=sys.stderr,
-        )
+    options = _entry_options(argv, "writer_main")
+    if options is None:
         return 2
-    options = json.loads(argv[0])
-    from repro.parallel.processes import install_signal_cleanup
     from repro.service.durability import DurabilityManager
 
-    install_signal_cleanup()
-    service_options = dict(options.get("service") or {})
-    fault_plan = service_options.pop("fault_plan", None)
-    if fault_plan:
-        from repro.faults import FaultPlan, arm
-
-        with open(fault_plan, "r", encoding="utf-8") as handle:
-            arm(FaultPlan.from_json(handle.read()))
     metrics = ServiceMetrics()
     manager = DurabilityManager(
         str(options["data_dir"]),
@@ -1531,7 +1366,7 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
         manager.close()
         return 3
     service = ClusteringService(
-        store=recovered.store, metrics=metrics, **service_options
+        store=recovered.store, metrics=metrics, **options["service"]
     )
     service.seed_update_keys(recovered.update_keys)
     service.import_recovered_jobs(recovered.job_blobs)
@@ -1542,7 +1377,9 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     control = ClusteringServer(service, host="127.0.0.1", port=0)
     control.start()
     publisher.set_control_url(control.url)
-    service.fleet = WriterFleet(publisher, metrics=metrics)
+    service.fleet = WriterFleet(
+        publisher, metrics=metrics, processes=int(options["processes"])
+    )
     # Preload requested graphs the recovery didn't already restore;
     # each add journals + publishes like any other mutation.
     hosted = set(service.store.names())
@@ -1586,20 +1423,10 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
         )
     os.replace(probe, handshake)
     try:
-        while not service.shutdown_event.wait(timeout=0.2):
-            if os.getppid() == 1:
-                # The supervisor died without reaping us; stop rather
-                # than journal for a fleet nobody manages.
-                break
-    except KeyboardInterrupt:
-        metrics.increment("keyboard_interrupts")
+        _wait_for_release(service)
     finally:
         control.close()
         manager.checkpoint(service.durability_snapshot())
         manager.close()
         publisher.close()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

@@ -152,8 +152,9 @@ class ClusteringService:
             on_done=self._job_finished,
             id_prefix=job_id_prefix,
         )
-        #: Set by :class:`repro.service.fleet.ServiceSupervisor` on the
-        #: writer service; ``/fleet/*`` handlers consult it.
+        #: The :class:`repro.service.fleet.WriterFleet` (worker table +
+        #: merged metrics) on a fleet's writer service; ``/fleet/*``
+        #: handlers consult it.
         self.fleet = None
         #: Set by `serve_main --data-dir` (or a fleet writer): the
         #: :class:`~repro.service.durability.DurabilityManager` whose
@@ -750,6 +751,18 @@ class ClusteringService:
             raise ServiceError("field 'priority' is required")
         return self.scheduler.reprioritize(job_id, priority)
 
+    def forward_job(
+        self,
+        job_id: str,
+        method: str,
+        path: str,
+        payload: Dict[str, object],
+    ) -> Optional[Dict[str, object]]:
+        """Job-route hook: the owner's answer for a job owned by another
+        process, or ``None`` to serve it here (always, outside a fleet;
+        see :meth:`repro.service.fleet.WorkerService.forward_job`)."""
+        return None
+
     # ------------------------------------------------------------------
     # durability (WAL + checkpoints; see repro.service.durability)
     # ------------------------------------------------------------------
@@ -899,9 +912,15 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
         if sock is None:
             super().__init__(address, handler)
         else:
-            # Adopt an already-listening socket (fleet workers: either a
-            # per-process SO_REUSEPORT listener or the supervisor's
-            # inherited pre-fork socket) instead of binding a new one.
+            # Adopt an already-listening socket (fleet workers: the
+            # supervisor's inherited pre-fork socket) instead of binding
+            # a new one.  Non-blocking, because several servers accept
+            # on it: socketserver selects, then accepts, and a blocking
+            # accept() that loses the race to another process would
+            # hang here — and with it shutdown() — until the next
+            # connection arrives.  Losing now raises BlockingIOError,
+            # which socketserver skips.
+            sock.setblocking(False)
             super().__init__(address, handler, bind_and_activate=False)
             placeholder = self.socket
             self.socket = sock
@@ -1063,8 +1082,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="server processes; >1 starts a sharded fleet sharing the "
-        "graph store zero-copy through named shared-memory segments "
-        "(SO_REUSEPORT when available, pre-forked accept otherwise)",
+        "graph store zero-copy through named shared-memory segments; "
+        "every process accepts on one pre-forked listening socket",
     )
     parser.add_argument(
         "--workers", type=int, default=2, help="scheduler worker threads"
@@ -1296,8 +1315,8 @@ def serve_main(argv=None) -> int:
             worker_options=_worker_options(args),
         )
         supervisor.start()
-        # The probe socket never accepts; the port only answers once a
-        # worker is listening, so gate the banner on registration.
+        # Connections queue on the shared listener until a worker
+        # accepts them; announce the port once every worker registered.
         supervisor.wait_ready()
         print(
             f"serving on {supervisor.url} "

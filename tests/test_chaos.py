@@ -396,19 +396,16 @@ def test_fleet_survives_sigkilled_shard(seed):
         ).canonical()
         np.testing.assert_array_equal(got.labels, reference.labels)
 
-        with supervisor._lock:
-            registrations = dict(supervisor._registrations)
+        registrations = supervisor.fleet.worker_table()
         victim = registrations[seed % len(registrations)]
         os.kill(int(victim["pid"]), signal.SIGKILL)
 
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             with supervisor._lock:
-                if (
-                    supervisor._respawns >= 1
-                    and len(supervisor._registrations) == 2
-                ):
-                    break
+                respawned = supervisor._respawns >= 1
+            if respawned and len(supervisor.fleet.worker_table()) == 2:
+                break
             time.sleep(0.05)
         else:
             pytest.fail("killed shard never respawned")

@@ -11,17 +11,19 @@ Three layers, bottom up:
   bumps on mutation, unlink-after-commit hygiene, and the read-only
   contract of the attached view;
 * the live fleet — :class:`~repro.service.fleet.ServiceSupervisor`
-  with real worker subprocesses behind one port, in both socket modes
-  (``SO_REUSEPORT`` and the pre-forked-accept fallback): responses
-  byte-identical to a single-process server for the same request
-  stream, including after ``update-edges`` routed through the writer;
-  shard-prefixed job ids answered from any connection; merged
-  ``/fleet/metrics``.
+  with real worker subprocesses accepting on one pre-forked listening
+  socket: responses byte-identical to a single-process server for the
+  same request stream, including after ``update-edges`` routed through
+  the writer; every job route answered by the owning shard from any
+  shard (410 once the owner left the fleet); merged ``/fleet/metrics``
+  of one shape with or without a durable writer.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import time
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from repro.parallel.processes import (
     shared_memory_available,
     untrack_attachment,
 )
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.fleet import ServiceSupervisor
 from repro.service.server import ClusteringServer, ClusteringService
 from repro.service.shm import (
@@ -280,7 +282,7 @@ class TestPublisherAttachment:
 # ----------------------------------------------------------------------
 # the live fleet (worker subprocesses behind one port)
 # ----------------------------------------------------------------------
-def _start_fleet(processes=2, **worker_options):
+def _start_fleet(processes=2, respawn=True, **worker_options):
     service = ClusteringService(workers=2, slice_iterations=2)
     supervisor = ServiceSupervisor(
         service,
@@ -288,21 +290,22 @@ def _start_fleet(processes=2, **worker_options):
         worker_options=dict(
             {"workers": 2, "slice_iterations": 2}, **worker_options
         ),
+        respawn=respawn,
     )
     supervisor.start().wait_ready()
     return supervisor
 
 
-def _query_stream(url, graph):
+def _query_stream(url, graph, name="fleet"):
     """Load + index + query; returns the comparable response bodies."""
     bodies = []
     client = ServiceClient(url, timeout=_WAIT)
-    info = client.load_graph("fleet", graph=graph, build_index=True)
+    info = client.load_graph(name, graph=graph, build_index=True)
     bodies.append(
         {"fingerprint": info["fingerprint"], "num_edges": info["num_edges"]}
     )
     for mu, epsilon in _SETTINGS:
-        body = client.cluster("fleet", mu, epsilon, wait=_WAIT)
+        body = client.cluster(name, mu, epsilon, wait=_WAIT)
         bodies.append(
             {
                 "labels": body["labels"],
@@ -310,7 +313,7 @@ def _query_stream(url, graph):
                 "state": body["state"],
             }
         )
-    update = client.update_edges("fleet", insert=[[0, 1, 1.0], [3, 7, 1.0]])
+    update = client.update_edges(name, insert=[[0, 1, 1.0], [3, 7, 1.0]])
     bodies.append(
         {
             "fingerprint": update["fingerprint"],
@@ -318,7 +321,7 @@ def _query_stream(url, graph):
         }
     )
     mu, epsilon = _SETTINGS[0]
-    after = client.cluster("fleet", mu, epsilon, wait=_WAIT)
+    after = client.cluster(name, mu, epsilon, wait=_WAIT)
     bodies.append(
         {"labels": after["labels"], "num_clusters": after["num_clusters"]}
     )
@@ -329,28 +332,18 @@ def _query_stream(url, graph):
 def test_fleet_differential_byte_identity_with_single_process():
     """Any shard answers the exact bytes a single-process server does —
     including after ``update-edges`` routed through the writer."""
-    graph = _lfr()
+    graphs = {"fleet": _lfr(), "fleet-small": _lfr(n=100, seed=9)}
     with ClusteringServer(workers=2, slice_iterations=2) as single:
-        expected = _query_stream(single.url, graph)
+        expected = {
+            name: _query_stream(single.url, graph, name)
+            for name, graph in graphs.items()
+        }
     supervisor = _start_fleet(processes=2)
     try:
-        got = _query_stream(supervisor.url, graph)
-    finally:
-        supervisor.close()
-    assert got == expected
-    assert _segments(os.getpid()) == []
-
-
-def test_fleet_fallback_socket_mode(monkeypatch):
-    """The pre-forked-accept fallback serves the same answers."""
-    monkeypatch.setenv("REPRO_FLEET_NO_REUSEPORT", "1")
-    graph = _lfr(n=100, seed=9)
-    with ClusteringServer(workers=2, slice_iterations=2) as single:
-        expected = _query_stream(single.url, graph)
-    supervisor = _start_fleet(processes=2)
-    try:
-        assert supervisor.reuseport is False
-        got = _query_stream(supervisor.url, graph)
+        got = {
+            name: _query_stream(supervisor.url, graph, name)
+            for name, graph in graphs.items()
+        }
     finally:
         supervisor.close()
     assert got == expected
@@ -369,7 +362,7 @@ def test_fleet_job_routing_across_connections():
         body = seeder.cluster("fleet", 2, 0.5, wait=_WAIT)
         job_id = body["job_id"]
         assert job_id.startswith("w")  # shard-prefixed
-        # Several fresh connections: SO_REUSEPORT may pin any shard.
+        # Several fresh connections: any shard may accept each one.
         for _ in range(4):
             with ServiceClient(supervisor.url, timeout=_WAIT) as probe:
                 status = probe.status(job_id)
@@ -410,4 +403,141 @@ def test_fleet_metrics_merge_and_keepalive():
         client.close()
     finally:
         supervisor.close()
+    assert _segments(os.getpid()) == []
+
+
+def _answer(client, call):
+    """One request's outcome as comparable data: the body, or the
+    error status and message."""
+    try:
+        return 200, call(client)
+    except ServiceClientError as exc:
+        return exc.status, str(exc)
+
+
+def _until(predicate, what, timeout=_WAIT):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+def test_fleet_forwards_every_job_route_to_the_owner():
+    """Every job route sent to the shard that does *not* own the job
+    answers exactly what the owner answers, and counts as forwarded."""
+    graph = _lfr(n=400, seed=17)
+    supervisor = _start_fleet(processes=2)
+    try:
+        with ServiceClient(supervisor.url, timeout=_WAIT) as client:
+            client.load_graph("fleet", graph=graph)
+        # The table the writer publishes through the manifest.
+        table = supervisor.fleet.worker_table()
+        assert [r["process_id"] for r in table] == [0, 1]
+        owner = ServiceClient(str(table[0]["admin_url"]), timeout=_WAIT)
+        other = ServiceClient(str(table[1]["admin_url"]), timeout=_WAIT)
+        # Single-vertex blocks keep the anySCAN job running for many
+        # slices, so it can be parked mid-run.
+        job_id = owner.cluster("fleet", 3, 0.6, alpha=1, beta=1)["job_id"]
+        assert job_id.startswith("w0-")
+        owner.pause(job_id)
+        _until(lambda: owner.status(job_id)["state"] == "paused", "pause")
+        done_id = owner.cluster("fleet", 2, 0.5, wait=_WAIT)["job_id"]
+
+        def forwarded():
+            return int(other.metrics()["counters"].get("jobs_proxied", 0))
+
+        before = forwarded()
+        stable = [
+            lambda c: c.status(job_id),
+            lambda c: c.snapshot(job_id),
+            lambda c: c.snapshot(job_id, labels=False),
+            lambda c: c.result(job_id),  # 409: paused
+            lambda c: c.result(done_id),
+            lambda c: c.pause(job_id),  # no-op on a paused job
+            lambda c: c.set_priority(job_id, 3),
+        ]
+        for call in stable:
+            assert _answer(other, call) == _answer(owner, call)
+        assert _answer(owner, lambda c: c.result(job_id))[0] == 409
+        # resume and cancel change state: the owner then reports what
+        # the forwarded request did.
+        resumed = other.resume(job_id)
+        assert resumed["job_id"] == job_id
+        assert resumed["state"] in ("pending", "running")
+        other.cancel(job_id)
+        _until(
+            lambda: owner.status(job_id)["state"] == "cancelled", "cancel"
+        )
+        settled = [
+            lambda c: c.cancel(job_id),  # no-op on a cancelled job
+            lambda c: c.resume(job_id),  # 400: cancelled
+            lambda c: c.status(job_id),
+        ]
+        for call in settled:
+            assert _answer(other, call) == _answer(owner, call)
+        assert forwarded() - before == len(stable) + 2 + len(settled)
+        # The /jobs union is a fan-out from either shard, not a forward.
+        assert other.jobs() == owner.jobs()
+        assert forwarded() - before == len(stable) + 2 + len(settled)
+        owner.close()
+        other.close()
+    finally:
+        supervisor.close()
+    assert _segments(os.getpid()) == []
+
+
+def test_fleet_job_of_a_departed_shard_answers_410():
+    """Once a shard leaves the fleet, the writer drops it from the
+    published table, and its jobs answer 410 Gone from any shard."""
+    graph = _lfr(n=100, seed=19)
+    supervisor = _start_fleet(processes=2, respawn=False)
+    try:
+        with ServiceClient(supervisor.url, timeout=_WAIT) as client:
+            client.load_graph("fleet", graph=graph, build_index=True)
+        table = supervisor.fleet.worker_table()
+        survivor = ServiceClient(str(table[0]["admin_url"]), timeout=_WAIT)
+        with ServiceClient(str(table[1]["admin_url"]), timeout=_WAIT) as gone:
+            job_id = gone.cluster("fleet", 2, 0.5, wait=_WAIT)["job_id"]
+        assert job_id.startswith("w1-")
+        assert survivor.status(job_id)["state"] == "done"
+        os.kill(int(table[1]["pid"]), signal.SIGKILL)
+        _until(
+            lambda: [r["process_id"] for r in supervisor.fleet.worker_table()]
+            == [0],
+            "the dead shard's record to be dropped",
+        )
+        _until(
+            lambda: _answer(survivor, lambda c: c.status(job_id))[0] == 410,
+            "410 from the surviving shard",
+        )
+        status, message = _answer(survivor, lambda c: c.result(job_id))
+        assert status == 410 and "left the fleet" in message
+        survivor.close()
+    finally:
+        supervisor.close()
+    assert _segments(os.getpid()) == []
+
+
+def test_fleet_metrics_have_one_shape_with_a_durable_writer(tmp_path):
+    """`/fleet/metrics` answers the same ``fleet`` keys whether the
+    writer lives in the supervisor or in a durable subprocess."""
+    shapes = []
+    for data_dir in (None, str(tmp_path / "data")):
+        supervisor = ServiceSupervisor(
+            None if data_dir else ClusteringService(workers=2),
+            processes=2,
+            worker_options={"workers": 2, "slice_iterations": 2},
+            data_dir=data_dir,
+        )
+        try:
+            supervisor.start().wait_ready()
+            with ServiceClient(supervisor.url, timeout=_WAIT) as client:
+                shapes.append(client.fleet_metrics()["fleet"])
+        finally:
+            supervisor.close()
+    plain, durable = shapes
+    assert sorted(durable) == sorted(plain)
+    for fleet in shapes:
+        assert fleet["processes"] == 2
+        assert sorted(fleet["scraped_shards"]) == [0, 1]
     assert _segments(os.getpid()) == []

@@ -13,12 +13,17 @@ Covers the issue's service-level criteria end to end:
 * ``update-edges`` invalidates exactly the affected cache entries;
 * two concurrent jobs run interleaved; a mid-run snapshot reports
   ``assigned_fraction`` strictly inside (0, 1);
-* domain errors map to 400/404/409 with JSON bodies.
+* domain errors map to 400/404/409 with JSON bodies;
+* servers sharing one listening socket (the fleet's pre-forked accept)
+  stop promptly.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import socket
+import threading
 import time
 import urllib.request
 
@@ -313,3 +318,33 @@ def test_shutdown_endpoint_sets_the_event(client, server):
     assert not server.service.shutdown_event.is_set()
     assert client.shutdown()["status"] == "shutting-down"
     assert server.service.shutdown_event.is_set()
+
+
+def test_servers_sharing_one_listener_close_promptly():
+    """Two servers accepting on one listening socket, as fleet workers
+    do, both stop within a deadline after serving: the server that
+    loses an accept race must not sit in a blocking ``accept()`` that
+    only the next connection would end."""
+    for _ in range(4):
+        listener = socket.create_server(("127.0.0.1", 0), backlog=16)
+        port = listener.getsockname()[1]
+        servers = [
+            ClusteringServer(
+                workers=1,
+                sock=socket.socket(fileno=os.dup(listener.fileno())),
+            ).start()
+            for _ in range(2)
+        ]
+        try:
+            for _ in range(5):
+                with ServiceClient(
+                    f"http://127.0.0.1:{port}", timeout=_WAIT
+                ) as probe:
+                    assert probe.health()["status"] == "ok"
+            for live in servers:
+                closer = threading.Thread(target=live.close, daemon=True)
+                closer.start()
+                closer.join(timeout=3.0)
+                assert not closer.is_alive(), "close() hung in accept()"
+        finally:
+            listener.close()

@@ -13,6 +13,7 @@ This file carries the issue's E2E criteria at the scheduler layer:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -166,12 +167,38 @@ def test_import_renames_colliding_job_ids():
         assert scheduler.info(revived)["state"] == "paused"
 
 
+class _HeldAnySCAN(AnySCAN):
+    """Parks the worker inside its first slice until ``release`` is set.
+
+    The events are class attributes, so the scheduler's slice
+    checkpoint still pickles the instance.
+    """
+
+    entered = threading.Event()
+    release = threading.Event()
+
+    def advance(self):
+        type(self).entered.set()
+        assert type(self).release.wait(_DEADLINE), "never released"
+        return super().advance()
+
+
 def test_priority_orders_the_ready_queue():
     """Among pending jobs the higher priority one runs to completion
     first; reprioritize on a paused job takes effect at resume."""
     graphs = [gnm_random_graph(240, 1100, seed=s) for s in (6, 7, 8)]
+    _HeldAnySCAN.entered.clear()
+    _HeldAnySCAN.release.clear()
+    config = AnyScanConfig(
+        mu=2, epsilon=0.5, alpha=32, beta=32, record_costs=False
+    )
     with JobScheduler(workers=1, slice_iterations=1) as scheduler:
-        blocker = scheduler.submit(_algo(graphs[0], 2, 0.5), priority=0)
+        # The single worker is busy in `blocker` until both pauses
+        # land: `low` outranks `blocker` and must not get a slice first.
+        blocker = scheduler.submit(
+            _HeldAnySCAN(graphs[0], config), priority=0
+        )
+        assert _HeldAnySCAN.entered.wait(_DEADLINE)
         low = scheduler.submit(_algo(graphs[1], 2, 0.5), priority=5)
         high = scheduler.submit(_algo(graphs[2], 2, 0.5), priority=1)
         scheduler.pause(low)
@@ -181,6 +208,7 @@ def test_priority_orders_the_ready_queue():
             and scheduler.info(high)["state"] == "paused",
             "both paused",
         )
+        _HeldAnySCAN.release.set()
         # Swap the order while parked: `high` now outranks `low`.
         scheduler.reprioritize(high, 7)
         scheduler.resume(high)

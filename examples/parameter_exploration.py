@@ -2,8 +2,9 @@
 
 SCAN's parameters are notoriously hard to pick.  The
 :class:`~repro.core.explorer.ParameterExplorer` pays the O(|E|)
-similarity cost once and then answers any (μ, ε) query in milliseconds —
-the workflow a practitioner would wrap in an ε slider.
+similarity cost once (building a clustering index) and then answers any
+(μ, ε) query in milliseconds — the workflow a practitioner would wrap in
+an ε slider.
 
 Run with::
 
@@ -60,13 +61,13 @@ def main() -> None:
     print(
         "\nevery query above reused the σ table — zero additional "
         "similarity evaluations "
-        f"(still {explorer.oracle.counters.sigma_evaluations:,d})."
+        f"(still {explorer.counters.sigma_evaluations:,d})."
     )
 
     # The whole ε axis at once: the dendrogram view.
     from repro import EpsilonHierarchy
 
-    hierarchy = EpsilonHierarchy(graph, mu=5, explorer=explorer)
+    hierarchy = EpsilonHierarchy(graph, mu=5, index=explorer.index)
     print(
         f"\nε-dendrogram: {hierarchy.num_nodes:,d} cluster nodes across "
         f"{hierarchy.levels().shape[0]:,d} change levels"

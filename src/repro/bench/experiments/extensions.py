@@ -1,7 +1,7 @@
 """Extension experiments beyond the paper's evaluation.
 
-* ``ext_explorer`` — interactive parameter exploration: one σ-table
-  precompute vs. re-running pSCAN for every (μ, ε) probe.
+* ``ext_explorer`` — interactive parameter exploration: one
+  clustering-index build vs. re-running pSCAN for every (μ, ε) probe.
 * ``ext_dynamic`` — incremental SCAN under an edge stream (σ rows
   refreshed per read) vs. periodic batch re-clustering.
 
@@ -45,8 +45,8 @@ def ext_explorer(
             explorer.clustering_at(mu, eps)
     panel.add_row(
         "ParameterExplorer",
-        explorer.oracle.counters.sigma_evaluations,
-        explorer.oracle.counters.work_units,
+        explorer.counters.sigma_evaluations,
+        explorer.counters.work_units,
     )
     # Baseline: a fresh pSCAN per setting.
     total_evals = 0

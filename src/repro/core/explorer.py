@@ -3,171 +3,92 @@
 The paper's motivation is interactivity under expensive similarity
 computation; a natural companion problem (tackled by SCOT and
 gSkeletonClu, both cited in Section V) is *parameter setting*: users
-rarely know the right (μ, ε) up front.  :class:`ParameterExplorer` pays
-the O(|E|) similarity cost **once** and then answers any ``(μ, ε)``
-query in near-linear time with plain array passes and a union–find:
+rarely know the right (μ, ε) up front.  :class:`ParameterExplorer` is a
+view over one :class:`~repro.similarity.gsindex.ClusteringIndex`: it
+pays the O(|E|) similarity cost **once** (building the index) and then
+answers any ``(μ, ε)`` query with zero σ work:
 
-* ``clustering_at(mu, eps)`` — the exact SCAN result for that setting;
+* ``clustering_at(mu, eps)`` — the exact SCAN result for that setting,
+  byte-identical to ``scan(graph, mu, eps)`` (it is ``index.query``);
 * ``core_thresholds(mu)`` — per vertex, the largest ε at which it is
-  still a core (the μ-th largest incident σ);
+  still a core (the index's thresholds, clipped to [0, 1]);
 * ``epsilon_candidates(mu)`` — the distinct thresholds where the
   clustering can change, with the number of cores at each — the data a
   UI would render as an "ε slider" with meaningful stops.
-
-Because it is an independent (non-incremental) SCAN implementation, the
-test suite also uses it as a cross-check oracle for the five algorithms.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines._postprocess import finalize_clustering
 from repro.errors import ConfigError
 from repro.validation import check_eps_mu
 from repro.graph.csr import Graph
 from repro.result import Clustering
-from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.structures.disjoint_set import DisjointSet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.similarity.index import EdgeSimilarityIndex
+from repro.similarity.counters import SimilarityCounters
+from repro.similarity.gsindex import ClusteringIndex
+from repro.similarity.weighted import SimilarityConfig
 
 __all__ = ["ParameterExplorer"]
 
 
 class ParameterExplorer:
-    """Precomputed σ table supporting fast (μ, ε) queries."""
+    """(μ, ε) queries, suggestions and ε stops over one clustering index."""
 
     def __init__(
         self,
         graph: Graph,
         *,
         similarity: SimilarityConfig | None = None,
-        index: "EdgeSimilarityIndex | None" = None,
+        index: ClusteringIndex | None = None,
     ) -> None:
         self.graph = graph
+        self.counters = SimilarityCounters()
         if index is not None:
-            # A prebuilt edge-similarity index already holds every σ this
-            # explorer would compute; adopt it instead of re-evaluating.
+            # A prebuilt index already holds every σ this explorer
+            # would compute; adopt it and charge nothing.
             index.require_compatible(graph=graph, config=similarity)
-            self.oracle = SimilarityOracle(
-                graph, similarity or index.config
-            )
-            self._us, self._vs, self._sigmas = index.forward_edges()
         else:
-            self.oracle = SimilarityOracle(
-                graph, similarity or SimilarityConfig()
+            index = ClusteringIndex.build(graph, similarity)
+            # Charge what one scalar σ per edge costs: |N_u| + |N_v|.
+            us, vs, _ = index.edge.forward_edges()
+            degrees = graph.degrees
+            self.counters.record_sigma_batch(
+                int(us.shape[0]), float((degrees[us] + degrees[vs]).sum())
             )
-            self._us, self._vs, self._sigmas = self._evaluate_all_edges()
-        # Incident σ lists per vertex, sorted descending (built lazily).
-        self._incident_sorted: np.ndarray | None = None
-        self._incident_ptr: np.ndarray | None = None
+        self.index = index
 
-    # ------------------------------------------------------------------
-    # one-time precomputation
-    # ------------------------------------------------------------------
-    def _evaluate_all_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        us: List[int] = []
-        vs: List[int] = []
-        sigmas: List[float] = []
-        for u, v, _ in self.graph.edges():
-            us.append(u)
-            vs.append(v)
-            sigmas.append(self.oracle.sigma(u, v))
-        return (
-            np.asarray(us, dtype=np.int64),
-            np.asarray(vs, dtype=np.int64),
-            np.asarray(sigmas, dtype=np.float64),
-        )
-
-    def _incident(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR-style per-vertex incident σ values, sorted descending."""
-        if self._incident_sorted is None:
-            n = self.graph.num_vertices
-            counts = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(counts, self._us + 1, 1)
-            np.add.at(counts, self._vs + 1, 1)
-            ptr = np.cumsum(counts)
-            values = np.empty(int(ptr[-1]), dtype=np.float64)
-            cursor = ptr[:-1].copy()
-            for u, v, s in zip(self._us, self._vs, self._sigmas):
-                values[cursor[u]] = s
-                cursor[u] += 1
-                values[cursor[v]] = s
-                cursor[v] += 1
-            for p in range(n):
-                segment = values[ptr[p] : ptr[p + 1]]
-                segment[::-1].sort()  # descending in place
-            self._incident_sorted = values
-            self._incident_ptr = ptr
-        return self._incident_sorted, self._incident_ptr
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     @property
     def precompute_cost(self) -> float:
         """Work units spent on the one-time σ table."""
-        return self.oracle.counters.work_units
+        return self.counters.work_units
 
     def sigma_values(self) -> np.ndarray:
-        """All |E| edge similarities (read-only copy)."""
-        return self._sigmas.copy()
+        """All |E| edge similarities in ``graph.edges()`` order (a copy)."""
+        return self.index.edge.forward_edges()[2].copy()
 
     def core_thresholds(self, mu: int) -> np.ndarray:
-        """Per vertex: largest ε at which it is a core (0 if never).
+        """Per vertex: largest ε at which it is a core (0 if never, 1 if
+        at every ε).
 
         A vertex needs ``μ`` ε-similar neighbors counting itself (when
         ``count_self``), i.e. its (μ-1)-th largest incident σ must reach
         ε; without self-counting, the μ-th largest.
         """
         check_eps_mu(mu=mu)
-        values, ptr = self._incident()
-        need = mu - (1 if self.oracle.config.count_self else 0)
-        n = self.graph.num_vertices
-        out = np.zeros(n, dtype=np.float64)
-        if need <= 0:
-            out[:] = 1.0  # trivially core at any ε
-            return out
-        for p in range(n):
-            lo, hi = int(ptr[p]), int(ptr[p + 1])
-            if hi - lo >= need:
-                out[p] = values[lo + need - 1]
-        return out
+        return np.clip(self.index.core_thresholds(mu), 0.0, 1.0)
 
     def cores_at(self, mu: int, epsilon: float) -> np.ndarray:
         """Boolean core mask for the given parameters."""
         check_eps_mu(mu=mu, epsilon=epsilon)
-        return self.core_thresholds(mu) >= epsilon
+        return self.index.core_mask(epsilon, mu)
 
     def clustering_at(self, mu: int, epsilon: float) -> Clustering:
-        """Exact SCAN clustering for ``(μ, ε)`` from the σ table."""
+        """Exact SCAN clustering for ``(μ, ε)``: ``scan(graph, mu, eps)``."""
         check_eps_mu(mu=mu, epsilon=epsilon)
-        core = self.cores_at(mu, epsilon)
-        n = self.graph.num_vertices
-        dsu = DisjointSet(n)
-        passing = self._sigmas >= epsilon
-        for u, v, ok in zip(self._us, self._vs, passing):
-            if ok and core[u] and core[v]:
-                dsu.union(int(u), int(v))
-        labels = np.full(n, -4, dtype=np.int64)
-        roots: Dict[int, int] = {}
-        for u in np.flatnonzero(core):
-            root = dsu.find(int(u))
-            labels[int(u)] = roots.setdefault(root, len(roots))
-        # Borders: ε-similar neighbors of cores.
-        for u, v, ok in zip(self._us, self._vs, passing):
-            if not ok:
-                continue
-            u, v = int(u), int(v)
-            if core[u] and not core[v] and labels[v] < 0:
-                labels[v] = labels[u]
-            elif core[v] and not core[u] and labels[u] < 0:
-                labels[u] = labels[v]
-        return finalize_clustering(self.graph, labels, core)
+        return self.index.query(epsilon, mu)
 
     def epsilon_candidates(self, mu: int) -> List[Tuple[float, int]]:
         """Distinct ε thresholds and how many cores survive each.
@@ -195,9 +116,9 @@ class ParameterExplorer:
 
         ``objective="modularity"`` (default) evaluates a quantile grid of
         core-threshold candidates and returns the ε whose clustering
-        maximizes modularity — each probe is a cheap relabel of the σ
-        table.  ``objective="gap"`` returns the midpoint of the widest
-        gap in the sorted core-threshold profile (a knee heuristic, no
+        maximizes modularity — each probe is one σ-free index query.
+        ``objective="gap"`` returns the midpoint of the widest gap in
+        the sorted core-threshold profile (a knee heuristic, no
         clustering probes).
         """
         check_eps_mu(mu=mu)

@@ -6,18 +6,20 @@ dendrogram (the insight behind gSkeletonClu, cited in the paper's related
 work):
 
 * a vertex *becomes a core* at its core threshold ``t(v)``
-  (:meth:`repro.core.explorer.ParameterExplorer.core_thresholds`);
+  (:meth:`repro.similarity.gsindex.ClusteringIndex.core_thresholds`);
 * a core-core edge ``(u, v)`` *activates* at
   ``min(σ(u, v), t(u), t(v))`` — the largest ε at which both endpoints
   are cores and the edge passes the threshold.
 
-Processing these events in descending level with a union–find yields the
-merge tree.  :class:`EpsilonHierarchy` exposes
+Both event kinds are read from one
+:class:`~repro.similarity.gsindex.ClusteringIndex` in a vectorized pass;
+processing them in descending level with a union–find yields the merge
+tree.  :class:`EpsilonHierarchy` exposes
 
-* :meth:`cut` — the exact SCAN clustering at any ε (delegates to the
-  explorer for borders/hubs);
+* :meth:`cut` — the exact SCAN clustering at any ε (the index's query,
+  byte-identical to ``scan``; borders and hubs included);
 * :meth:`core_partition_at` — the dendrogram's own core partition (used
-  to cross-check the two machineries against each other in tests);
+  to cross-check the tree against the index's query in tests);
 * :meth:`persistence_table` — birth/death/size of every cluster node;
 * :meth:`suggest_cut` — the midpoint of the widest ε plateau on which
   the clustering does not change (a stability-based default).
@@ -25,15 +27,15 @@ merge tree.  :class:`EpsilonHierarchy` exposes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.explorer import ParameterExplorer
 from repro.validation import check_eps_mu
 from repro.graph.csr import Graph
 from repro.result import Clustering
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig
 from repro.structures.disjoint_set import DisjointSet
 
@@ -72,18 +74,19 @@ class EpsilonHierarchy:
         mu: int,
         *,
         similarity: SimilarityConfig | None = None,
-        explorer: ParameterExplorer | None = None,
+        index: ClusteringIndex | None = None,
     ) -> None:
         check_eps_mu(mu=mu)
         self.graph = graph
         self.mu = mu
-        self.explorer = explorer or ParameterExplorer(
-            graph, similarity=similarity
-        )
-        self._thresholds = self.explorer.core_thresholds(mu)
+        if index is not None:
+            index.require_compatible(graph=graph, config=similarity)
+        else:
+            index = ClusteringIndex.build(graph, similarity)
+        self.index = index
+        # "Never a core" reads 0 and "always a core" reads 1 here.
+        self._thresholds = np.clip(index.core_thresholds(mu), 0.0, 1.0)
         self.nodes: Dict[int, ClusterNode] = {}
-        self._vertex_events: List[Tuple[float, int]] = []
-        self._merge_events: List[Tuple[float, int, int]] = []
         self._build()
 
     # ------------------------------------------------------------------
@@ -91,67 +94,59 @@ class EpsilonHierarchy:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         thresholds = self._thresholds
-        # Vertex activation events.
-        for v in np.flatnonzero(thresholds > 0):
-            self._vertex_events.append((float(thresholds[int(v)]), int(v)))
-        # Edge activation events (only edges whose both ends can be core).
-        us, vs, sigmas = (
-            self.explorer._us,
-            self.explorer._vs,
-            self.explorer._sigmas,
+        # Vertex activation events, then edge activation events (only
+        # edges whose both ends can be core), in one level array.
+        vertices = np.flatnonzero(thresholds > 0)
+        us, vs, sigmas = self.index.edge.forward_edges()
+        tu, tv = thresholds[us], thresholds[vs]
+        live = (tu > 0) & (tv > 0) & (sigmas > 0)
+        us, vs = us[live], vs[live]
+        merge_levels = np.minimum(
+            sigmas[live], np.minimum(tu[live], tv[live])
         )
-        for u, v, s in zip(us, vs, sigmas):
-            tu, tv = float(thresholds[int(u)]), float(thresholds[int(v)])
-            if tu > 0 and tv > 0 and s > 0:
-                level = min(float(s), tu, tv)
-                self._merge_events.append((level, int(u), int(v)))
+        self._levels = np.concatenate([thresholds[vertices], merge_levels])
+        firsts = np.concatenate([vertices, us]).tolist()
+        seconds = np.concatenate([vertices, vs]).tolist()
+        level_of = self._levels.tolist()
+        num_vertex_events = int(vertices.shape[0])
+        kinds = np.arange(len(level_of)) >= num_vertex_events
 
-        # Sweep descending; vertex events before merges at equal level.
-        events: List[Tuple[float, int, Tuple]] = []
-        for level, v in self._vertex_events:
-            events.append((level, 0, (v,)))
-        for level, u, v in self._merge_events:
-            events.append((level, 1, (u, v)))
-        events.sort(key=lambda e: (-e[0], e[1]))
-
+        # Sweep descending; vertex events before merges at equal level,
+        # each kind in vertex id / edge order (lexsort is stable).
         dsu = DisjointSet(self.graph.num_vertices)
-        active = np.zeros(self.graph.num_vertices, dtype=bool)
         node_of_root: Dict[int, int] = {}
         next_id = 0
-        for level, kind, payload in events:
-            if kind == 0:
-                (v,) = payload
-                active[v] = True
+        for event in np.lexsort((kinds, -self._levels)).tolist():
+            level, u = level_of[event], firsts[event]
+            if event < num_vertex_events:
                 node = ClusterNode(
-                    node_id=next_id, birth=level, representative=v
+                    node_id=next_id, birth=level, representative=u
                 )
                 self.nodes[next_id] = node
-                node_of_root[dsu.find(v)] = next_id
-                next_id += 1
-            else:
-                u, v = payload
-                if not (active[u] and active[v]):
-                    continue  # defensive; cannot happen by construction
-                ru, rv = dsu.find(u), dsu.find(v)
-                if ru == rv:
-                    continue
-                left = node_of_root.pop(ru)
-                right = node_of_root.pop(rv)
-                self.nodes[left].death = level
-                self.nodes[right].death = level
-                merged = ClusterNode(
-                    node_id=next_id,
-                    birth=level,
-                    children=(left, right),
-                    size=self.nodes[left].size + self.nodes[right].size,
-                    representative=self.nodes[left].representative,
-                )
-                self.nodes[left].parent = next_id
-                self.nodes[right].parent = next_id
-                self.nodes[next_id] = merged
-                dsu.union(u, v)
                 node_of_root[dsu.find(u)] = next_id
                 next_id += 1
+                continue
+            v = seconds[event]
+            ru, rv = dsu.find(u), dsu.find(v)
+            if ru == rv:
+                continue
+            left = node_of_root.pop(ru)
+            right = node_of_root.pop(rv)
+            self.nodes[left].death = level
+            self.nodes[right].death = level
+            merged = ClusterNode(
+                node_id=next_id,
+                birth=level,
+                children=(left, right),
+                size=self.nodes[left].size + self.nodes[right].size,
+                representative=self.nodes[left].representative,
+            )
+            self.nodes[left].parent = next_id
+            self.nodes[right].parent = next_id
+            self.nodes[next_id] = merged
+            dsu.union(u, v)
+            node_of_root[dsu.find(u)] = next_id
+            next_id += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -167,7 +162,7 @@ class EpsilonHierarchy:
     def cut(self, epsilon: float) -> Clustering:
         """Exact SCAN clustering at (μ, ε) — borders and hubs included."""
         check_eps_mu(epsilon=epsilon)
-        return self.explorer.clustering_at(self.mu, epsilon)
+        return self.index.query(epsilon, self.mu)
 
     def core_partition_at(self, epsilon: float) -> List[frozenset]:
         """Core partition from the dendrogram itself (for cross-checks).
@@ -214,9 +209,7 @@ class EpsilonHierarchy:
 
     def levels(self) -> np.ndarray:
         """Distinct ε levels at which the clustering changes (descending)."""
-        values = {level for level, _ in self._vertex_events}
-        values |= {level for level, _, _ in self._merge_events}
-        return np.asarray(sorted(values, reverse=True), dtype=np.float64)
+        return np.unique(self._levels)[::-1]
 
     def suggest_cut(self, *, min_clusters: int = 2) -> float:
         """ε in the middle of the widest stability plateau.

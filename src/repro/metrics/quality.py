@@ -1,8 +1,9 @@
 """Unsupervised clustering quality measures.
 
 NMI needs a reference clustering; when exploring parameters
-interactively (see :class:`repro.core.explorer.ParameterExplorer`) one
-wants *intrinsic* quality signals instead.  This module provides the
+interactively one wants *intrinsic* quality signals instead
+(:meth:`repro.core.explorer.ParameterExplorer.suggest_epsilon` scores
+its σ-free index probes by :func:`modularity`).  This module provides the
 standard trio used in the community-detection literature:
 
 * :func:`modularity` — Newman's Q (weighted), higher is better;

@@ -82,7 +82,11 @@ from repro.parallel.processes import (
 from repro.service.api import ServiceError, get_bool, get_int, get_str
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.metrics import ServiceMetrics, merge_metric_snapshots
-from repro.service.server import ClusteringServer, ClusteringService
+from repro.service.server import (
+    ClusteringServer,
+    ClusteringService,
+    preload_graphs,
+)
 from repro.service.shm import (
     AttachedGraphStore,
     ManifestBlock,
@@ -1380,28 +1384,7 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     service.fleet = WriterFleet(
         publisher, metrics=metrics, processes=int(options["processes"])
     )
-    # Preload requested graphs the recovery didn't already restore;
-    # each add journals + publishes like any other mutation.
-    hosted = set(service.store.names())
-    for spec in options.get("graphs") or []:
-        name = str(spec[0])
-        if name in hosted:
-            metrics.record_event("preload_skipped", {"graph": name})
-            continue
-        service.handle_load_graph(
-            {
-                "name": name,
-                "path": str(spec[1]),
-                "weighted": bool(spec[2]),
-                "build_index": bool(spec[3]),
-                "build_cluster_index": bool(spec[4]),
-                **(
-                    {"mu_cap": int(spec[5])}
-                    if len(spec) > 5 and spec[5] is not None
-                    else {}
-                ),
-            }
-        )
+    preload_graphs(service, options.get("graphs") or [])
     # SIGTERM now means "drain": checkpoint, then exit 0.  (Installed
     # after recovery so an early terminate still aborts hard.)
     signal.signal(

@@ -1201,6 +1201,57 @@ def _parse_graph_specs(specs) -> Optional[List[Tuple[str, str]]]:
     return graphs
 
 
+def _preload_specs(args, graphs) -> List[List[object]]:
+    """``--graph`` preloads as JSON-ready rows: ``[name, path, weighted,
+    build_index, build_cluster_index, mu_cap]``."""
+    return [
+        [
+            name,
+            path,
+            bool(args.weighted),
+            bool(args.build_index),
+            bool(args.build_cluster_index),
+            args.mu_cap,
+        ]
+        for name, path in graphs
+    ]
+
+
+def preload_graphs(service: ClusteringService, specs) -> None:
+    """Load each :func:`_preload_specs` row's edge list into the store.
+
+    A graph that recovery already restored is skipped: re-adding it
+    would journal it twice.  Every other add journals and publishes
+    like any other mutation.  Both the single-process server and the
+    durable fleet writer preload through here.
+    """
+    from repro.graph.io import load_edge_list
+
+    hosted = set(service.store.names())
+    for spec in specs:
+        name, path, weighted, build_index, build_cluster_index, mu_cap = spec
+        if name in hosted:
+            service.metrics.record_event("preload_skipped", {"graph": name})
+            print(
+                f"skipping preload of {name!r}: already recovered",
+                file=sys.stderr,
+            )
+            continue
+        graph, _ = load_edge_list(path, weighted=weighted)
+        service.store.add(
+            name,
+            graph,
+            build_index=build_index,
+            build_cluster_index=build_cluster_index,
+            mu_cap=mu_cap if mu_cap is not None else DEFAULT_MU_CAP,
+        )
+        print(
+            f"loaded {name}: {graph.num_vertices:,d} vertices, "
+            f"{graph.num_edges:,d} edges",
+            file=sys.stderr,
+        )
+
+
 def serve_main(argv=None) -> int:
     """Entry point behind ``repro serve`` (and ``anyscan serve``)."""
     args = _build_parser().parse_args(argv)
@@ -1280,30 +1331,7 @@ def serve_main(argv=None) -> int:
             signal.SIGTERM,
             lambda signum, frame: service.shutdown_event.set(),
         )
-    hosted = set(service.store.names())
-    for name, path in graphs:
-        if name in hosted:
-            # Recovery already rebuilt it; re-adding would double-journal.
-            print(
-                f"skipping preload of {name!r}: already recovered",
-                file=sys.stderr,
-            )
-            continue
-        from repro.graph.io import load_edge_list
-
-        graph, _ = load_edge_list(path, weighted=args.weighted)
-        service.store.add(
-            name,
-            graph,
-            build_index=args.build_index,
-            build_cluster_index=args.build_cluster_index,
-            mu_cap=args.mu_cap if args.mu_cap is not None else DEFAULT_MU_CAP,
-        )
-        print(
-            f"loaded {name}: {graph.num_vertices:,d} vertices, "
-            f"{graph.num_edges:,d} edges",
-            file=sys.stderr,
-        )
+    preload_graphs(service, _preload_specs(args, graphs))
     if args.processes > 1:
         from repro.service.fleet import ServiceSupervisor
 
@@ -1365,17 +1393,7 @@ def _serve_fleet_durable(args, graphs) -> int:
         data_dir=args.data_dir,
         recover=args.recover,
         checkpoint_every=args.checkpoint_every,
-        writer_graphs=[
-            [
-                name,
-                path,
-                bool(args.weighted),
-                bool(args.build_index),
-                bool(args.build_cluster_index),
-                args.mu_cap,
-            ]
-            for name, path in graphs
-        ],
+        writer_graphs=_preload_specs(args, graphs),
     )
     supervisor.start()
     supervisor.wait_ready()

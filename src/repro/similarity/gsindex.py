@@ -140,22 +140,13 @@ class ClusteringIndex:
         self._sorted_neighbors = graph.indices[order].astype(
             np.int64, copy=False
         )
-        self_count = 1 if self.edge.config.count_self else 0
-        self._self_count = self_count
-        starts = graph.indptr[:-1].astype(np.int64, copy=False)
-        core_eps = np.empty((self.mu_cap, n), dtype=np.float64)
-        for level in range(self.mu_cap):
-            mu = level + 1
-            k = mu - self_count
-            if k <= 0:
-                core_eps[level, :] = _ALWAYS_CORE
-                continue
-            has = degrees >= k
-            row = np.full(n, _NEVER_CORE, dtype=np.float64)
-            if self._sorted_sigmas.shape[0]:
-                idx = np.where(has, starts + (k - 1), 0)
-                row[has] = self._sorted_sigmas[idx][has]
-            core_eps[level, :] = row
+        self._self_count = 1 if self.edge.config.count_self else 0
+        core_eps = np.stack(
+            [
+                self._gather_thresholds(mu, slice(None))
+                for mu in range(1, self.mu_cap + 1)
+            ]
+        )
         self._core_eps = core_eps
         # Per-μ vertex order by threshold descending, vertex id ascending.
         vertex_ids = np.arange(n, dtype=np.int64)
@@ -258,25 +249,43 @@ class ClusteringIndex:
     # ------------------------------------------------------------------
     # core determination (binary search; no σ evaluations)
     # ------------------------------------------------------------------
-    def core_epsilon(self, v: int, mu: int) -> float:
-        """Maximal ε at which ``v`` is a μ-core.
+    def _gather_thresholds(self, mu: int, vertices) -> np.ndarray:
+        """Core thresholds of ``vertices`` (an index into the vertex
+        axis): the (μ − self)-th largest σ of each sorted row, or a
+        sentinel — one gather, no σ work."""
+        indptr = self.edge.graph.indptr
+        starts = indptr[:-1][vertices]
+        degrees = indptr[1:][vertices] - starts
+        k = mu - self._self_count
+        if k <= 0:
+            return np.full(degrees.shape, _ALWAYS_CORE, dtype=np.float64)
+        out = np.full(degrees.shape, _NEVER_CORE, dtype=np.float64)
+        has = degrees >= k
+        out[has] = self._sorted_sigmas[starts[has] + (k - 1)]
+        return out
+
+    def core_thresholds(self, mu: int) -> np.ndarray:
+        """Per vertex: the maximal ε at which it is a μ-core.
 
         Sentinels: ``2.0`` means "core at every valid ε" (possible for
         μ ≤ the self count), ``-1.0`` means "core at no ε" (degree too
-        small).  For μ ≤ ``mu_cap`` this is one array read; above the
-        cap it is one gather from the σ-sorted row.
+        small).  For μ ≤ ``mu_cap`` this is the precomputed table's row
+        itself (not a copy; do not write to it); above the cap it is one
+        O(n) gather from the σ-sorted rows.  Either way no σ is
+        evaluated.
         """
         check_eps_mu(mu=mu)
-        v = int(v)
         if mu <= self.mu_cap:
-            return float(self._core_eps[mu - 1, v])
-        k = mu - self._self_count
-        graph = self.edge.graph
-        if k <= 0:
-            return _ALWAYS_CORE
-        if k > graph.degree(v):
-            return _NEVER_CORE
-        return float(self._sorted_sigmas[int(graph.indptr[v]) + k - 1])
+            return self._core_eps[mu - 1]
+        return self._gather_thresholds(mu, slice(None))
+
+    def core_epsilon(self, v: int, mu: int) -> float:
+        """Maximal ε at which ``v`` is a μ-core (sentinels as in
+        :meth:`core_thresholds`); O(1) at any μ."""
+        check_eps_mu(mu=mu)
+        if mu <= self.mu_cap:
+            return float(self._core_eps[mu - 1, int(v)])
+        return float(self._gather_thresholds(mu, [int(v)])[0])
 
     def core_mask(self, epsilon: float, mu: int) -> np.ndarray:
         """Boolean μ-core indicator at ε — zero σ evaluations.
@@ -286,27 +295,16 @@ class ClusteringIndex:
         vectorized gather over the σ-sorted rows (O(n), still σ-free).
         """
         check_eps_mu(mu=mu, epsilon=epsilon)
-        graph = self.edge.graph
-        n = graph.num_vertices
-        if mu <= self.mu_cap:
-            level = mu - 1
-            thresholds = self._core_thresholds_sorted[level]
-            count = int(
-                np.searchsorted(-thresholds, -float(epsilon), side="right")
-            )
-            mask = np.zeros(n, dtype=bool)
-            mask[self._core_order[level, :count]] = True
-            return mask
-        k = mu - self._self_count
-        if k <= 0:
-            return np.ones(n, dtype=bool)
-        degrees = graph.degrees
-        has = degrees >= k
-        if not self._sorted_sigmas.shape[0]:
-            return np.zeros(n, dtype=bool)
-        starts = graph.indptr[:-1].astype(np.int64, copy=False)
-        idx = np.where(has, starts + (k - 1), 0)
-        return has & (self._sorted_sigmas[idx] >= epsilon)
+        if mu > self.mu_cap:
+            return self.core_thresholds(mu) >= epsilon
+        level = mu - 1
+        thresholds = self._core_thresholds_sorted[level]
+        count = int(
+            np.searchsorted(-thresholds, -float(epsilon), side="right")
+        )
+        mask = np.zeros(self.edge.graph.num_vertices, dtype=bool)
+        mask[self._core_order[level, :count]] = True
+        return mask
 
     def cores(self, epsilon: float, mu: int) -> np.ndarray:
         """Ascending ids of the (ε, μ)-cores."""

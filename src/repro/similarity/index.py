@@ -233,8 +233,9 @@ class EdgeSimilarityIndex:
     def forward_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(us, vs, σ)`` for each undirected edge with u < v, CSR order.
 
-        The same order :meth:`repro.graph.csr.Graph.edges` iterates, so
-        the explorer can substitute this for its per-edge σ loop.
+        The same order :meth:`repro.graph.csr.Graph.edges` iterates;
+        the explorer's ``sigma_values`` and the ε-hierarchy's edge
+        events read σ per undirected edge through it.
         """
         graph = self.graph
         owners = np.repeat(

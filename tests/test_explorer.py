@@ -6,7 +6,8 @@ import pytest
 from repro.baselines import scan
 from repro.core.explorer import ParameterExplorer
 from repro.errors import ConfigError
-from repro.metrics.comparison import explain_difference
+from repro.graph.generators.random_graphs import gnm_random_graph
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 
@@ -15,33 +16,44 @@ def explorer(lfr_small):
     return ParameterExplorer(lfr_small)
 
 
+def assert_byte_identical(result, reference):
+    np.testing.assert_array_equal(result.labels, reference.labels)
+    np.testing.assert_array_equal(result.roles, reference.roles)
+
+
 class TestExactness:
     @pytest.mark.parametrize("mu,eps", [(2, 0.3), (3, 0.5), (5, 0.5),
                                         (4, 0.7), (3, 1.0)])
     def test_matches_scan(self, lfr_small, explorer, mu, eps):
-        oracle = SimilarityOracle(lfr_small, SimilarityConfig())
-        reference = scan(lfr_small, mu, eps, seed=1)
-        result = explorer.clustering_at(mu, eps)
-        problems = explain_difference(
-            lfr_small, oracle, reference, result, mu, eps
-        )
-        assert not problems, problems
+        reference = scan(lfr_small, mu, eps, seed=0)
+        assert_byte_identical(explorer.clustering_at(mu, eps), reference)
 
     def test_matches_scan_on_karate(self, karate):
         explorer = ParameterExplorer(karate)
-        oracle = SimilarityOracle(karate, SimilarityConfig())
         for mu, eps in [(2, 0.4), (3, 0.5), (3, 0.6)]:
-            reference = scan(karate, mu, eps, seed=1)
-            result = explorer.clustering_at(mu, eps)
-            assert not explain_difference(
-                karate, oracle, reference, result, mu, eps
-            )
+            reference = scan(karate, mu, eps, seed=0)
+            assert_byte_identical(explorer.clustering_at(mu, eps), reference)
 
     def test_weighted_graph(self, weighted_triangle):
         explorer = ParameterExplorer(weighted_triangle)
         result = explorer.clustering_at(2, 0.5)
         reference = scan(weighted_triangle, 2, 0.5)
         assert result.same_partition(reference)
+        assert_byte_identical(result, reference)
+
+    def test_mu_above_the_index_cap_is_exact(self, lfr_small):
+        """μ > mu_cap takes the index's O(n) gather path, not an error."""
+        index = ClusteringIndex.build(lfr_small, mu_cap=3)
+        explorer = ParameterExplorer(lfr_small, index=index)
+        for mu, eps in [(4, 0.3), (6, 0.4), (9, 0.2)]:
+            reference = scan(lfr_small, mu, eps, seed=0)
+            assert_byte_identical(explorer.clustering_at(mu, eps), reference)
+        wide = ParameterExplorer(lfr_small, index=ClusteringIndex.build(
+            lfr_small, mu_cap=9
+        ))
+        np.testing.assert_array_equal(
+            explorer.core_thresholds(9), wide.core_thresholds(9)
+        )
 
 
 class TestCoreThresholds:
@@ -105,8 +117,14 @@ class TestCandidatesAndSuggestion:
 class TestCosts:
     def test_precompute_charges_once(self, lfr_small):
         explorer = ParameterExplorer(lfr_small)
-        assert explorer.oracle.counters.sigma_evaluations == (
-            lfr_small.num_edges
+        assert explorer.counters.sigma_evaluations == lfr_small.num_edges
+        # The charge equals one scalar σ evaluation per edge.
+        oracle = SimilarityOracle(lfr_small, SimilarityConfig())
+        for u, v, _ in lfr_small.edges():
+            oracle.sigma(u, v)
+        assert explorer.counters.work_units == oracle.counters.work_units
+        assert explorer.counters.sigma_evaluations == (
+            oracle.counters.sigma_evaluations
         )
         cost = explorer.precompute_cost
         explorer.clustering_at(3, 0.5)
@@ -117,3 +135,23 @@ class TestCosts:
         values = explorer.sigma_values()
         values[:] = 0.0
         assert explorer.sigma_values().max() > 0.0
+
+    def test_sigma_values_follow_edge_order(self, lfr_small, explorer):
+        oracle = SimilarityOracle(lfr_small, SimilarityConfig())
+        expected = [
+            oracle.sigma_unrecorded(u, v) for u, v, _ in lfr_small.edges()
+        ]
+        np.testing.assert_array_equal(explorer.sigma_values(), expected)
+
+
+class TestIndexAdoption:
+    def test_foreign_index_rejected(self, lfr_small):
+        index = ClusteringIndex.build(gnm_random_graph(80, 300, seed=14))
+        with pytest.raises(ConfigError, match="different graph"):
+            ParameterExplorer(lfr_small, index=index)
+        with pytest.raises(ConfigError, match="semantics mismatch"):
+            ParameterExplorer(
+                index.graph,
+                index=index,
+                similarity=SimilarityConfig(closed=False, pruning=False),
+            )

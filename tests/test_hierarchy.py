@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines import scan
 from repro.core.explorer import ParameterExplorer
 from repro.core.hierarchy import EpsilonHierarchy
 from repro.errors import ConfigError
-from repro.metrics import true_core_mask
-from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
+from repro.similarity.gsindex import ClusteringIndex
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def hierarchy(caveman):
 
 
 def explorer_core_partition(explorer, mu, eps):
-    """Reference core partition straight from the σ table."""
+    """Reference core partition straight from the explorer's query."""
     clustering = explorer.clustering_at(mu, eps)
     cores = explorer.cores_at(mu, eps)
     parts = {}
@@ -32,7 +32,7 @@ class TestConstruction:
     def test_leaves_match_potential_cores(self, hierarchy, caveman):
         leaves = [n for n in hierarchy.nodes.values() if not n.children]
         potential = np.flatnonzero(
-            hierarchy.explorer.core_thresholds(3) > 0
+            hierarchy.index.core_thresholds(3) > 0
         )
         assert len(leaves) == potential.shape[0]
 
@@ -58,25 +58,28 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             EpsilonHierarchy(triangle, mu=0)
 
+    def test_adopted_index_builds_the_same_tree(self, caveman, hierarchy):
+        index = ClusteringIndex.build(caveman, mu_cap=2)  # μ=3 above cap
+        adopted = EpsilonHierarchy(caveman, mu=3, index=index)
+        assert adopted.index is index
+        assert adopted.nodes == hierarchy.nodes
+        np.testing.assert_array_equal(adopted.levels(), hierarchy.levels())
+
 
 class TestCuts:
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7, 0.9])
-    def test_core_partition_matches_explorer(self, hierarchy, eps):
+    def test_core_partition_matches_explorer(self, caveman, hierarchy, eps):
+        explorer = ParameterExplorer(caveman, index=hierarchy.index)
         from_tree = set(hierarchy.core_partition_at(eps))
-        from_table = explorer_core_partition(hierarchy.explorer, 3, eps)
+        from_table = explorer_core_partition(explorer, 3, eps)
         assert from_tree == from_table
 
     @pytest.mark.parametrize("eps", [0.4, 0.6])
     def test_cut_is_exact_scan(self, caveman, hierarchy, eps):
-        from repro.baselines import scan
-        from repro.metrics.comparison import explain_difference
-
-        oracle = SimilarityOracle(caveman, SimilarityConfig())
-        reference = scan(caveman, 3, eps, seed=1)
+        reference = scan(caveman, 3, eps, seed=0)
         result = hierarchy.cut(eps)
-        assert not explain_difference(
-            caveman, oracle, reference, result, 3, eps
-        )
+        np.testing.assert_array_equal(result.labels, reference.labels)
+        np.testing.assert_array_equal(result.roles, reference.roles)
 
     def test_cut_monotone_cluster_count(self, hierarchy):
         # Lower ε can only merge clusters / add cores, so the number of

@@ -10,7 +10,9 @@ battery drives that claim three ways:
   μ=2 and ε pinned to *exact* σ ties (the ≥-vs-> off-by-one surface);
 * hypothesis-generated arbitrary small graphs and parameters;
 * the same checks through ``parallel_scan`` across every execution
-  backend (the index short-circuits them all identically).
+  backend (the index short-circuits them all identically);
+* the two views over the index, ``ParameterExplorer.clustering_at``
+  and ``EpsilonHierarchy.cut`` (labels and roles, at seed 0).
 
 Seeds come from ``REPRO_INDEX_SEEDS`` (comma-separated) so CI shards
 the grid across a seed matrix; locally the default covers all shards.
@@ -27,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import scan
-from repro.core import parallel_scan
+from repro.core import EpsilonHierarchy, ParameterExplorer, parallel_scan
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators.random_graphs import (
@@ -85,6 +87,25 @@ def _assert_exact(index: ClusteringIndex, graph: Graph, epsilon, mu, seed):
     assert index.last_query["sigma_evaluations"] == 0
 
 
+def _assert_views_exact(index: ClusteringIndex, graph: Graph, epsilon, mu):
+    """The explorer and the hierarchy answer exactly ``scan(seed=0)``."""
+    reference = scan(graph, mu, epsilon, seed=0)
+    views = {
+        "explorer": ParameterExplorer(graph, index=index).clustering_at(
+            mu, epsilon
+        ),
+        "hierarchy": EpsilonHierarchy(graph, mu, index=index).cut(epsilon),
+    }
+    for name, result in views.items():
+        message = f"{name} (ε={epsilon}, μ={mu}) diverged"
+        np.testing.assert_array_equal(
+            result.labels, reference.labels, err_msg=message
+        )
+        np.testing.assert_array_equal(
+            result.roles, reference.roles, err_msg=message
+        )
+
+
 # ----------------------------------------------------------------------
 # seeded grid (shardable via REPRO_INDEX_SEEDS)
 # ----------------------------------------------------------------------
@@ -104,6 +125,16 @@ def test_weighted_graph_grid_exact(seed):
     index = ClusteringIndex.build(graph, mu_cap=8)
     for epsilon, mu in _GRID:
         _assert_exact(index, graph, epsilon, mu, seed)
+
+
+@pytest.mark.parametrize("seed", _seeds())
+def test_explorer_and_hierarchy_views_exact(seed):
+    graph = gnm_random_graph(90 + 7 * seed, 300 + 23 * seed, seed=seed)
+    weighted = _weighted_variant(graph, seed)
+    for g in (graph, weighted):
+        index = ClusteringIndex.build(g, mu_cap=8)
+        for epsilon, mu in _GRID:
+            _assert_views_exact(index, g, epsilon, mu)
 
 
 @pytest.mark.parametrize("seed", _seeds())
@@ -240,3 +271,19 @@ def test_hypothesis_tie_epsilon_exact(edges, mu, seed):
         return
     for epsilon in (distinct[0], distinct[-1], distinct[len(distinct) // 2]):
         _assert_exact(index, graph, float(epsilon), mu, seed)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    edges=edge_lists,
+    epsilon=st.floats(0.05, 1.0, allow_nan=False),
+    mu=st.integers(1, 7),
+)
+def test_hypothesis_views_exact(edges, epsilon, mu):
+    graph = _build(edges)
+    index = ClusteringIndex.build(graph, mu_cap=4)
+    _assert_views_exact(index, graph, epsilon, mu)

@@ -16,13 +16,16 @@ Three layers, bottom up:
   same request stream, including after ``update-edges`` routed through
   the writer; every job route answered by the owning shard from any
   shard (410 once the owner left the fleet); merged ``/fleet/metrics``
-  of one shape with or without a durable writer.
+  of one shape with or without a durable writer; ``--graph`` preloads
+  served by a durable fleet and skipped on ``--recover``.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -30,8 +33,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.scan import scan
 from repro.errors import ConfigError
 from repro.graph.generators.lfr import LFRParams, lfr_graph
+from repro.graph.io import load_edge_list
 from repro.parallel.processes import (
     SegmentRegistry,
     _release_named,
@@ -541,3 +546,64 @@ def test_fleet_metrics_have_one_shape_with_a_durable_writer(tmp_path):
         assert fleet["processes"] == 2
         assert sorted(fleet["scraped_shards"]) == [0, 1]
     assert _segments(os.getpid()) == []
+
+
+def _serve_cli(args):
+    """``repro serve ARGS`` as a real subprocess (stdout/stderr piped)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = (
+        "import sys; from repro.cli import main; "
+        "sys.exit(main(['serve'] + sys.argv[1:]))"
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def test_durable_fleet_preloads_and_recovery_skips_the_preload(tmp_path):
+    """`serve --processes 2 --data-dir D --graph g=PATH` serves g; a
+    restart with ``--recover`` restores g instead of preloading again."""
+    graph = _lfr(n=120, seed=29)
+    path = tmp_path / "edges.txt"
+    path.write_text(
+        "".join(f"{u} {v}\n" for u, v, _w in graph.edges())
+    )
+    served, _ = load_edge_list(str(path))
+    expected = scan(served, 3, 0.5).labels
+    base = [
+        "--port", "0", "--processes", "2", "--workers", "1",
+        "--data-dir", str(tmp_path / "data"), "--graph", f"g={path}",
+        "--build-cluster-index",
+    ]
+    for args in (base, base + ["--recover"]):
+        proc = _serve_cli(args)
+        try:
+            line = proc.stdout.readline().strip()
+            assert line.startswith("serving on http://"), (
+                line or proc.stderr.read()
+            )
+            url = line.removeprefix("serving on ").split(" ")[0]
+            with ServiceClient(url, timeout=_WAIT) as client:
+                info = client.graph_info("g")
+                assert info["num_vertices"] == graph.num_vertices
+                assert info["num_edges"] == graph.num_edges
+                body = client.cluster("g", 3, 0.5, wait=_WAIT)
+                assert body["state"] == "done"
+                np.testing.assert_array_equal(body["labels"], expected)
+                client.shutdown()
+            assert proc.wait(timeout=_WAIT) == 0
+            stderr = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
+        skipped = "skipping preload of 'g': already recovered" in stderr
+        assert skipped == ("--recover" in args), stderr

@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.threads import ThreadBackend
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import (
     EdgeSimilarityIndex,
     IndexedOracle,
@@ -200,7 +201,7 @@ class TestIndexedOracle:
 class TestExplorerAdoption:
     def test_explorer_from_index_matches_fresh(self, graph, index):
         fresh = ParameterExplorer(graph)
-        adopted = ParameterExplorer(graph, index=index)
+        adopted = ParameterExplorer(graph, index=ClusteringIndex(index))
         np.testing.assert_allclose(
             adopted.sigma_values(), fresh.sigma_values(), atol=1e-12
         )

@@ -22,7 +22,6 @@ from repro.bench.experiments.index_queries import index_queries
 from repro.bench.experiments.kernels import kernels
 from repro.bench.experiments.local_queries import local_queries
 from repro.bench.experiments.recovery import recovery
-from repro.bench.experiments.service import service
 from repro.bench.experiments.speedup import speedup
 from repro.bench.experiments.tables import tab1, tab2
 from repro.bench.harness import ExperimentResult
@@ -45,7 +44,6 @@ EXPERIMENTS: Dict[str, Callable[..., List[ExperimentResult]]] = {
     "fig14": fig14,
     "speedup": speedup,
     "kernels": kernels,
-    "service": service,
     "recovery": recovery,
     "index_queries": index_queries,
     "local_queries": local_queries,

@@ -3,11 +3,11 @@
 The integration layer over the reproduction's primitives: anySCAN's
 suspend/resume contract (:mod:`repro.core.anyscan`) scheduled in
 budgeted slices across a worker pool (:mod:`repro.service.jobs`), named
-graphs with reusable σ indexes and an LRU result cache
-(:mod:`repro.service.store`), a JSON wire protocol over the stdlib
-HTTP server (:mod:`repro.service.api`, :mod:`repro.service.server`,
-:mod:`repro.service.client`), and the observability the throughput
-bench reads (:mod:`repro.service.metrics`).
+graphs, each with at most one clustering index, and an LRU result
+cache (:mod:`repro.service.store`), a JSON wire protocol over the
+stdlib HTTP server (:mod:`repro.service.api`,
+:mod:`repro.service.server`, :mod:`repro.service.client`), and the
+counters and latency histograms of :mod:`repro.service.metrics`.
 
 Scale-out lives in two sibling modules: :mod:`repro.service.shm`
 publishes the graph store zero-copy through named shared-memory

@@ -10,13 +10,13 @@ generated from it, so they cannot drift apart.
 |--------|---------------------------|----------------|---------------------------------------|
 | GET    | /healthz                  | health         | liveness + hosted graph/job counts    |
 | GET    | /metrics                  | metrics        | counters, gauges, latency histograms  |
-| POST   | /graphs                   | load_graph     | host a graph (edges + similarity)     |
+| POST   | /graphs                   | load_graph     | host a graph (+ its clustering index) |
 | GET    | /graphs                   | list_graphs    | enumerate hosted graphs               |
 | GET    | /graphs/{name}            | graph_info     | one graph's fingerprint/size/index    |
 | GET    | /graphs/{name}/local-cluster | local_cluster | the seed vertex's exact cluster (§12) |
-| POST   | /graphs/{name}/index      | build_index    | build the GS*-style clustering index  |
+| POST   | /graphs/{name}/index      | build_index    | build/widen the graph's cluster index |
 | POST   | /graphs/{name}/update-edges | update_edges | edge inserts/deletes (CSR patch + index row refresh) |
-| POST   | /cluster                  | cluster        | submit an anytime clustering job      |
+| POST   | /cluster                  | cluster        | index extraction, else an anySCAN job |
 | GET    | /jobs                     | list_jobs      | enumerate jobs                        |
 | GET    | /jobs/{id}                | job_status     | state/progress of one job             |
 | GET    | /jobs/{id}/snapshot       | job_snapshot   | latest anytime snapshot (+labels)     |
@@ -127,7 +127,12 @@ ROUTES: Tuple[Route, ...] = (
         "update_edges",
         "edge inserts/deletes: CSR patch + index row refresh",
     ),
-    Route("POST", "/cluster", "cluster", "submit an anytime job"),
+    Route(
+        "POST",
+        "/cluster",
+        "cluster",
+        "answer from the clustering index, else submit an anytime job",
+    ),
     Route("GET", "/jobs", "list_jobs", "enumerate jobs"),
     Route("GET", "/jobs/{job_id}", "job_status", "one job's progress"),
     Route(

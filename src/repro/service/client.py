@@ -337,7 +337,6 @@ class ServiceClient:
         edges: Optional[Sequence[Sequence[float]]] = None,
         num_vertices: Optional[int] = None,
         similarity: Optional[Dict[str, object]] = None,
-        build_index: bool = False,
         build_cluster_index: bool = False,
         mu_cap: Optional[int] = None,
         replace: bool = False,
@@ -353,7 +352,6 @@ class ServiceClient:
         payload: Dict[str, object] = {
             "name": name,
             "edges": [list(edge) for edge in (edges or [])],
-            "build_index": build_index,
             "build_cluster_index": build_cluster_index,
             "replace": replace,
         }

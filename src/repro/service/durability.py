@@ -55,7 +55,6 @@ from repro.graph.csr import Graph
 from repro.service.store import GraphEntry, GraphStore
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import IndexIntegrityError, graph_fingerprint
-from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig
 
 __all__ = [
@@ -521,7 +520,6 @@ def write_checkpoint(
                 "fingerprint": entry.fingerprint,
                 "similarity": similarity_to_wire(entry.similarity),
                 "mu_cap": int(entry.mu_cap),
-                "auto_index": bool(entry.auto_index),
                 "auto_cluster_index": bool(entry.auto_cluster_index),
                 "updates_applied": int(entry.updates_applied),
                 "index_rows_refreshed": int(entry.index_rows_refreshed),
@@ -529,20 +527,13 @@ def write_checkpoint(
                 "index_sha256": None,
                 "index_kind": None,
             }
-            index_file = f"index-{position}.npz"
-            index_path = os.path.join(tmp, index_file)
             if entry.cluster_index is not None:
+                index_file = f"index-{position}.npz"
+                index_path = os.path.join(tmp, index_file)
                 entry.cluster_index.save(index_path)
                 record.update(
                     index_file=index_file,
                     index_kind="cluster",
-                    index_sha256=_sha256_file(index_path),
-                )
-            elif entry.index is not None:
-                entry.index.save(index_path)
-                record.update(
-                    index_file=index_file,
-                    index_kind="edge",
                     index_sha256=_sha256_file(index_path),
                 )
             graphs.append(record)
@@ -665,7 +656,11 @@ def _load_checkpoint_into(
     Graph damage fails the whole checkpoint (the caller falls back to
     an older one or to pure WAL replay); index damage only degrades —
     the index is a deterministic function of the graph and is rebuilt
-    on the spot, bitwise identical to the archived one.
+    on the spot, bitwise identical to the archived one.  Checkpoints
+    written before the service kept one index kind may hold an
+    ``index_kind="edge"`` σ archive: the clustering index loads from it
+    without a σ pass (the clustering archive format is a superset), and
+    the entry is marked ``auto_cluster_index`` like every indexed one.
     """
     for record in payload.get("graphs", ()):
         graph_path = _verified_file(directory, record, "file", "sha256")
@@ -683,9 +678,8 @@ def _load_checkpoint_into(
         similarity = similarity_from_wire(record["similarity"])
         mu_cap = int(record["mu_cap"])
         cluster_index = None
-        index = None
-        kind = record.get("index_kind")
-        if kind == "cluster":
+        indexed = record.get("index_kind") in ("cluster", "edge")
+        if indexed:
             try:
                 index_path = _verified_file(
                     directory, record, "index_file", "index_sha256"
@@ -705,34 +699,14 @@ def _load_checkpoint_into(
                 cluster_index = ClusteringIndex.build(
                     graph, similarity, mu_cap=mu_cap
                 )
-            index = cluster_index.edge
-        elif kind == "edge":
-            try:
-                index_path = _verified_file(
-                    directory, record, "index_file", "index_sha256"
-                )
-                index = EdgeSimilarityIndex.load(
-                    index_path, graph, config=similarity
-                )
-            except (DurabilityError, IndexIntegrityError, ConfigError) as exc:
-                if metrics is not None:
-                    metrics.record_event(
-                        "recovery_index_rebuilt",
-                        {
-                            "graph": record.get("name"),
-                            "error": f"{type(exc).__name__}: {exc}",
-                        },
-                    )
-                index = EdgeSimilarityIndex.build(graph, similarity)
         entry = GraphEntry(
             name=str(record["name"]),
             graph=graph,
             similarity=similarity,
             fingerprint=str(record["fingerprint"]),
-            index=index,
-            auto_index=bool(record.get("auto_index")),
             cluster_index=cluster_index,
-            auto_cluster_index=bool(record.get("auto_cluster_index")),
+            auto_cluster_index=bool(record.get("auto_cluster_index"))
+            or indexed,
             mu_cap=mu_cap,
             updates_applied=int(record.get("updates_applied", 0)),
             index_rows_refreshed=int(record.get("index_rows_refreshed", 0)),
@@ -795,7 +769,10 @@ def _apply_record(
     A :class:`ReproError` from the store is the *deterministic replay
     of a deterministic failure* — the original apply failed the same
     way after the record was logged, so witnessing and continuing keeps
-    the replayed stream aligned with history.
+    the replayed stream aligned with history.  Records from logs
+    written before the service kept one index kind (``build_index`` on
+    ``add_graph``, the ``build_index`` op) replay as clustering-index
+    builds.
     """
     op = record.get("op")
     try:
@@ -807,8 +784,10 @@ def _apply_record(
                 str(record["name"]),
                 builder.build(),
                 similarity=similarity_from_wire(record["similarity"]),
-                build_index=bool(record.get("build_index")),
-                build_cluster_index=bool(record.get("build_cluster_index")),
+                build_cluster_index=bool(
+                    record.get("build_cluster_index")
+                    or record.get("build_index")
+                ),
                 mu_cap=int(record["mu_cap"]),
                 replace=bool(record.get("replace")),
             )
@@ -839,10 +818,7 @@ def _apply_record(
                 + len(record.get("delete", ()))
                 + int(record.get("add_vertices", 0))
             )
-        if op == "build_index":
-            store.ensure_index(str(record["name"]))
-            return "applied", 0
-        if op == "build_cluster_index":
+        if op in ("build_cluster_index", "build_index"):
             store.ensure_cluster_index(
                 str(record["name"]), mu_cap=record.get("mu_cap")
             )

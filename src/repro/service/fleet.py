@@ -1065,13 +1065,13 @@ class WorkerService(ClusteringService):
 
     def _ensure_local_indexes(self, name, entry):
         if self._promoted:
-            # Writable store again: build σ tiers on demand like any
-            # single-process writer.
+            # Writable store again: rebuild a dropped clustering index
+            # on demand like any single-process writer.
             return ClusteringService._ensure_local_indexes(
                 self, name, entry
             )
         # The attached store is read-only; local queries serve with
-        # whatever σ tier the writer last published (degrading to the
+        # whatever index the writer last published (degrading to the
         # oracle tier when no index survived the last update).
         return entry
 

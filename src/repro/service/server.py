@@ -1,8 +1,9 @@
 """The clustering service: endpoint handlers + stdlib HTTP hosting.
 
 :class:`ClusteringService` composes the pieces the previous layers
-built — the :class:`~repro.service.store.GraphStore` (named graphs +
-σ indexes), the :class:`~repro.service.store.ResultCache`, the
+built — the :class:`~repro.service.store.GraphStore` (named graphs,
+each with at most one clustering index), the
+:class:`~repro.service.store.ResultCache`, the
 :class:`~repro.service.jobs.JobScheduler` (anytime slices over a worker
 pool) and :class:`~repro.service.metrics.ServiceMetrics` — behind the
 wire protocol of :mod:`repro.service.api`.  The HTTP layer is a plain
@@ -15,10 +16,9 @@ The cache discipline implements the issue's interactivity story:
 * a `cluster` request first consults the LRU under the full query
   identity (graph fingerprint, σ semantics, μ, ε) — a hit answers with
   **zero** σ evaluations and no job;
-* a miss schedules an anytime job whose oracle is the graph's
-  :class:`~repro.similarity.index.IndexedOracle` when σ is
-  materialized — near-miss (ε, μ) queries then also run without σ
-  evaluations, just threshold passes over stored values;
+* a miss on a graph with a clustering index is answered by the index
+  directly — any (ε, μ), zero σ evaluations, no worker time; a miss on
+  an un-indexed graph schedules an anytime anySCAN job;
 * `update-edges` patches the CSR arrays, refreshes the affected rows
   of the clustering index, and invalidates exactly the entries keyed by
   the pre-update fingerprint.
@@ -243,6 +243,13 @@ class ClusteringService:
     # ------------------------------------------------------------------
     def handle_load_graph(self, payload: Dict[str, object]) -> Dict[str, object]:
         name = get_str(payload, "name")
+        if "build_index" in payload:
+            # The edge-only index mode is gone; refuse loudly rather
+            # than hand an old client an unindexed graph.
+            raise ServiceError(
+                "field 'build_index' is no longer supported; pass "
+                "'build_cluster_index' to index the graph"
+            )
         edges = payload.get("edges")
         if not isinstance(edges, list):
             raise ServiceError("field 'edges' must be a list of [u, v(, w)]")
@@ -269,7 +276,6 @@ class ClusteringService:
             name,
             graph,
             similarity=_similarity_from_payload(payload.get("similarity")),
-            build_index=get_bool(payload, "build_index"),
             build_cluster_index=get_bool(payload, "build_cluster_index"),
             mu_cap=get_int(payload, "mu_cap", DEFAULT_MU_CAP) or DEFAULT_MU_CAP,
             replace=get_bool(payload, "replace"),
@@ -297,12 +303,9 @@ class ClusteringService:
         O(n) gather); re-posting with a larger cap rebuilds the derived
         orders from the existing σ array.
         """
-        mu_cap = get_int(payload, "mu_cap")
-        entry = self.store.ensure_cluster_index(name, mu_cap=mu_cap)
-        # Mark the entry for automatic repatch/rebuild across updates;
-        # republish so attached fleet readers see the flag too.
-        entry.auto_cluster_index = True
-        self.store.republish(name)
+        self.store.ensure_cluster_index(
+            name, mu_cap=get_int(payload, "mu_cap")
+        )
         self.metrics.increment("cluster_indexes_built")
         self._durability_note()
         return self.store.get(name).info()
@@ -407,19 +410,14 @@ class ClusteringService:
     # seeded local clustering
     # ------------------------------------------------------------------
     def _ensure_local_indexes(self, name: str, entry):
-        """Best available σ tier (mirrors ``_submit_cluster_job``).
+        """Rebuild a dropped clustering index (mirrors
+        ``_submit_cluster_job``).
 
         Overridden in fleet workers, whose attached store is read-only:
         they serve with whatever tier the writer last published.
         """
         if entry.auto_cluster_index and entry.cluster_index is None:
             entry = self.store.ensure_cluster_index(name)
-        if (
-            entry.cluster_index is None
-            and entry.auto_index
-            and entry.index is None
-        ):
-            entry = self.store.ensure_index(name)
         return entry
 
     def handle_local_cluster(
@@ -470,7 +468,6 @@ class ClusteringService:
             epsilon,
             mu,
             cluster_index=entry.cluster_index,
-            edge_index=entry.index,
             similarity_config=entry.similarity,
             order_seed=order_seed,
             classify_boundary=True,
@@ -640,9 +637,6 @@ class ClusteringService:
             self.metrics.increment("index_served_queries")
             self.metrics.increment("jobs_submitted")
             return job_id
-        if entry.auto_index and entry.index is None:
-            # The index went stale after update-edges; rebuild lazily.
-            entry = self.store.ensure_index(name)
         config = AnyScanConfig(
             mu=mu,
             epsilon=epsilon,
@@ -1133,11 +1127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="read the third edge-list column as weight when preloading",
     )
     parser.add_argument(
-        "--build-index",
-        action="store_true",
-        help="build the edge-similarity index for preloaded graphs",
-    )
-    parser.add_argument(
         "--build-cluster-index",
         action="store_true",
         help="build the GS*-style clustering index for preloaded graphs "
@@ -1157,7 +1146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="durable mode: journal every accepted mutation to a "
         "write-ahead log under PATH and checkpoint periodically "
-        "(graphs, σ indexes, idempotency keys, paused jobs)",
+        "(graphs, clustering indexes, idempotency keys, paused jobs)",
     )
     parser.add_argument(
         "--recover",
@@ -1203,13 +1192,12 @@ def _parse_graph_specs(specs) -> Optional[List[Tuple[str, str]]]:
 
 def _preload_specs(args, graphs) -> List[List[object]]:
     """``--graph`` preloads as JSON-ready rows: ``[name, path, weighted,
-    build_index, build_cluster_index, mu_cap]``."""
+    build_cluster_index, mu_cap]``."""
     return [
         [
             name,
             path,
             bool(args.weighted),
-            bool(args.build_index),
             bool(args.build_cluster_index),
             args.mu_cap,
         ]
@@ -1229,7 +1217,7 @@ def preload_graphs(service: ClusteringService, specs) -> None:
 
     hosted = set(service.store.names())
     for spec in specs:
-        name, path, weighted, build_index, build_cluster_index, mu_cap = spec
+        name, path, weighted, build_cluster_index, mu_cap = spec
         if name in hosted:
             service.metrics.record_event("preload_skipped", {"graph": name})
             print(
@@ -1241,7 +1229,6 @@ def preload_graphs(service: ClusteringService, specs) -> None:
         service.store.add(
             name,
             graph,
-            build_index=build_index,
             build_cluster_index=build_cluster_index,
             mu_cap=mu_cap if mu_cap is not None else DEFAULT_MU_CAP,
         )

@@ -64,10 +64,7 @@ from repro.parallel.processes import (
 )
 from repro.service.store import GraphEntry
 from repro.similarity.gsindex import ClusteringIndex
-from repro.similarity.index import (
-    EdgeSimilarityIndex,
-    IndexedOracle,
-)
+from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 __all__ = [
@@ -369,9 +366,8 @@ class StorePublisher:
                 _publish("indptr", graph.indptr)
                 _publish("indices", graph.indices)
                 _publish("weights", graph.weights)
-                if entry.index is not None:
-                    _publish("sigmas", entry.index.sigmas)
                 if entry.cluster_index is not None:
+                    _publish("sigmas", entry.cluster_index.edge.sigmas)
                     for label, array in (
                         entry.cluster_index.derived_arrays().items()
                     ):
@@ -391,11 +387,9 @@ class StorePublisher:
                     "pruning": entry.similarity.pruning,
                 },
                 "mu_cap": int(entry.mu_cap),
-                "auto_index": bool(entry.auto_index),
                 "auto_cluster_index": bool(entry.auto_cluster_index),
                 "updates_applied": int(entry.updates_applied),
                 "index_rows_refreshed": int(entry.index_rows_refreshed),
-                "indexed": entry.index is not None,
                 "cluster_indexed": entry.cluster_index is not None,
                 "arrays": {
                     label: _spec_to_wire(spec)
@@ -618,28 +612,25 @@ class AttachedGraphStore:
         )
         similarity = SimilarityConfig(**record["similarity"])
         fingerprint = str(record["fingerprint"])
-        index: Optional[EdgeSimilarityIndex] = None
         cluster_index: Optional[ClusteringIndex] = None
         if "sigmas" in views:
-            index = EdgeSimilarityIndex(
-                graph, similarity, views["sigmas"], fingerprint=fingerprint
+            cluster_index = ClusteringIndex.from_derived(
+                EdgeSimilarityIndex(
+                    graph, similarity, views["sigmas"],
+                    fingerprint=fingerprint,
+                ),
+                mu_cap=int(record["mu_cap"]),
+                arrays={
+                    label[len("ci_"):]: view
+                    for label, view in views.items()
+                    if label.startswith("ci_")
+                },
             )
-            derived = {
-                label[len("ci_"):]: view
-                for label, view in views.items()
-                if label.startswith("ci_")
-            }
-            if derived:
-                cluster_index = ClusteringIndex.from_derived(
-                    index, mu_cap=int(record["mu_cap"]), arrays=derived
-                )
         entry = GraphEntry(
             name=name,
             graph=graph,
             similarity=similarity,
             fingerprint=fingerprint,
-            index=index,
-            auto_index=bool(record["auto_index"]),
             cluster_index=cluster_index,
             auto_cluster_index=bool(record["auto_cluster_index"]),
             mu_cap=int(record["mu_cap"]),
@@ -705,13 +696,8 @@ class AttachedGraphStore:
                 for name, entry in sorted(self._entries.items())
             }
 
-    def republish(self, name: str) -> None:
-        """No-op: only the writer's store re-exports entries."""
-
     def oracle_for(self, entry: GraphEntry) -> SimilarityOracle:
         """Same contract as :meth:`GraphStore.oracle_for`."""
-        if entry.index is not None:
-            return IndexedOracle(entry.index, config=entry.similarity)
         return SimilarityOracle(entry.graph, entry.similarity)
 
     def fill_cache_if_current(
@@ -748,10 +734,6 @@ class AttachedGraphStore:
 
     def update_edges(self, name: str, **kwargs):
         raise self._read_only()
-
-    def ensure_index(self, name: str) -> GraphEntry:
-        """Read-only stores never build; serve whatever is attached."""
-        return self.get(name)
 
     def ensure_cluster_index(
         self, name: str, *, mu_cap: int | None = None

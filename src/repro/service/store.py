@@ -3,9 +3,11 @@
 The serving layer's data plane:
 
 * :class:`GraphStore` hosts named graphs together with their similarity
-  semantics and (optionally) an :class:`~repro.similarity.index.EdgeSimilarityIndex`,
-  so repeat clustering queries at new (ε, μ) settings are answered from
-  stored σ values with zero σ evaluations.
+  semantics and (optionally) one GS*-style
+  :class:`~repro.similarity.gsindex.ClusteringIndex`, so clustering
+  queries at any (ε, μ) are answered from stored σ values with zero σ
+  evaluations; un-indexed graphs run anySCAN jobs over the scalar
+  oracle.
 * ``update-edges`` batches are applied straight to the CSR arrays
   (:func:`~repro.graph.patch.apply_edge_batch`); a clustering index
   recomputes only the σ rows the batch can change, the fingerprint is
@@ -37,11 +39,7 @@ from repro.faults import fault_point
 from repro.graph.csr import Graph
 from repro.graph.patch import apply_edge_batch
 from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
-from repro.similarity.index import (
-    EdgeSimilarityIndex,
-    IndexedOracle,
-    graph_fingerprint,
-)
+from repro.similarity.index import graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.validation import check_eps_mu
 
@@ -276,21 +274,18 @@ class ResultCache:
 
 @dataclass
 class GraphEntry:
-    """One hosted graph: CSR snapshot + semantics + optional indexes.
+    """One hosted graph: CSR snapshot + semantics + optional index.
 
-    ``index`` (per-edge σ) accelerates scheduled anySCAN jobs;
-    ``cluster_index`` (GS*-style) answers whole (ε, μ) queries directly
-    and is the default query path when present.  The two share the σ
-    array (``cluster_index.edge`` *is* an edge index), so building the
-    clustering index implies the edge index at no extra σ cost.
+    ``cluster_index`` (GS*-style, its ``.edge`` holding the σ array)
+    answers whole (ε, μ) queries directly; without it, queries run
+    anySCAN jobs.  ``auto_cluster_index`` marks an entry whose index
+    must be rebuilt lazily whenever an update could not refresh it.
     """
 
     name: str
     graph: Graph
     similarity: SimilarityConfig
     fingerprint: str
-    index: Optional[EdgeSimilarityIndex] = None
-    auto_index: bool = False
     cluster_index: Optional[ClusteringIndex] = field(
         default=None, repr=False
     )
@@ -312,8 +307,6 @@ class GraphEntry:
             "num_edges": int(self.graph.num_edges),
             "fingerprint": self.fingerprint,
             "epoch": int(self.epoch),
-            "indexed": self.index is not None,
-            "auto_index": self.auto_index,
             "cluster_indexed": self.cluster_index is not None,
             "auto_cluster_index": self.auto_cluster_index,
             "mu_cap": int(self.mu_cap),
@@ -392,14 +385,6 @@ class GraphStore:
     def _publish_locked(self, entry: GraphEntry) -> None:
         if self._publisher is not None:
             entry.epoch = self._publisher.publish_entry(entry)
-
-    def republish(self, name: str) -> None:
-        """Re-export one entry's current state (e.g. a metadata flag
-        flip) to attached readers; no-op without a publisher."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None:
-                self._publish_locked(entry)
 
     # ------------------------------------------------------------------
     # durability (write-ahead journal, DESIGN.md §13)
@@ -490,16 +475,11 @@ class GraphStore:
         graph: Graph,
         *,
         similarity: SimilarityConfig | None = None,
-        build_index: bool = False,
         build_cluster_index: bool = False,
         mu_cap: int = DEFAULT_MU_CAP,
         replace: bool = False,
     ) -> GraphEntry:
-        """Host ``graph`` under ``name``; optionally build its indexes.
-
-        ``build_cluster_index`` implies the edge index: the clustering
-        index wraps one, and its σ array serves both paths.
-        """
+        """Host ``graph`` under ``name``; optionally build its index."""
         if not name:
             raise ConfigError("graph name must be non-empty")
         similarity = similarity or SimilarityConfig()
@@ -509,19 +489,11 @@ class GraphStore:
             if build_cluster_index
             else None
         )
-        if cluster_index is not None:
-            index: Optional[EdgeSimilarityIndex] = cluster_index.edge
-        elif build_index:
-            index = EdgeSimilarityIndex.build(graph, similarity)
-        else:
-            index = None
         entry = GraphEntry(
             name=name,
             graph=graph,
             similarity=similarity,
             fingerprint=graph_fingerprint(graph),
-            index=index,
-            auto_index=build_index or build_cluster_index,
             cluster_index=cluster_index,
             auto_cluster_index=build_cluster_index,
             mu_cap=int(mu_cap),
@@ -539,7 +511,6 @@ class GraphStore:
                     [int(u), int(v), float(w)] for u, v, w in graph.edges()
                 ],
                 "similarity": self._similarity_record(similarity),
-                "build_index": bool(build_index),
                 "build_cluster_index": bool(build_cluster_index),
                 "mu_cap": int(mu_cap),
                 "replace": bool(replace),
@@ -586,13 +557,11 @@ class GraphStore:
     # query plumbing
     # ------------------------------------------------------------------
     def oracle_for(self, entry: GraphEntry) -> SimilarityOracle:
-        """A fresh per-job oracle: indexed when σ is materialized.
+        """A fresh per-job σ oracle for an un-indexed graph.
 
         Per-job (rather than shared) because the oracle's counters are
         the per-query cost accounting the service reports.
         """
-        if entry.index is not None:
-            return IndexedOracle(entry.index, config=entry.similarity)
         return SimilarityOracle(entry.graph, entry.similarity)
 
     def fill_cache_if_current(
@@ -620,46 +589,30 @@ class GraphStore:
             cache.put(key, value)
             return True
 
-    def ensure_index(self, name: str) -> GraphEntry:
-        """(Re)build the σ index for ``name`` if it is missing."""
-        entry = self.get(name)
-        if entry.index is not None:
-            return entry
-        index = EdgeSimilarityIndex.build(entry.graph, entry.similarity)
-        with self._lock:
-            current = self._entries.get(name)
-            # Only install if the graph didn't change under us.
-            if (
-                current is entry
-                and current.fingerprint == index.fingerprint
-            ):
-                self._journal_best_effort(
-                    {"op": "build_index", "name": name}
-                )
-                current.index = index
-                self._publish_locked(current)
-        return entry
-
     def ensure_cluster_index(
         self, name: str, *, mu_cap: int | None = None
     ) -> GraphEntry:
-        """(Re)build the clustering index for ``name`` if it is missing.
+        """Build (or widen) the clustering index for ``name``.
 
-        Also installs the wrapped edge index (same σ array) so the
-        anySCAN fallback path benefits too.  Like :meth:`ensure_index`,
-        the build happens outside the store lock and is only installed
-        when the graph has not changed underneath it.
+        A missing index is built from the graph; a narrower one is
+        widened by deriving the larger cap's core orders from the σ
+        array it already holds, so widening does no σ pass.  The work
+        happens outside the store lock and is only installed when the
+        graph has not changed underneath it.  The entry is marked
+        ``auto_cluster_index`` here, where the ``build_cluster_index``
+        record is journaled, so WAL replay restores the flag too.
         """
         entry = self.get(name)
         cap = int(mu_cap) if mu_cap is not None else entry.mu_cap
-        if (
-            entry.cluster_index is not None
-            and entry.cluster_index.mu_cap >= cap
-        ):
+        current_index = entry.cluster_index
+        if current_index is not None and current_index.mu_cap >= cap:
             return entry
-        cluster_index = ClusteringIndex.build(
-            entry.graph, entry.similarity, mu_cap=cap
-        )
+        if current_index is not None:
+            cluster_index = ClusteringIndex(current_index.edge, mu_cap=cap)
+        else:
+            cluster_index = ClusteringIndex.build(
+                entry.graph, entry.similarity, mu_cap=cap
+            )
         with self._lock:
             current = self._entries.get(name)
             if (
@@ -674,7 +627,7 @@ class GraphStore:
                     }
                 )
                 current.cluster_index = cluster_index
-                current.index = cluster_index.edge
+                current.auto_cluster_index = True
                 current.mu_cap = cap
                 self._publish_locked(current)
         return entry
@@ -719,9 +672,7 @@ class GraphStore:
         (add vertices, then inserts, then deletes, each in order).  If an
         op fails, the valid prefix before it is installed and then the
         op's error is raised.  A clustering index recomputes only the
-        affected σ rows; an edge index alone answers for the *old* graph
-        and is dropped (``auto_index`` entries rebuild it lazily on the
-        next query).
+        affected σ rows.
 
         With a journal attached the batch — including
         ``idempotency_key``, which the store records but does not
@@ -781,19 +732,17 @@ class GraphStore:
     def _refresh_indexes_locked(
         self, entry: GraphEntry, affected: np.ndarray
     ) -> Dict[str, int]:
-        """Carry the entry's indexes across a graph mutation.
+        """Carry the entry's clustering index across a graph mutation.
 
-        With a clustering index present, only the ``affected`` σ rows
-        are recomputed (:meth:`ClusteringIndex.refresh` — bitwise equal
-        to a fresh build); the wrapped edge index is re-derived from the
-        same σ array for free.  Without one, the edge index is dropped
-        (``auto_index`` entries rebuild lazily on the next query).  Any
-        patch failure degrades to the drop path: the one unacceptable
-        outcome is an index still answering for the pre-update graph.
-        Returns the refresh's stats (empty when nothing was refreshed).
+        Only the ``affected`` σ rows are recomputed
+        (:meth:`ClusteringIndex.refresh` — bitwise equal to a fresh
+        build).  A patch failure drops the index instead
+        (``auto_cluster_index`` entries rebuild it lazily on the next
+        query): the one unacceptable outcome is an index still
+        answering for the pre-update graph.  Returns the refresh's
+        stats (empty when nothing was refreshed).
         """
         cluster_index = entry.cluster_index
-        entry.index = None
         entry.cluster_index = None
         if cluster_index is None:
             return {}
@@ -815,7 +764,6 @@ class GraphStore:
                 )
             return {}
         entry.cluster_index = patched
-        entry.index = patched.edge
         entry.index_rows_refreshed += int(stats["rows_recomputed"])
         return stats
 

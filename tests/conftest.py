@@ -131,3 +131,30 @@ def brute_force_sigma(graph: Graph, p: int, q: int, *, closed=True, sw=1.0):
     lb = sum(w * w for w in b.values())
     denom = np.sqrt(la * lb)
     return num / denom if denom else 0.0
+
+
+@pytest.fixture()
+def sigma_passes(monkeypatch):
+    """Record every σ computation: each batched σ kernel call and each
+    :meth:`EdgeSimilarityIndex.build`.  A test asserts the list stays
+    empty across an operation that must reuse a stored σ array."""
+    from repro.similarity import kernels
+    from repro.similarity.index import EdgeSimilarityIndex
+
+    calls = []
+    for name in ("sigma_for_pairs", "sigma_row_block", "sigma_all_edges"):
+        original = getattr(kernels, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    build = EdgeSimilarityIndex.build.__func__
+
+    def spy_build(cls, *args, **kwargs):
+        calls.append("EdgeSimilarityIndex.build")
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeSimilarityIndex, "build", classmethod(spy_build))
+    return calls

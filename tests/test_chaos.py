@@ -389,7 +389,7 @@ def test_fleet_survives_sigkilled_shard(seed):
     try:
         supervisor.start().wait_ready()
         with ServiceClient(supervisor.url, timeout=60.0) as client:
-            client.load_graph("chaos", graph=graph, build_index=True)
+            client.load_graph("chaos", graph=graph, build_cluster_index=True)
             before = client.cluster("chaos", mu, epsilon, wait=60.0)
         got = Clustering(
             labels=np.asarray(before["labels"], dtype=np.int64)

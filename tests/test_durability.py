@@ -9,6 +9,8 @@ breaker — everything below the process-kill chaos battery in
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import socket
 import threading
@@ -16,11 +18,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines.scan import scan
 from repro.errors import ConfigError, GraphError
 from repro.faults import FaultPlan, FaultRule, armed
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.durability import (
+    WAL_FILENAME,
     DurabilityError,
     DurabilityManager,
     WriteAheadLog,
@@ -29,6 +33,8 @@ from repro.service.durability import (
     similarity_to_wire,
 )
 from repro.service.metrics import ServiceMetrics
+from repro.service.server import ClusteringService
+from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig
 
 pytestmark = pytest.mark.timeout(120)
@@ -208,7 +214,7 @@ def _seed_store(manager, *, n=60, m=150, seed=7):
         "g",
         graph,
         similarity=SimilarityConfig(),
-        build_index=True,
+        build_cluster_index=True,
         mu_cap=4,
     )
     return store
@@ -410,6 +416,32 @@ class TestDurabilityManager:
         finally:
             again.close()
 
+    def test_wal_only_recovery_matches_live_info_after_index_build(
+        self, tmp_path
+    ):
+        """``POST /graphs/{name}/index`` on a durable store: the graph
+        info recovered from the WAL alone equals the live one, so a
+        recovered graph still rebuilds a dropped index."""
+        manager = DurabilityManager(tmp_path, checkpoint_every=1000)
+        store = manager.recover().store
+        store.attach_journal(manager)
+        store.add("g", gnm_random_graph(60, 150, seed=7))
+        service = ClusteringService(workers=1, store=store)
+        try:
+            live = service.handle_build_index({"mu_cap": 5}, "g")
+        finally:
+            service.close()
+        manager.close()
+        assert live["auto_cluster_index"] is True
+
+        again = DurabilityManager(tmp_path)
+        try:
+            state = again.recover()
+            assert state.checkpoint_seq == 0
+            assert state.store.get("g").info() == live
+        finally:
+            again.close()
+
     def test_log_mutation_without_recover_is_refused(self, tmp_path):
         manager = DurabilityManager(tmp_path)
         with pytest.raises(DurabilityError):
@@ -420,6 +452,152 @@ class TestDurabilityManager:
             DurabilityManager(tmp_path, checkpoint_every=0)
         with pytest.raises(ConfigError):
             DurabilityManager(tmp_path, keep_checkpoints=0)
+
+
+def _old_add_graph_record(graph, **flags):
+    """An ``add_graph`` WAL record as the service journaled it."""
+    record = {
+        "op": "add_graph",
+        "name": "g",
+        "n": int(graph.num_vertices),
+        "edges": [[int(u), int(v), float(w)] for u, v, w in graph.edges()],
+        "similarity": similarity_to_wire(SimilarityConfig()),
+        "mu_cap": 4,
+        "replace": False,
+    }
+    record.update(flags)
+    return record
+
+
+def _write_old_wal(data_dir, records):
+    wal = WriteAheadLog(os.path.join(str(data_dir), WAL_FILENAME))
+    try:
+        for record in records:
+            wal.append(record)
+    finally:
+        wal.close()
+
+
+def _write_edge_index_checkpoint(data_dir, graph, *, wal_seq):
+    """A checkpoint with an ``index_kind="edge"`` record: the σ archive
+    and flags an edge-only indexed graph was checkpointed with."""
+    directory = os.path.join(
+        str(data_dir), "checkpoints", f"ckpt-{wal_seq:012d}"
+    )
+    os.makedirs(directory)
+    np.savez(
+        os.path.join(directory, "graph-0.npz"),
+        indptr=graph.indptr,
+        indices=graph.indices,
+        weights=graph.weights,
+    )
+    EdgeSimilarityIndex.build(graph, SimilarityConfig()).save(
+        os.path.join(directory, "index-0.npz")
+    )
+
+    def digest(name):
+        with open(os.path.join(directory, name), "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+    payload = {
+        "format": 1,
+        "wal_seq": wal_seq,
+        "graphs": [
+            {
+                "name": "g",
+                "file": "graph-0.npz",
+                "sha256": digest("graph-0.npz"),
+                "fingerprint": graph_fingerprint(graph),
+                "similarity": similarity_to_wire(SimilarityConfig()),
+                "mu_cap": 4,
+                "auto_index": True,
+                "auto_cluster_index": False,
+                "updates_applied": 0,
+                "index_rows_refreshed": 0,
+                "index_file": "index-0.npz",
+                "index_sha256": digest("index-0.npz"),
+                "index_kind": "edge",
+            }
+        ],
+        "jobs": [],
+        "update_keys": [],
+    }
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    with open(os.path.join(directory, "manifest.json"), "w") as handle:
+        json.dump(
+            {"payload": payload, "sha256": hashlib.sha256(body).hexdigest()},
+            handle,
+            sort_keys=True,
+        )
+
+
+class TestOldDataDirectories:
+    """Data directories written while the service also kept an
+    edge-only σ index recover with one clustering index."""
+
+    def _recover_indexed(self, data_dir, graph):
+        manager = DurabilityManager(data_dir)
+        try:
+            entry = manager.recover().store.get("g")
+        finally:
+            manager.close()
+        assert entry.cluster_index is not None
+        assert entry.auto_cluster_index is True
+        assert entry.fingerprint == graph_fingerprint(graph)
+        for mu, epsilon in ((2, 0.4), (3, 0.5), (4, 0.6)):
+            got = entry.cluster_index.query(epsilon, mu, seed=0)
+            want = scan(graph, mu, epsilon, seed=0)
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.roles.tobytes() == want.roles.tobytes()
+        return entry
+
+    def test_add_graph_with_build_index_recovers_cluster_indexed(
+        self, tmp_path
+    ):
+        graph = gnm_random_graph(60, 180, seed=17)
+        _write_old_wal(
+            tmp_path, [_old_add_graph_record(graph, build_index=True)]
+        )
+        entry = self._recover_indexed(tmp_path, graph)
+        assert entry.mu_cap == 4
+
+    def test_build_index_op_recovers_cluster_indexed(self, tmp_path):
+        graph = gnm_random_graph(60, 180, seed=18)
+        _write_old_wal(
+            tmp_path,
+            [
+                _old_add_graph_record(
+                    graph, build_index=False, build_cluster_index=False
+                ),
+                {"op": "build_index", "name": "g"},
+            ],
+        )
+        self._recover_indexed(tmp_path, graph)
+
+    def test_edge_index_checkpoint_loads_sigma_without_a_pass(
+        self, tmp_path, sigma_passes
+    ):
+        graph = gnm_random_graph(60, 180, seed=19)
+        _write_old_wal(
+            tmp_path, [_old_add_graph_record(graph, build_index=True)]
+        )
+        _write_edge_index_checkpoint(tmp_path, graph, wal_seq=1)
+        archived = EdgeSimilarityIndex.build(graph, SimilarityConfig())
+        sigma_passes.clear()
+        manager = DurabilityManager(tmp_path)
+        try:
+            state = manager.recover()
+        finally:
+            manager.close()
+        assert sigma_passes == []
+        assert state.checkpoint_seq == 1 and state.replayed_records == 0
+        entry = state.store.get("g")
+        assert entry.cluster_index.mu_cap == 4
+        assert (
+            entry.cluster_index.edge.sigmas.tobytes()
+            == archived.sigmas.tobytes()
+        )
+        self._recover_indexed(tmp_path, graph)
 
 
 class TestClientCircuitBreaker:

@@ -73,7 +73,7 @@ def test_serve_cluster_snapshot_cancel_shutdown(tmp_path):
         client = ServiceClient(url, timeout=60.0)
         assert client.health()["status"] == "ok"
 
-        client.load_graph("smoke", graph=graph, build_index=True)
+        client.load_graph("smoke", graph=graph)
         body = client.cluster("smoke", 3, 0.6, wait=60.0)
         assert body["state"] == "done"
         expected = scan(graph, 3, 0.6).canonical().labels
@@ -111,7 +111,7 @@ def test_serve_preloads_edge_list_files(tmp_path):
         for u, v, _w in graph.edges():
             handle.write(f"{u} {v}\n")
     proc = _spawn(
-        ["--port", "0", "--graph", f"pre={path}", "--build-index"]
+        ["--port", "0", "--graph", f"pre={path}", "--build-cluster-index"]
     )
     try:
         url = _read_url(proc)
@@ -119,7 +119,8 @@ def test_serve_preloads_edge_list_files(tmp_path):
         info = client.graph_info("pre")
         assert info["num_vertices"] == graph.num_vertices
         assert info["num_edges"] == graph.num_edges
-        assert info["indexed"] is True
+        assert info["cluster_indexed"] is True
+        assert info["auto_cluster_index"] is True
         assert client.cluster("pre", 2, 0.5, wait=60.0)["state"] == "done"
         client.shutdown()
     except BaseException:

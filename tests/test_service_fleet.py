@@ -181,9 +181,7 @@ class TestPublisherAttachment:
         store = GraphStore()
         with StorePublisher() as publisher:
             store.attach_publisher(publisher)
-            entry = store.add(
-                "g", graph, build_index=True, build_cluster_index=True
-            )
+            entry = store.add("g", graph, build_cluster_index=True)
             attached = AttachedGraphStore(publisher.manifest_name)
             try:
                 assert attached.names() == ["g"]
@@ -199,11 +197,11 @@ class TestPublisherAttachment:
                 np.testing.assert_array_equal(
                     got.graph.weights, graph.weights
                 )
-                assert got.index is not None
-                np.testing.assert_array_equal(
-                    got.index.sigmas, entry.index.sigmas
-                )
                 assert got.cluster_index is not None
+                np.testing.assert_array_equal(
+                    got.cluster_index.edge.sigmas,
+                    entry.cluster_index.edge.sigmas,
+                )
 
                 epoch1_segments = set(_segments(os.getpid()))
                 stats = store.update_edges(
@@ -236,7 +234,8 @@ class TestPublisherAttachment:
         store = GraphStore()
         with StorePublisher() as publisher:
             store.attach_publisher(publisher)
-            store.add("ro", graph, build_index=True)
+            store.add("ro", graph)
+            store.add("ro-indexed", graph, build_cluster_index=True, mu_cap=4)
             attached = AttachedGraphStore(publisher.manifest_name)
             try:
                 with pytest.raises(ConfigError, match="read-only"):
@@ -245,12 +244,16 @@ class TestPublisherAttachment:
                     attached.remove("ro")
                 with pytest.raises(ConfigError, match="read-only"):
                     attached.update_edges("ro", insert=[[0, 1, 1.0]])
-                # ensure_* never build on a reader; they serve as-is.
-                assert attached.ensure_index("ro").index is not None
+                # ensure_cluster_index never builds or widens on a
+                # reader; it serves what the writer published.
                 assert (
                     attached.ensure_cluster_index("ro").cluster_index
                     is None
                 )
+                widened = attached.ensure_cluster_index(
+                    "ro-indexed", mu_cap=8
+                )
+                assert widened.cluster_index.mu_cap == 4
             finally:
                 attached.close()
 
@@ -301,11 +304,13 @@ def _start_fleet(processes=2, respawn=True, **worker_options):
     return supervisor
 
 
-def _query_stream(url, graph, name="fleet"):
-    """Load + index + query; returns the comparable response bodies."""
+def _query_stream(url, graph, name="fleet", build_cluster_index=False):
+    """Load (+ index) + query; returns the comparable response bodies."""
     bodies = []
     client = ServiceClient(url, timeout=_WAIT)
-    info = client.load_graph(name, graph=graph, build_index=True)
+    info = client.load_graph(
+        name, graph=graph, build_cluster_index=build_cluster_index
+    )
     bodies.append(
         {"fingerprint": info["fingerprint"], "num_edges": info["num_edges"]}
     )
@@ -336,17 +341,19 @@ def _query_stream(url, graph, name="fleet"):
 
 def test_fleet_differential_byte_identity_with_single_process():
     """Any shard answers the exact bytes a single-process server does —
-    including after ``update-edges`` routed through the writer."""
+    including after ``update-edges`` routed through the writer — both
+    from a clustering index and from anySCAN jobs."""
     graphs = {"fleet": _lfr(), "fleet-small": _lfr(n=100, seed=9)}
+    indexed = {"fleet": True, "fleet-small": False}
     with ClusteringServer(workers=2, slice_iterations=2) as single:
         expected = {
-            name: _query_stream(single.url, graph, name)
+            name: _query_stream(single.url, graph, name, indexed[name])
             for name, graph in graphs.items()
         }
     supervisor = _start_fleet(processes=2)
     try:
         got = {
-            name: _query_stream(supervisor.url, graph, name)
+            name: _query_stream(supervisor.url, graph, name, indexed[name])
             for name, graph in graphs.items()
         }
     finally:
@@ -363,7 +370,7 @@ def test_fleet_job_routing_across_connections():
     supervisor = _start_fleet(processes=2)
     try:
         seeder = ServiceClient(supervisor.url, timeout=_WAIT)
-        seeder.load_graph("fleet", graph=graph, build_index=True)
+        seeder.load_graph("fleet", graph=graph)
         body = seeder.cluster("fleet", 2, 0.5, wait=_WAIT)
         job_id = body["job_id"]
         assert job_id.startswith("w")  # shard-prefixed
@@ -387,9 +394,17 @@ def test_fleet_metrics_merge_and_keepalive():
     supervisor = _start_fleet(processes=2)
     try:
         client = ServiceClient(supervisor.url, timeout=_WAIT)
-        client.load_graph("fleet", graph=graph, build_index=True)
-        for _ in range(3):
-            client.cluster("fleet", 2, 0.5, wait=_WAIT)
+        client.load_graph("fleet", graph=graph, build_cluster_index=True)
+        bodies = [
+            client.cluster("fleet", 2, 0.5, wait=_WAIT) for _ in range(3)
+        ]
+        # The keep-alive connection pins the client to one shard, so its
+        # repeats are that shard's cache hits: zero σ evaluations.
+        assert bodies[0]["cached"] is False
+        for body in bodies[1:]:
+            assert body["cached"] is True
+            assert body["sigma_evaluations"] == 0
+            assert body["labels"] == bodies[0]["labels"]
         # Keep-alive: after several requests one persistent connection
         # is still open (the transport never fell back to one-shot).
         assert client._conn is not None
@@ -398,6 +413,7 @@ def test_fleet_metrics_merge_and_keepalive():
         assert sorted(merged["fleet"]["scraped_shards"]) == [0, 1]
         assert merged["counters"]["workers_registered"] == 2
         assert merged["counters"]["requests_total"] >= 4
+        assert merged["counters"]["cache_hits"] >= 2
         roles = [
             shard["gauges"]["process"]["role"]
             for shard in merged["shards"]
@@ -498,7 +514,7 @@ def test_fleet_job_of_a_departed_shard_answers_410():
     supervisor = _start_fleet(processes=2, respawn=False)
     try:
         with ServiceClient(supervisor.url, timeout=_WAIT) as client:
-            client.load_graph("fleet", graph=graph, build_index=True)
+            client.load_graph("fleet", graph=graph)
         table = supervisor.fleet.worker_table()
         survivor = ServiceClient(str(table[0]["admin_url"]), timeout=_WAIT)
         with ServiceClient(str(table[1]["admin_url"]), timeout=_WAIT) as gone:

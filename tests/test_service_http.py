@@ -7,9 +7,9 @@ Covers the issue's service-level criteria end to end:
 * a repeated query is answered from the result cache with **zero** σ
   evaluations, asserted both on the response body and on the
   ``/metrics`` counters;
-* a near-miss query (new ε, μ on an indexed graph) runs a fresh job
-  that also performs zero σ evaluations — threshold passes over the
-  stored σ values;
+* a near-miss query (new ε, μ on an indexed graph) is answered by the
+  clustering index as a fresh job that also performs zero σ
+  evaluations;
 * ``update-edges`` invalidates exactly the affected cache entries;
 * two concurrent jobs run interleaved; a mid-run snapshot reports
   ``assigned_fraction`` strictly inside (0, 1);
@@ -84,6 +84,23 @@ def test_load_graph_from_raw_edges(client):
     assert excinfo.value.status == 400
 
 
+def test_load_payload_with_build_index_is_refused(client):
+    """The edge-only index mode is gone: an old client that still sends
+    ``build_index`` gets a 400 naming ``build_cluster_index`` instead
+    of a silently unindexed graph."""
+    for value in (True, False):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.request(
+                "POST",
+                "/graphs",
+                {"name": "old", "edges": [[0, 1], [1, 2]],
+                 "build_index": value},
+            )
+        assert excinfo.value.status == 400
+        assert "build_cluster_index" in str(excinfo.value)
+    assert "old" not in [g["name"] for g in client.graphs()]
+
+
 def test_served_result_matches_sequential_scan(client):
     graph = _lfr(300, seed=22)
     client.load_graph("exact", graph=graph)
@@ -97,7 +114,7 @@ def test_served_result_matches_sequential_scan(client):
 
 def test_repeat_query_hits_cache_with_zero_sigma_evaluations(client, server):
     graph = _lfr(250, seed=23)
-    client.load_graph("warm", graph=graph, build_index=True)
+    client.load_graph("warm", graph=graph, build_cluster_index=True)
     first = client.cluster("warm", 3, 0.6, wait=_WAIT)
     assert first["state"] == "done" and first["cached"] is False
 
@@ -120,7 +137,7 @@ def test_repeat_query_hits_cache_with_zero_sigma_evaluations(client, server):
 def test_near_miss_on_indexed_graph_runs_without_sigma_evaluations(client):
     """New (ε, μ) on an indexed graph: fresh job, zero σ evaluations."""
     graph = _lfr(250, seed=24)
-    client.load_graph("indexed", graph=graph, build_index=True)
+    client.load_graph("indexed", graph=graph, build_cluster_index=True)
     before = client.metrics()["counters"]
     body = client.cluster("indexed", 4, 0.55, wait=_WAIT)
     after = client.metrics()["counters"]
@@ -188,8 +205,8 @@ def test_mid_run_snapshot_over_http(client):
 def test_update_edges_invalidates_exactly_affected_entries(client):
     ga = _lfr(150, seed=28)
     gb = _lfr(150, seed=29)
-    client.load_graph("upd-a", graph=ga, build_index=True)
-    client.load_graph("upd-b", graph=gb, build_index=True)
+    client.load_graph("upd-a", graph=ga)
+    client.load_graph("upd-b", graph=gb)
     for epsilon in (0.5, 0.6):
         assert client.cluster("upd-a", 3, epsilon, wait=_WAIT)["state"] == "done"
     assert client.cluster("upd-b", 3, 0.5, wait=_WAIT)["state"] == "done"
@@ -202,7 +219,7 @@ def test_update_edges_invalidates_exactly_affected_entries(client):
     assert outcome["cache_entries_invalidated"] == 2
     assert outcome["inserted"] == 1
     assert outcome["fingerprint"] != outcome["previous_fingerprint"]
-    # An edge index alone is dropped, not refreshed: no σ work.
+    # No index to refresh: the update does no σ work.
     assert outcome["sigma_recomputations"] == 0
 
     # The other graph's entries survived; upd-a's are gone.

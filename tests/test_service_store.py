@@ -30,8 +30,8 @@ from repro.service.store import (
 )
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import graph_fingerprint
+from repro.faults import FaultPlan, FaultRule, armed
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.similarity.index import IndexedOracle
 
 
 def _result(n=5):
@@ -139,28 +139,55 @@ class TestGraphStore:
         entry = store.add("g", other, replace=True)
         assert entry.graph is other
 
-    def test_oracle_kind_follows_index(self):
+    def test_jobs_run_over_the_scalar_oracle(self):
+        """anySCAN jobs run only on un-indexed graphs, over the scalar
+        σ oracle; an indexed graph answers from its clustering index."""
         store = GraphStore()
         graph = gnm_random_graph(25, 50, seed=4)
         plain = store.add("plain", graph)
-        indexed = store.add("indexed", graph, build_index=True)
-        assert isinstance(store.oracle_for(plain), SimilarityOracle)
-        assert isinstance(store.oracle_for(indexed), IndexedOracle)
+        assert type(store.oracle_for(plain)) is SimilarityOracle
+        assert plain.cluster_index is None
 
-    def test_ensure_index_builds_once(self):
+    def test_ensure_cluster_index_builds_once(self):
         store = GraphStore()
         graph = gnm_random_graph(20, 40, seed=5)
         store.add("g", graph)
-        entry = store.ensure_index("g")
-        assert entry.index is not None
-        first = entry.index
-        assert store.ensure_index("g").index is first
+        entry = store.ensure_cluster_index("g")
+        assert entry.cluster_index is not None
+        assert entry.auto_cluster_index is True
+        first = entry.cluster_index
+        assert store.ensure_cluster_index("g").cluster_index is first
+
+
+    def test_widening_mu_cap_reuses_the_sigma_array(self, sigma_passes):
+        """A larger cap derives the new core orders from the σ array the
+        index already holds: no σ pass, and bitwise equal to a fresh
+        build at the wider cap."""
+        store = GraphStore()
+        graph = gnm_random_graph(60, 200, seed=11)
+        narrow = store.add(
+            "g", graph, build_cluster_index=True, mu_cap=3
+        ).cluster_index
+        sigma_passes.clear()
+        entry = store.ensure_cluster_index("g", mu_cap=9)
+        assert sigma_passes == []
+        assert entry.mu_cap == 9 and entry.cluster_index.mu_cap == 9
+        assert entry.cluster_index.edge is narrow.edge
+        fresh = ClusteringIndex.build(graph, SimilarityConfig(), mu_cap=9)
+        got = entry.cluster_index.derived_arrays()
+        want = fresh.derived_arrays()
+        assert sorted(got) == sorted(want)
+        for label, array in want.items():
+            assert got[label].dtype == array.dtype, label
+            assert got[label].tobytes() == array.tobytes(), label
 
 
 class TestUpdateEdges:
     def _store_with(self, n=30, m=70, seed=6):
         store = GraphStore()
-        store.add("g", gnm_random_graph(n, m, seed=seed), build_index=True)
+        store.add(
+            "g", gnm_random_graph(n, m, seed=seed), build_cluster_index=True
+        )
         return store
 
     def _free_pair(self, graph):
@@ -176,15 +203,18 @@ class TestUpdateEdges:
         entry = store.get("g")
         old = entry.fingerprint
         u, v = self._free_pair(entry.graph)
-        stats = store.update_edges("g", insert=[[u, v]])
+        # A failed row refresh drops the index instead: no σ work, and
+        # no index left answering for the pre-update graph.
+        with armed(FaultPlan([FaultRule(site="store.index_refresh")])):
+            stats = store.update_edges("g", insert=[[u, v]])
         assert stats.old_fingerprint == old
         assert stats.new_fingerprint != old
         assert stats.inserted == 1 and stats.deleted == 0
-        # An edge index alone is dropped, not refreshed: no σ work.
         assert stats.sigma_recomputations == 0
         entry = store.get("g")
         assert entry.fingerprint == stats.new_fingerprint
-        assert entry.index is None  # stale index dropped
+        assert entry.cluster_index is None  # stale index dropped
+        assert entry.auto_cluster_index is True  # rebuilt lazily
         assert entry.updates_applied == 1
 
     def test_cluster_index_refresh_counts_recomputed_slots(
@@ -258,13 +288,12 @@ class TestUpdateEdges:
         assert np.isfinite(entry.graph.weights).all()
 
     def test_indexed_and_unindexed_stores_agree(self):
-        """Same batch, three index tiers: same fingerprint, and the
-        refreshed clustering index equals a fresh build."""
+        """Same batch, with and without an index: same fingerprint, and
+        the refreshed clustering index equals a fresh build."""
         graph = gnm_random_graph(80, 240, seed=13)
-        stores = [GraphStore() for _ in range(3)]
+        stores = [GraphStore() for _ in range(2)]
         stores[0].add("g", graph)
-        stores[1].add("g", graph, build_index=True)
-        stores[2].add("g", graph, build_cluster_index=True)
+        stores[1].add("g", graph, build_cluster_index=True)
         u, v = self._free_pair(graph)
         victim = next(iter(graph.edges()))
         stats = [
@@ -275,9 +304,9 @@ class TestUpdateEdges:
         ]
         assert len({s.new_fingerprint for s in stats}) == 1
         assert len({s.affected_vertices for s in stats}) == 1
-        refreshed = stores[2].get("g").cluster_index
+        refreshed = stores[1].get("g").cluster_index
         fresh = ClusteringIndex.build(
-            stores[2].get("g").graph, SimilarityConfig()
+            stores[1].get("g").graph, SimilarityConfig()
         )
         assert refreshed.edge.sigmas.tobytes() == fresh.edge.sigmas.tobytes()
 

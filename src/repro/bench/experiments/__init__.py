@@ -18,10 +18,7 @@ from repro.bench.experiments.fig11 import fig11
 from repro.bench.experiments.fig12 import fig12
 from repro.bench.experiments.fig13 import fig13
 from repro.bench.experiments.fig14 import fig14
-from repro.bench.experiments.index_queries import index_queries
 from repro.bench.experiments.kernels import kernels
-from repro.bench.experiments.local_queries import local_queries
-from repro.bench.experiments.recovery import recovery
 from repro.bench.experiments.speedup import speedup
 from repro.bench.experiments.tables import tab1, tab2
 from repro.bench.harness import ExperimentResult
@@ -44,9 +41,6 @@ EXPERIMENTS: Dict[str, Callable[..., List[ExperimentResult]]] = {
     "fig14": fig14,
     "speedup": speedup,
     "kernels": kernels,
-    "recovery": recovery,
-    "index_queries": index_queries,
-    "local_queries": local_queries,
     "ablation_pruning": ablation_pruning,
     "ablation_sorting": ablation_sorting,
     "ablation_schedule": ablation_schedule,

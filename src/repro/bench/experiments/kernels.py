@@ -7,10 +7,10 @@ Two claims back the kernel/index layers (DESIGN.md):
    than the per-pair scalar path on a bench-scale LFR graph, because the
    sorted-merge intersections collapse into a handful of whole-array
    numpy passes.
-2. **Interactivity** — once an :class:`~repro.similarity.index.EdgeSimilarityIndex`
-   holds σ for every edge, a second (ε, μ) clustering query performs
-   (near) zero σ evaluations: the σ phase becomes a comparison against a
-   stored array.
+2. **Interactivity** — once a
+   :class:`~repro.similarity.gsindex.ClusteringIndex` holds σ for every
+   edge, a second (ε, μ) clustering query performs zero σ evaluations:
+   the σ phase becomes a binary search over stored, sorted σ.
 
 Besides the usual tables, the experiment writes ``BENCH_kernels.json``
 (to ``$REPRO_BENCH_DIR`` or the working directory) so CI can archive the
@@ -30,7 +30,7 @@ from repro.bench.harness import ExperimentResult
 from repro.core.backend_scan import parallel_scan
 from repro.graph.csr import Graph
 from repro.graph.generators.lfr import LFRParams, lfr_graph
-from repro.similarity.index import EdgeSimilarityIndex, IndexedOracle
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 __all__ = ["kernels"]
@@ -80,7 +80,7 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
     us, vs = _forward_pairs(graph)
     npairs = us.shape[0]
 
-    # -- throughput: scalar loop vs batched kernel vs index lookup ------
+    # -- throughput: scalar loop vs batched kernel ----------------------
     scalar_oracle = SimilarityOracle(graph, config)
     scalar_s, scalar_vals = _time(
         lambda: np.asarray(
@@ -99,10 +99,10 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
     if not np.allclose(scalar_vals, batched_vals, atol=1e-12):
         raise AssertionError("batched kernel disagrees with scalar sigma")
 
-    build_s, index = _time(lambda: EdgeSimilarityIndex.build(graph, config))
-    lookup_s, looked = _best_of(lambda: index.lookup(us, vs)[0])
-    if not np.allclose(looked, batched_vals, atol=1e-12):
-        raise AssertionError("index lookup disagrees with batched sigma")
+    build_s, index = _time(lambda: ClusteringIndex.build(graph, config))
+    stored = index.edge.forward_edges()[2]
+    if not np.allclose(stored, batched_vals, atol=1e-12):
+        raise AssertionError("indexed sigma disagrees with batched sigma")
 
     speedup = scalar_s / batched_s if batched_s > 0 else float("inf")
     throughput = ExperimentResult(
@@ -117,15 +117,10 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
     throughput.add_row(
         "batched kernel", batched_s, npairs / batched_s, speedup
     )
-    throughput.add_row(
-        "index lookup",
-        lookup_s,
-        npairs / lookup_s if lookup_s > 0 else float("inf"),
-        scalar_s / lookup_s if lookup_s > 0 else float("inf"),
-    )
     throughput.notes.append(
-        f"index build (all {graph.indices.shape[0]:,} directed slots): "
-        f"{build_s:.3f}s"
+        f"clustering index build (sigma for all "
+        f"{graph.indices.shape[0]:,} directed slots, sorted rows, core "
+        f"order): {build_s:.3f}s"
     )
     if not quick:
         throughput.notes.append(
@@ -149,16 +144,12 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
         first_oracle.eps_neighborhood(v, _EPS_FIRST)
     first_evals = first_oracle.counters.sigma_evaluations
 
-    indexed = IndexedOracle(index, config=config)
     second_s, second_result = _time(
         lambda: parallel_scan(
             graph, _MU_SECOND, _EPS_SECOND, index=index, config=config
         )
     )
-    # Replay the second query's σ phase through the counting oracle.
-    for v in range(graph.num_vertices):
-        indexed.eps_neighborhood(v, _EPS_SECOND)
-    second_evals = indexed.counters.sigma_evaluations
+    second_evals = index.last_query["sigma_evaluations"]
 
     interactive = ExperimentResult(
         exp_id="kernels",
@@ -178,8 +169,8 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
         second_result.num_clusters,
     )
     interactive.notes.append(
-        "acceptance: the indexed query performs (near) zero sigma "
-        "evaluations — re-clustering is a threshold pass over stored sigma"
+        "acceptance: the indexed query performs zero sigma evaluations "
+        "— re-clustering is a binary search over stored, sorted sigma"
     )
 
     payload = {
@@ -193,7 +184,6 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
         "batched_pairs_per_s": npairs / batched_s,
         "speedup": speedup,
         "index_build_s": build_s,
-        "index_lookup_s": lookup_s,
         "first_query_sigma_evals": int(first_evals),
         "second_query_sigma_evals": int(second_evals),
         "first_query_s": first_s,

@@ -29,7 +29,6 @@ from repro.parallel.backends import (
 )
 from repro.result import HUB, Clustering
 from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
-from repro.similarity.index import EdgeSimilarityIndex, IndexedOracle
 
 __all__ = ["main"]
 
@@ -83,20 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="pool width for --backend thread/process/auto",
-    )
-    parser.add_argument(
-        "--similarity-index",
-        choices=["off", "build", "use"],
-        default="off",
-        help="edge-similarity index: 'build' computes σ for every edge "
-        "(on --backend when parallel) and saves it next to the graph; "
-        "'use' loads a previously built index so re-clustering at a new "
-        "(ε, μ) performs no σ evaluations",
-    )
-    parser.add_argument(
-        "--index-path",
-        default=None,
-        help="where the similarity index lives (default: GRAPH.sigma.npz)",
     )
     parser.add_argument(
         "--cluster-index",
@@ -155,10 +140,9 @@ def main(argv=None) -> int:
     )
 
     try:
-        index = _prepare_index(graph, args)
         cluster_index = _prepare_cluster_index(graph, args)
     except ConfigError as exc:
-        print(f"similarity index error: {exc}", file=sys.stderr)
+        print(f"clustering index error: {exc}", file=sys.stderr)
         return 2
 
     if cluster_index is not None:
@@ -206,9 +190,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        clustering = _run_parallel(graph, args, index=index)
+        clustering = _run_parallel(graph, args)
     elif args.algorithm == "anyscan":
-        clustering = _run_anyscan(graph, args, index=index)
+        clustering = _run_anyscan(graph, args)
     else:
         if args.budget_work or args.budget_seconds:
             print(
@@ -217,50 +201,13 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        oracle = IndexedOracle(index) if index is not None else None
-        clustering = _BATCH[args.algorithm](
-            graph, args.mu, args.epsilon, oracle=oracle
-        )
+        clustering = _BATCH[args.algorithm](graph, args.mu, args.epsilon)
 
     print(clustering.summary())
     if args.output:
         _write_labels(clustering, labels_map, args.output)
         print(f"labels written to {args.output}", file=sys.stderr)
     return 0
-
-
-def _prepare_index(graph, args) -> EdgeSimilarityIndex | None:
-    """Build or load the edge-similarity index the flags ask for."""
-    if args.similarity_index == "off":
-        return None
-    path = args.index_path or (args.graph + ".sigma.npz")
-    if args.similarity_index == "build":
-        started = time.perf_counter()
-        backend = args.backend if args.backend != "sequential" else None
-        index = EdgeSimilarityIndex.build(
-            graph, backend=backend, workers=args.workers
-        )
-        index.save(path)
-        print(
-            f"similarity index built ({index.sigmas.shape[0]:,d} edge "
-            f"slots) in {time.perf_counter() - started:.2f}s, "
-            f"saved to {path}",
-            file=sys.stderr,
-        )
-        return index
-    backend = args.backend if args.backend != "sequential" else None
-    index, recovered = EdgeSimilarityIndex.load_or_rebuild(
-        path, graph, backend=backend, workers=args.workers
-    )
-    if recovered:
-        print(
-            f"similarity index at {path} was damaged; quarantined to "
-            f"{path}.quarantined and rebuilt",
-            file=sys.stderr,
-        )
-    else:
-        print(f"similarity index loaded from {path}", file=sys.stderr)
-    return index
 
 
 def _prepare_cluster_index(graph, args) -> ClusteringIndex | None:
@@ -328,13 +275,6 @@ def _build_local_parser() -> argparse.ArgumentParser:
         "follow the first cluster of this order)",
     )
     parser.add_argument(
-        "--similarity-index",
-        choices=["off", "build", "use"],
-        default="off",
-        help="edge-similarity σ tier (see the main command)",
-    )
-    parser.add_argument("--index-path", default=None)
-    parser.add_argument(
         "--cluster-index",
         choices=["off", "build", "use"],
         default="off",
@@ -347,7 +287,7 @@ def _build_local_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["sequential"] + list(BACKEND_NAMES),
         default="sequential",
-        help="backend for --similarity-index/--cluster-index build",
+        help="backend for --cluster-index build",
     )
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
@@ -377,7 +317,6 @@ def _local_cluster_main(argv) -> int:
         file=sys.stderr,
     )
     try:
-        index = _prepare_index(graph, args)
         cluster_index = _prepare_cluster_index(graph, args)
         started = time.perf_counter()
         result = local_cluster(
@@ -386,7 +325,6 @@ def _local_cluster_main(argv) -> int:
             args.epsilon,
             args.mu,
             cluster_index=cluster_index,
-            edge_index=index,
             order_seed=args.order_seed,
             classify_boundary=not args.no_boundary,
         )
@@ -421,12 +359,7 @@ def _local_cluster_main(argv) -> int:
     return 0
 
 
-def _run_parallel(graph, args, *, index=None) -> Clustering:
-    if index is not None:
-        # Every σ comes from the index; no pool to spin up.
-        return parallel_scan(
-            graph, args.mu, args.epsilon, index=index, seed=args.seed
-        )
+def _run_parallel(graph, args) -> Clustering:
     backend = create_backend(args.backend, workers=args.workers)
     try:
         result = parallel_scan(
@@ -444,7 +377,7 @@ def _run_parallel(graph, args, *, index=None) -> Clustering:
         close_backend(backend)
 
 
-def _run_anyscan(graph, args, *, index=None) -> Clustering:
+def _run_anyscan(graph, args) -> Clustering:
     config = AnyScanConfig(
         mu=args.mu,
         epsilon=args.epsilon,
@@ -453,8 +386,7 @@ def _run_anyscan(graph, args, *, index=None) -> Clustering:
         seed=args.seed,
         record_costs=False,
     )
-    oracle = IndexedOracle(index) if index is not None else None
-    algo = AnySCAN(graph, config, oracle=oracle)
+    algo = AnySCAN(graph, config)
     runner = AnytimeRunner(algo)
     if args.budget_work is None and args.budget_seconds is None:
         if args.progress:

@@ -14,7 +14,7 @@ differential tests pin this conformance contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from repro.result import Clustering
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig
 from repro.validation import check_eps_mu
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.similarity.index import EdgeSimilarityIndex
 
 __all__ = ["parallel_scan"]
 
@@ -87,7 +84,7 @@ def parallel_scan(
     workers: int | None = None,
     config: SimilarityConfig | None = None,
     seed: int = 0,
-    index: "EdgeSimilarityIndex | ClusteringIndex | None" = None,
+    index: ClusteringIndex | None = None,
 ) -> Clustering:
     """Cluster ``graph`` with SCAN, σ phase on a real parallel backend.
 
@@ -107,43 +104,34 @@ def parallel_scan(
         Vertex-visit order; the same seed makes the result byte-identical
         to ``scan(graph, mu, epsilon, seed=seed)``.
     index:
-        A prebuilt :class:`~repro.similarity.index.EdgeSimilarityIndex`
-        or :class:`~repro.similarity.gsindex.ClusteringIndex`; when
-        given, the σ phase is answered entirely from it (zero σ
-        evaluations, no backend traffic) — the interactive re-clustering
-        path.  A clustering index goes further: the whole query becomes
-        a union-find extraction (no BFS either), still byte-identical to
-        the sequential reference.  Raises
+        A prebuilt :class:`~repro.similarity.gsindex.ClusteringIndex`;
+        when given, the query is answered entirely from it — zero σ
+        evaluations, no backend traffic, a union-find extraction in
+        place of the BFS — still byte-identical to the sequential
+        reference.  This is the interactive re-clustering path.  Raises
         :class:`~repro.errors.ConfigError` when the index does not match
         ``graph`` or ``config``.
     """
     check_eps_mu(mu=mu, epsilon=epsilon)
     config = config or SimilarityConfig(pruning=False)
-    if isinstance(index, ClusteringIndex):
-        index.require_compatible(graph=graph, config=config)
-        return index.query(epsilon, mu, seed=seed)
     if index is not None:
         index.require_compatible(graph=graph, config=config)
-        hoods = [
-            index.eps_neighborhood(v, epsilon)
-            for v in range(graph.num_vertices)
-        ]
-    else:
-        owned = isinstance(backend, str)
-        resolved: Backend = (
-            create_backend(backend, workers=workers) if owned else backend
+        return index.query(epsilon, mu, seed=seed)
+    owned = isinstance(backend, str)
+    resolved: Backend = (
+        create_backend(backend, workers=workers) if owned else backend
+    )
+    try:
+        hoods = run_range_queries(
+            graph,
+            range(graph.num_vertices),
+            epsilon,
+            backend=resolved,
+            config=config,
         )
-        try:
-            hoods = run_range_queries(
-                graph,
-                range(graph.num_vertices),
-                epsilon,
-                backend=resolved,
-                config=config,
-            )
-        finally:
-            if owned:
-                close_backend(resolved)
+    finally:
+        if owned:
+            close_backend(resolved)
     self_count = 1 if config.count_self else 0
     sizes = np.asarray([h.shape[0] for h in hoods], dtype=np.int64)
     core_mask = sizes + self_count >= mu

@@ -37,6 +37,11 @@ class StateTransitionError(ReproError):
     """Raised when a vertex state change violates the Figure 3 schema."""
 
 
+class JobStateError(ReproError):
+    """Raised when a scheduler job cannot make a requested state
+    transition (pausing a finished job, say); the service answers 409."""
+
+
 class SimulationError(ReproError):
     """Raised when the multicore simulator is driven inconsistently."""
 

@@ -15,7 +15,6 @@ from repro.local.cluster import (
 )
 from repro.local.tiers import (
     ClusterIndexTier,
-    EdgeIndexTier,
     OracleTier,
     SigmaTier,
     build_tiers,
@@ -27,7 +26,6 @@ __all__ = [
     "local_cluster",
     "SigmaTier",
     "ClusterIndexTier",
-    "EdgeIndexTier",
     "OracleTier",
     "build_tiers",
 ]

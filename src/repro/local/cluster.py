@@ -52,7 +52,6 @@ from repro.local.tiers import SigmaTier, build_tiers
 from repro.parallel.processes import DegradationEvent, emit_degradation
 from repro.result import VertexRole
 from repro.similarity.gsindex import ClusteringIndex
-from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.validation import check_eps_mu
 
@@ -341,7 +340,6 @@ def local_cluster(
     mu: int,
     *,
     cluster_index: Optional[ClusteringIndex] = None,
-    edge_index: Optional[EdgeSimilarityIndex] = None,
     oracle: Optional[SimilarityOracle] = None,
     similarity_config: Optional[SimilarityConfig] = None,
     order_seed: int = 0,
@@ -357,12 +355,11 @@ def local_cluster(
         The query vertex whose cluster is wanted.
     epsilon, mu:
         SCAN's density parameters (Definition 3).
-    cluster_index, edge_index, oracle, similarity_config:
+    cluster_index, oracle, similarity_config:
         σ-resolution inputs; the best available tier is chosen
-        automatically (cluster index → edge index → batched oracle) and
-        a faulting tier degrades to the next with a witnessed
-        :class:`DegradationEvent`.  Passing a ``cluster_index`` implies
-        its embedded edge index as the middle tier.
+        automatically (cluster index → batched oracle) and a faulting
+        index tier degrades to the oracle with a witnessed
+        :class:`DegradationEvent`.
     order_seed:
         The reference scan's vertex-visit shuffle seed; shared borders
         may move between clusters under different orders, and this
@@ -386,7 +383,6 @@ def local_cluster(
     tiers = build_tiers(
         graph,
         cluster_index=cluster_index,
-        edge_index=edge_index,
         oracle=oracle,
         similarity_config=similarity_config,
     )

@@ -1,7 +1,7 @@
 """σ-resolution tiers for seeded local clustering.
 
 A local query needs two primitives per touched vertex: "is ``v`` a
-μ-core at ε?" and "which neighbors of ``v`` have σ ≥ ε?".  Three tiers
+μ-core at ε?" and "which neighbors of ``v`` have σ ≥ ε?".  Two tiers
 answer them at very different costs, and :func:`repro.local.local_cluster`
 picks the best available automatically:
 
@@ -10,10 +10,6 @@ picks the best available automatically:
     single precomputed-threshold read, the ε-neighborhood is a binary
     search over the σ-sorted row.  **Zero** σ evaluations; the touched
     work is the qualifying prefix, not the degree.
-``edge-index``
-    :class:`~repro.similarity.index.EdgeSimilarityIndex` — σ is a stored
-    per-slot lookup; the ε-neighborhood masks the vertex's σ row
-    (touches ``deg(v)`` slots, still zero σ evaluations).
 ``oracle``
     :class:`~repro.similarity.weighted.SimilarityOracle` — batched
     on-the-fly kernels (``sigma_batch`` under ``eps_neighborhood``);
@@ -38,14 +34,13 @@ from repro.errors import ConfigError
 from repro.faults import fault_point
 from repro.graph.csr import Graph
 from repro.similarity.gsindex import ClusteringIndex
-from repro.similarity.index import _SEMANTIC_FIELDS, EdgeSimilarityIndex
+from repro.similarity.index import _SEMANTIC_FIELDS
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.validation import check_eps_mu
 
 __all__ = [
     "SigmaTier",
     "ClusterIndexTier",
-    "EdgeIndexTier",
     "OracleTier",
     "build_tiers",
 ]
@@ -121,32 +116,8 @@ class ClusterIndexTier(SigmaTier):
         return self.index.core_epsilon(v, mu) >= epsilon
 
 
-class EdgeIndexTier(SigmaTier):
-    """Tier 2: stored per-edge σ (:class:`EdgeSimilarityIndex`)."""
-
-    name = "edge-index"
-    fast_core_check = False
-
-    def __init__(self, index: EdgeSimilarityIndex) -> None:
-        super().__init__()
-        self.index = index
-
-    @property
-    def count_self(self) -> bool:
-        return bool(self.index.config.count_self)
-
-    def qualifying(self, v: int, epsilon: float) -> np.ndarray:
-        check_eps_mu(epsilon=epsilon)
-        fault_point("local.edge_query")
-        hood = self.index.eps_neighborhood(v, epsilon)
-        # Masking the σ row touches every stored slot of v's row.
-        self.touched_edges += int(self.index.graph.degree(v))
-        self.neighborhood_queries += 1
-        return hood
-
-
 class OracleTier(SigmaTier):
-    """Tier 3: on-the-fly batched σ kernels (index-less graphs).
+    """Tier 2: on-the-fly batched σ kernels (index-less graphs).
 
     Constructed lazily: the oracle's O(n + m) invariant precompute only
     runs if this tier actually serves a query, so an index-backed chain
@@ -202,7 +173,6 @@ def build_tiers(
     graph: Graph,
     *,
     cluster_index: Optional[ClusteringIndex] = None,
-    edge_index: Optional[EdgeSimilarityIndex] = None,
     oracle: Optional[SimilarityOracle] = None,
     similarity_config: Optional[SimilarityConfig] = None,
 ) -> List[SigmaTier]:
@@ -221,12 +191,6 @@ def build_tiers(
         cluster_index.require_compatible(graph=graph, config=config)
         config = config or cluster_index.config
         tiers.append(ClusterIndexTier(cluster_index))
-        if edge_index is None:
-            edge_index = cluster_index.edge
-    if edge_index is not None:
-        edge_index.require_compatible(graph=graph, config=config)
-        config = config or edge_index.config
-        tiers.append(EdgeIndexTier(edge_index))
     if oracle is not None:
         if config is not None and any(
             getattr(oracle.config, name) != getattr(config, name)

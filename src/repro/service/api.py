@@ -32,8 +32,10 @@ generated from it, so they cannot drift apart.
 
 Errors are JSON too: ``{"error": message, "type": exception_class}``
 with status 400 for domain errors (:class:`~repro.errors.ReproError`),
-404 for unknown routes, 409 for not-yet-available results, and 500 for
-unexpected failures.
+404 for unknown routes, 409 for not-yet-available results and for job
+state transitions the job's state refuses
+(:class:`~repro.errors.JobStateError`, e.g. pausing a finished job),
+and 500 for unexpected failures.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from urllib.parse import parse_qs, urlsplit
 import numpy as np
 
 from repro.core.snapshots import Snapshot
-from repro.errors import ReproError
+from repro.errors import JobStateError, ReproError
 from repro.result import Clustering
 
 __all__ = [
@@ -290,7 +292,7 @@ def dispatch(
         return exc.status, body, route.handler
     except ReproError as exc:
         return (
-            400,
+            409 if isinstance(exc, JobStateError) else 400,
             {"error": str(exc), "type": type(exc).__name__},
             route.handler,
         )

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.anyscan import AnySCAN
 from repro.core.snapshots import Snapshot
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, JobStateError, ReproError
 from repro.faults import fault_point
 from repro.result import Clustering
 from repro.validation import check_eps_mu
@@ -307,7 +307,7 @@ class JobScheduler:
             elif job.state is JobState.RUNNING:
                 job.pause_requested = True
             elif job.state is not JobState.PAUSED:
-                raise ReproError(
+                raise JobStateError(
                     f"job {job_id} is {job.state.value}; cannot pause"
                 )
             return job.info()
@@ -324,7 +324,7 @@ class JobScheduler:
             elif job.state in (JobState.PENDING, JobState.RUNNING):
                 job.pause_requested = False
             else:
-                raise ReproError(
+                raise JobStateError(
                     f"job {job_id} is {job.state.value}; cannot resume"
                 )
             return job.info()
@@ -340,7 +340,7 @@ class JobScheduler:
             elif job.state is JobState.RUNNING:
                 job.cancel_requested = True
             elif job.state not in TERMINAL_STATES:
-                raise ReproError(
+                raise JobStateError(
                     f"job {job_id} is {job.state.value}; cannot cancel"
                 )
             return job.info()
@@ -350,7 +350,7 @@ class JobScheduler:
         with self._wake:
             job = self._require_locked(job_id)
             if job.state in TERMINAL_STATES:
-                raise ReproError(
+                raise JobStateError(
                     f"job {job_id} is {job.state.value}; cannot reprioritize"
                 )
             job.priority = int(priority)

@@ -2,11 +2,7 @@
 
 from repro.similarity.counters import SimilarityCounters
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.similarity.index import (
-    EdgeSimilarityIndex,
-    IndexedOracle,
-    graph_fingerprint,
-)
+from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
 from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
 
 __all__ = [
@@ -14,7 +10,6 @@ __all__ = [
     "SimilarityOracle",
     "SimilarityCounters",
     "EdgeSimilarityIndex",
-    "IndexedOracle",
     "ClusteringIndex",
     "DEFAULT_MU_CAP",
     "graph_fingerprint",

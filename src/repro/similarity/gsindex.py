@@ -1,12 +1,13 @@
 """Parameter-free clustering index (GS*-style): any (ε, μ) in output time.
 
-:class:`~repro.similarity.index.EdgeSimilarityIndex` already removes σ
-work from repeat queries, but every query still walks all CSR rows to
-re-derive cores and re-runs a BFS over the whole graph.  This module
-layers the remaining structure of *Parallel Index-Based Structural
-Graph Clustering and Its Approximation* (Tseng, Dhulipala & Shun) on
-top of it, so clusters for **arbitrary** (ε, μ) come out of pure array
-passes with **zero** σ evaluations:
+The σ array (:class:`~repro.similarity.index.EdgeSimilarityIndex`)
+removes σ work from repeat queries, but cores and clusters would still
+need a walk over all CSR rows and a BFS over the whole graph.  This
+module layers the remaining structure of *Parallel Index-Based
+Structural Graph Clustering and Its Approximation* (Tseng, Dhulipala &
+Shun) on top of it, so clusters for **arbitrary** (ε, μ) come out of
+pure array passes with **zero** σ evaluations.  It is the one
+precomputed-σ input every query path takes.  Its parts:
 
 * **σ-sorted neighbor lists** — each vertex's CSR row reordered by
   descending σ (ties broken by ascending neighbor id, so builds are
@@ -660,11 +661,12 @@ class ClusteringIndex:
     ) -> Tuple["ClusteringIndex", bool]:
         """Load ``path``; on damage, quarantine it and rebuild from σ.
 
-        Mirrors :meth:`EdgeSimilarityIndex.load_or_rebuild`: a damaged
-        (or missing) archive is preserved as ``{path}.quarantined`` and
-        a fresh index is built and saved in its place (``recovered`` is
-        True then); a fingerprint/semantics mismatch is a caller error
-        and still raises :class:`~repro.errors.ConfigError`.
+        A damaged (or missing) archive — :meth:`load` raised
+        :class:`~repro.errors.IndexIntegrityError` — is preserved as
+        ``{path}.quarantined`` and a fresh index is built and saved in
+        its place (``recovered`` is True then); a fingerprint/semantics
+        mismatch is a caller error and still raises
+        :class:`~repro.errors.ConfigError`.
         """
         final = _archive_path(path)
         try:

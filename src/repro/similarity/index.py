@@ -1,15 +1,16 @@
-"""Materialized per-edge similarities for interactive re-clustering.
+"""Materialized per-edge similarities: the σ array of a clustering index.
 
-The paper's use case is *interactive*: a user explores many (ε, μ)
-settings over one fixed graph.  σ(p, q) does not depend on either
-parameter, so paying the σ phase once and indexing the result turns
-every subsequent query into array passes — the design of Tseng,
-Dhulipala & Shun's index-based parallel SCAN, adapted to this
-repository's CSR layout:
+σ(p, q) depends on neither ε nor μ, so paying the σ phase once and
+storing the result turns every later (ε, μ) query into array passes —
+the design of Tseng, Dhulipala & Shun's index-based parallel SCAN,
+adapted to this repository's CSR layout.  :class:`EdgeSimilarityIndex`
+is that σ array; :class:`~repro.similarity.gsindex.ClusteringIndex`
+(its ``.edge``) derives the σ-sorted rows and core order that answer
+queries:
 
-* :class:`EdgeSimilarityIndex` stores one float64 per **directed** CSR
-  edge slot, aligned with ``graph.indices`` — σ for vertex ``p``'s whole
-  row is a contiguous slice, and an ε-neighborhood is a mask over it.
+* One float64 per **directed** CSR edge slot, aligned with
+  ``graph.indices`` — σ for vertex ``p``'s whole row is a contiguous
+  slice.
 * The build runs through the batched kernels
   (:mod:`repro.similarity.kernels`), optionally fanned out over the
   thread/process backends; every path produces the bitwise-identical
@@ -20,17 +21,12 @@ repository's CSR layout:
   leave a half-written archive under the real name.  Loads verify the
   checksum; damage of any kind (truncation, flipped bytes, a zeroed
   header, missing fields) raises
-  :class:`~repro.errors.IndexIntegrityError`, and
-  :meth:`EdgeSimilarityIndex.load_or_rebuild` turns that into quarantine
-  (``{path}.quarantined``) plus a fresh rebuild instead of a crash.  A
-  graph/semantics mismatch still raises plain
-  :class:`~repro.errors.ConfigError` rather than silently returning σ
-  values for the wrong graph or semantics.
-* :class:`IndexedOracle` is a drop-in
-  :class:`~repro.similarity.weighted.SimilarityOracle` whose σ lookups
-  hit the index: re-clustering at a new (ε, μ) performs **zero** σ
-  evaluations (the counters stay near zero; ``index_lookups`` tallies
-  the hits instead).
+  :class:`~repro.errors.IndexIntegrityError`, which
+  :meth:`ClusteringIndex.load_or_rebuild
+  <repro.similarity.gsindex.ClusteringIndex.load_or_rebuild>` turns
+  into quarantine plus a fresh rebuild.  A graph/semantics mismatch
+  raises plain :class:`~repro.errors.ConfigError` rather than silently
+  returning σ values for the wrong graph or semantics.
 
 Memory cost: one float64 per directed edge — the same footprint as the
 CSR ``weights`` array.
@@ -50,7 +46,7 @@ from repro.graph.csr import Graph
 from repro.similarity import kernels
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
-__all__ = ["EdgeSimilarityIndex", "IndexedOracle", "graph_fingerprint"]
+__all__ = ["EdgeSimilarityIndex", "graph_fingerprint"]
 
 #: Config fields that change σ values.  ``pruning`` only changes how
 #: threshold tests are *scheduled*, never their results, so indexes stay
@@ -165,70 +161,12 @@ class EdgeSimilarityIndex:
         return cls(graph, config, sigmas)
 
     # ------------------------------------------------------------------
-    # queries (plain array passes; no σ evaluations)
+    # views
     # ------------------------------------------------------------------
     @property
     def sigmas(self) -> np.ndarray:
         """All directed-edge σ values, aligned with ``graph.indices``."""
         return self._sigmas
-
-    def sigma_row(self, p: int) -> np.ndarray:
-        """σ against every neighbor of ``p`` (view over ``p``'s CSR row)."""
-        indptr = self.graph.indptr
-        return self._sigmas[int(indptr[p]) : int(indptr[p + 1])]
-
-    def lookup(
-        self, ps: np.ndarray, qs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``(σ values, found)`` for pair arrays.
-
-        ``found`` is False where (p, q) is not a stored edge (σ of a
-        non-adjacent pair is not materialized; callers fall back to the
-        kernels for those).
-        """
-        graph = self.graph
-        ps = np.ascontiguousarray(ps, dtype=np.int64)
-        qs = np.ascontiguousarray(qs, dtype=np.int64)
-        n = graph.num_vertices
-        keys = ps * np.int64(n) + qs
-        edge_keys = kernels.directed_edge_keys(graph.indptr, graph.indices)
-        if edge_keys.shape[0] == 0:
-            zeros = np.zeros(keys.shape[0], dtype=np.float64)
-            return zeros, np.zeros(keys.shape[0], dtype=bool)
-        pos = np.searchsorted(edge_keys, keys)
-        in_range = pos < edge_keys.shape[0]
-        safe = np.where(in_range, pos, 0)
-        found = in_range & (edge_keys[safe] == keys)
-        return np.where(found, self._sigmas[safe], 0.0), found
-
-    def lookup_one(self, p: int, q: int) -> Tuple[float, bool]:
-        """``(σ, found)`` for one pair; O(log deg) row bisection."""
-        graph = self.graph
-        indptr = graph.indptr
-        lo, hi = int(indptr[p]), int(indptr[p + 1])
-        pos = lo + int(np.searchsorted(graph.indices[lo:hi], q))
-        if pos < hi and int(graph.indices[pos]) == q:
-            return float(self._sigmas[pos]), True
-        return 0.0, False
-
-    def eps_neighborhood(self, p: int, epsilon: float) -> np.ndarray:
-        """``N_p^ε`` as a mask over the stored row — no σ work at all."""
-        row = self.sigma_row(p)
-        return self.graph.neighbors(p)[row >= epsilon].astype(
-            np.int64, copy=False
-        )
-
-    def eps_counts(self, epsilon: float) -> np.ndarray:
-        """``|N_p^ε|`` for every vertex (excluding self), one pass."""
-        graph = self.graph
-        n = graph.num_vertices
-        passing = (self._sigmas >= epsilon).astype(np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        nonempty = graph.degrees > 0
-        starts = graph.indptr[:-1][nonempty]
-        if starts.shape[0]:
-            counts[nonempty] = np.add.reduceat(passing, starts)
-        return counts
 
     def forward_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(us, vs, σ)`` for each undirected edge with u < v, CSR order.
@@ -269,7 +207,7 @@ class EdgeSimilarityIndex:
                 raise ConfigError(
                     "similarity index was built for a different graph "
                     f"(fingerprint {self.fingerprint[:12]}…, queried graph "
-                    f"{found[:12]}…); rebuild with EdgeSimilarityIndex.build"
+                    f"{found[:12]}…); rebuild it for this graph"
                 )
         if config is not None:
             mine = _config_signature(self.config)
@@ -369,116 +307,3 @@ class EdgeSimilarityIndex:
         if config is not None:
             index.require_compatible(config=config)
         return index
-
-    @classmethod
-    def load_or_rebuild(
-        cls,
-        path,
-        graph: Graph,
-        *,
-        config: SimilarityConfig | None = None,
-        backend=None,
-        workers: int | None = None,
-    ) -> Tuple["EdgeSimilarityIndex", bool]:
-        """Load ``path``; on damage, quarantine it and rebuild from σ.
-
-        Returns ``(index, recovered)`` — ``recovered`` is True when the
-        stored archive was damaged (or missing) and a fresh index was
-        built and saved in its place; the damaged file is preserved as
-        ``{path}.quarantined`` for post-mortems.  A fingerprint or
-        semantics mismatch is *not* recovered from: that is a caller
-        error (wrong file for this graph) and still raises
-        :class:`ConfigError`.
-        """
-        final = _archive_path(path)
-        try:
-            return cls.load(final, graph, config=config), False
-        except IndexIntegrityError:
-            try:
-                os.replace(final, final + ".quarantined")
-            except FileNotFoundError:
-                pass  # missing archive: nothing to quarantine
-            index = cls.build(graph, config, backend=backend, workers=workers)
-            index.save(final)
-            return index, True
-
-
-class IndexedOracle(SimilarityOracle):
-    """A :class:`SimilarityOracle` whose σ lookups hit a prebuilt index.
-
-    Every query answerable from the index performs zero σ evaluations
-    and charges zero work; ``index_lookups``/``index_misses`` count the
-    traffic instead (misses — pairs that are not stored edges — fall
-    back to the exact batched kernels and are charged normally).
-    """
-
-    def __init__(
-        self,
-        index: EdgeSimilarityIndex,
-        *,
-        graph: Graph | None = None,
-        config: SimilarityConfig | None = None,
-    ) -> None:
-        graph = graph if graph is not None else index.graph
-        index.require_compatible(graph=graph, config=config)
-        super().__init__(graph, config or index.config)
-        self.index = index
-        self.index_lookups = 0
-        self.index_misses = 0
-
-    def sigma(self, p: int, q: int) -> float:
-        value, found = self.index.lookup_one(int(p), int(q))
-        if found:
-            self.index_lookups += 1
-            return value
-        self.index_misses += 1
-        return super().sigma(p, q)
-
-    def sigma_unrecorded(self, p: int, q: int) -> float:
-        value, found = self.index.lookup_one(int(p), int(q))
-        if found:
-            self.index_lookups += 1
-            return value
-        self.index_misses += 1
-        return super().sigma_unrecorded(p, q)
-
-    def sigma_batch(self, p: int, qs: np.ndarray) -> np.ndarray:
-        qs = np.ascontiguousarray(qs, dtype=np.int64)
-        if qs.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        ps = np.full(qs.shape[0], int(p), dtype=np.int64)
-        values, found = self.index.lookup(ps, qs)
-        hits = int(found.sum())
-        self.index_lookups += hits
-        if hits < qs.shape[0]:
-            missing = ~found
-            self.index_misses += int(missing.sum())
-            exact, costs = self._pair_sigmas(ps[missing], qs[missing])
-            values[missing] = exact
-            self.counters.record_sigma_batch(
-                int(missing.sum()), float(costs.sum())
-            )
-        return values
-
-    def similar(self, p: int, q: int, epsilon: float) -> bool:
-        value, found = self.index.lookup_one(int(p), int(q))
-        if found:
-            self.index_lookups += 1
-            return value >= epsilon
-        self.index_misses += 1
-        return super().similar(p, q, epsilon)
-
-    def similar_batch(
-        self, p: int, qs: np.ndarray, epsilon: float
-    ) -> np.ndarray:
-        return self.sigma_batch(p, qs) >= epsilon
-
-    def eps_neighborhood(self, p: int, epsilon: float) -> np.ndarray:
-        hood = self.index.eps_neighborhood(int(p), epsilon)
-        self.index_lookups += self.graph.degree(int(p))
-        self.counters.record_neighborhood_query(0.0, evaluations=0)
-        return hood
-
-    def eps_neighborhood_pruned(self, p: int, epsilon: float) -> np.ndarray:
-        # The index already answers exactly; pruning would only add work.
-        return self.eps_neighborhood(p, epsilon)

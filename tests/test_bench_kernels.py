@@ -30,7 +30,7 @@ class TestKernelsExperiment:
         tables, _ = results
         assert len(tables) == 2
         throughput, interactive = tables
-        assert len(throughput.rows) == 3
+        assert len(throughput.rows) == 2
         assert len(interactive.rows) == 2
         for table in tables:
             assert "kernels" in table.render()

@@ -107,8 +107,9 @@ def test_process_backend_differential_under_faults(seed):
 
 @pytest.mark.parametrize("seed", _seeds())
 def test_index_persistence_under_corruption(seed, tmp_path):
-    """Battery B: seeded disk rot → quarantine → rebuild, never a torn
-    or corrupt archive under the real name."""
+    """Battery B: seeded disk rot of a σ archive is detected on load —
+    never σ values read from a damaged file.  Quarantine and rebuild
+    are Battery B′ (the clustering-index archive)."""
     graph = gnm_random_graph(80, 240, seed=41)
     config = SimilarityConfig()
     fresh = EdgeSimilarityIndex.build(graph, config)
@@ -118,15 +119,6 @@ def test_index_persistence_under_corruption(seed, tmp_path):
     corrupt_file(path, mode=mode, seed=seed)
     with pytest.raises(IndexIntegrityError):
         EdgeSimilarityIndex.load(path, graph, config=config)
-    recovered_index, recovered = EdgeSimilarityIndex.load_or_rebuild(
-        path, graph, config=config
-    )
-    assert recovered
-    quarantined = [p.name for p in tmp_path.iterdir() if "quarantined" in p.name]
-    assert quarantined, "damaged archive must be preserved for post-mortems"
-    np.testing.assert_array_equal(fresh.sigmas, recovered_index.sigmas)
-    reloaded = EdgeSimilarityIndex.load(path, graph, config=config)
-    np.testing.assert_array_equal(fresh.sigmas, reloaded.sigmas)
 
 
 @pytest.mark.parametrize("seed", _seeds())

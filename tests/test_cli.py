@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
+import numpy as np
 import pytest
 
+from repro.baselines import scan
 from repro.cli import main
-from repro.graph.io import save_edge_list
+from repro.graph.io import load_edge_list, save_edge_list
 
 
 @pytest.fixture()
@@ -141,3 +146,92 @@ class TestBackendFlag:
              "--output", str(out_file)]
         ) == 0
         assert len(out_file.read_text().strip().splitlines()) == 301
+
+
+class TestClusterIndexFlag:
+    """``--cluster-index build|use``: the one precomputed-σ input."""
+
+    def _output(self, graph_file, path, mu, epsilon, *extra):
+        """The ``--output`` labels file of one ``--algorithm scan`` run."""
+        assert main(
+            [graph_file, "--algorithm", "scan", "--mu", str(mu),
+             "--epsilon", str(epsilon), "--output", str(path), *extra]
+        ) == 0
+        return path.read_bytes()
+
+    def test_build_then_use_matches_plain_scan(
+        self, graph_file, tmp_path, capsys
+    ):
+        built = self._output(
+            graph_file, tmp_path / "built.txt", 4, 0.5,
+            "--cluster-index", "build",
+        )
+        err = capsys.readouterr().err
+        assert "clustering index built" in err
+        assert "σ evaluations: 0" in err
+        assert built == self._output(graph_file, tmp_path / "plain.txt", 4, 0.5)
+        capsys.readouterr()
+        # A second (ε, μ) from the saved archive: same bytes as scan.
+        used = self._output(
+            graph_file, tmp_path / "used.txt", 3, 0.65,
+            "--cluster-index", "use",
+        )
+        err = capsys.readouterr().err
+        assert "clustering index loaded from" in err
+        assert "σ evaluations: 0" in err
+        assert used == self._output(
+            graph_file, tmp_path / "plain2.txt", 3, 0.65
+        )
+
+    def test_truncated_archive_is_quarantined_and_rebuilt(
+        self, graph_file, tmp_path, capsys
+    ):
+        self._output(
+            graph_file, tmp_path / "a.txt", 4, 0.5, "--cluster-index", "build"
+        )
+        archive = graph_file + ".gsindex.npz"
+        os.truncate(archive, os.path.getsize(archive) // 2)
+        capsys.readouterr()
+        used = self._output(
+            graph_file, tmp_path / "b.txt", 4, 0.5, "--cluster-index", "use"
+        )
+        assert "quarantined" in capsys.readouterr().err
+        assert os.path.exists(archive + ".quarantined")
+        assert used == self._output(graph_file, tmp_path / "plain.txt", 4, 0.5)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--algorithm", "pscan"], ["--algorithm", "scan", "--budget-work", "10"]],
+    )
+    def test_refused_combinations_exit_2(self, graph_file, capsys, extra):
+        assert main([graph_file, "--cluster-index", "use", *extra]) == 2
+
+    def test_similarity_index_flag_is_gone(self, graph_file, capsys):
+        for argv in (
+            [graph_file, "--algorithm", "scan", "--similarity-index", "build"],
+            ["local-cluster", graph_file, "--seed", "0",
+             "--similarity-index", "build"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+
+class TestLocalClusterCommand:
+    @pytest.mark.parametrize("index_args", [[], ["--cluster-index", "build"]])
+    def test_members_match_scan(self, graph_file, capsys, index_args):
+        graph, _ = load_edge_list(graph_file)
+        reference = scan(graph, 4, 0.5, seed=0)
+        clustered = np.flatnonzero(reference.labels >= 0)
+        for seed in (int(clustered[0]), int(clustered[-1])):
+            assert main(
+                ["local-cluster", graph_file, "--seed", str(seed),
+                 "--mu", "4", "--epsilon", "0.5", "--json", *index_args]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            want = np.flatnonzero(
+                reference.labels == reference.labels[seed]
+            )
+            assert payload["members"] == want.tolist()
+            expected_tier = "cluster-index" if index_args else "oracle"
+            assert payload["stats"]["tier"] == expected_tier

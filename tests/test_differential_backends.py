@@ -23,7 +23,8 @@ from repro.graph.generators.random_graphs import (
 from repro.metrics.comparison import explain_difference
 from repro.parallel.processes import ProcessBackend, shared_memory_available
 from repro.parallel.threads import ThreadBackend
-from repro.similarity.index import EdgeSimilarityIndex, IndexedOracle
+from repro.similarity.gsindex import ClusteringIndex
+from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 GRID = [(0.3, 2), (0.5, 3), (0.7, 4)]  # (epsilon, mu)
@@ -141,12 +142,9 @@ class TestIndexedExecutions:
     @pytest.mark.parametrize("eps,mu", GRID)
     def test_indexed_scan_matches_sequential(self, family, eps, mu):
         _, graph = family
-        config = SimilarityConfig(pruning=False)
-        index = EdgeSimilarityIndex.build(graph, config)
+        index = ClusteringIndex.build(graph, SimilarityConfig(pruning=False))
         ref = scan(graph, mu, eps, seed=0)
-        got = scan(
-            graph, mu, eps, oracle=IndexedOracle(index, config=config), seed=0
-        )
+        got = index.query(eps, mu, seed=0)
         np.testing.assert_array_equal(ref.labels, got.labels)
         np.testing.assert_array_equal(ref.roles, got.roles)
 
@@ -155,9 +153,7 @@ class TestIndexedExecutions:
         self, family, eps, mu
     ):
         _, graph = family
-        index = EdgeSimilarityIndex.build(
-            graph, SimilarityConfig(pruning=False)
-        )
+        index = ClusteringIndex.build(graph, SimilarityConfig(pruning=False))
         ref = scan(graph, mu, eps, seed=0)
         got = parallel_scan(graph, mu, eps, index=index, seed=0)
         np.testing.assert_array_equal(ref.labels, got.labels)
@@ -182,14 +178,14 @@ class TestIndexedExecutions:
 
     def test_indexed_requery_performs_no_sigma_evaluations(self, family):
         _, graph = family
-        config = SimilarityConfig(pruning=False)
-        index = EdgeSimilarityIndex.build(graph, config)
-        oracle = IndexedOracle(index, config=config)
+        index = ClusteringIndex.build(graph, SimilarityConfig(pruning=False))
+        lookups = 0
         for eps, mu in GRID:
-            scan(graph, mu, eps, oracle=oracle, seed=0)
-        assert oracle.counters.sigma_evaluations == 0
-        assert oracle.counters.work_units == 0.0
-        assert oracle.index_lookups > 0
+            parallel_scan(graph, mu, eps, index=index, seed=0)
+            lookups += index.last_query["index_lookups"]
+        assert index.counters.sigma_evaluations == 0
+        assert index.counters.work_units == 0.0
+        assert lookups > 0
 
 
 class TestAnyScanEquivalence:

@@ -7,7 +7,8 @@ same borders, same hubs and outliers), while evaluating zero σ.  This
 battery drives that claim three ways:
 
 * a seeded random-graph × (ε, μ) grid, including the boundary values
-  μ=2 and ε pinned to *exact* σ ties (the ≥-vs-> off-by-one surface);
+  μ=2 and ε pinned to *exact* σ ties (the ≥-vs-> off-by-one surface),
+  plus one LFR benchmark graph with planted communities;
 * hypothesis-generated arbitrary small graphs and parameters;
 * the same checks through ``parallel_scan`` across every execution
   backend (the index short-circuits them all identically);
@@ -32,6 +33,7 @@ from repro.baselines import scan
 from repro.core import EpsilonHierarchy, ParameterExplorer, parallel_scan
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
+from repro.graph.generators.lfr import LFRParams, lfr_graph
 from repro.graph.generators.random_graphs import (
     gnm_random_graph,
     planted_partition_graph,
@@ -115,6 +117,18 @@ def test_random_graph_grid_exact(seed):
     index = ClusteringIndex.build(graph, mu_cap=8)
     for epsilon, mu in _GRID:
         _assert_exact(index, graph, epsilon, mu, seed)
+
+
+def test_lfr_graph_grid_exact():
+    """An LFR graph (power-law degrees, planted communities) over the
+    grid an interactive user would sweep."""
+    graph, _ = lfr_graph(
+        LFRParams(n=400, average_degree=8, max_degree=30, seed=11)
+    )
+    index = ClusteringIndex.build(graph)
+    for epsilon, mu in _GRID + [(0.45, 3), (0.55, 5), (0.65, 8)]:
+        _assert_exact(index, graph, epsilon, mu, 0)
+    assert index.counters.sigma_evaluations == 0
 
 
 @pytest.mark.parametrize("seed", _seeds())

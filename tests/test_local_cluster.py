@@ -9,12 +9,12 @@ classified as the global clustering would), under every σ-resolution
 tier.  This battery drives that claim over:
 
 * every vertex of seeded random graphs × an (ε, μ) grid, per tier
-  (cluster index / edge index / batched oracle), weighted and
-  unweighted, with indexes built on every execution backend;
+  (cluster index / batched oracle), weighted and unweighted, with
+  indexes built on every execution backend;
 * ε pinned to *exact* σ ties (the ≥-vs-> off-by-one surface);
 * hypothesis-generated arbitrary graphs and parameters;
-* a chaos case: a faulted σ tier degrades to the next tier with a
-  witnessed DegradationEvent and an answer that is still exact.
+* a chaos case: a faulted index tier degrades to the oracle tier with
+  a witnessed DegradationEvent and an answer that is still exact.
 """
 
 from __future__ import annotations
@@ -41,20 +41,17 @@ from repro.parallel.processes import (
 )
 from repro.result import VertexRole
 from repro.similarity.gsindex import ClusteringIndex
-from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 pytestmark = pytest.mark.timeout(300)
 
-TIERS = ("cluster-index", "edge-index", "oracle")
+TIERS = ("cluster-index", "oracle")
 
 
 def _tier_kwargs(tier, graph):
     """local_cluster inputs that force one specific σ tier."""
     if tier == "cluster-index":
         return {"cluster_index": ClusteringIndex.build(graph)}
-    if tier == "edge-index":
-        return {"edge_index": EdgeSimilarityIndex.build(graph)}
     return {}
 
 
@@ -108,9 +105,14 @@ def test_every_seed_matches_reference(tier, weighted):
         for order_seed in (0, 3):
             reference = scan(graph, mu, epsilon, seed=order_seed)
             for seed in range(graph.num_vertices):
-                _assert_seed_exact(
+                result = _assert_seed_exact(
                     graph, reference, seed, epsilon, mu, order_seed, kw
                 )
+                # The requested tier answers; the index tier evaluates
+                # no σ at all.
+                assert result.stats.tier == tier
+                if tier == "cluster-index":
+                    assert result.stats.sigma_evaluations == 0
 
 
 def test_community_graph_hub_border_outlier_seeds():
@@ -140,8 +142,7 @@ def test_exact_sigma_tie_epsilons(tier):
     """ε pinned to the graph's own σ values: ≥ must behave as the
     reference does at exact ties, in every tier."""
     graph = gnm_random_graph(40, 130, seed=6)
-    edge = EdgeSimilarityIndex.build(graph)
-    distinct = np.unique(edge.sigmas)
+    distinct = np.unique(ClusteringIndex.build(graph).edge.sigmas)
     distinct = distinct[distinct > 0]
     kw = _tier_kwargs(tier, graph)
     for epsilon in distinct[:: max(1, len(distinct) // 8)]:
@@ -172,30 +173,18 @@ def test_tiers_agree_and_index_tier_is_sigma_free():
     graph = gnm_random_graph(70, 220, seed=12)
     ci = ClusteringIndex.build(graph)
     for seed in (0, 7, 33):
-        results = {
-            tier: local_cluster(
-                graph, seed, 0.5, 3, **(
-                    {"cluster_index": ci} if tier == "cluster-index"
-                    else {"edge_index": ci.edge} if tier == "edge-index"
-                    else {}
-                ),
-            )
-            for tier in TIERS
-        }
-        baseline = results["oracle"]
-        for tier, result in results.items():
-            assert result.stats.tier == tier
-            np.testing.assert_array_equal(result.members, baseline.members)
-            assert result.seed_role == baseline.seed_role
-            assert result.boundary == baseline.boundary
-        assert results["cluster-index"].stats.sigma_evaluations == 0
-        assert results["edge-index"].stats.sigma_evaluations == 0
+        indexed = local_cluster(graph, seed, 0.5, 3, cluster_index=ci)
+        baseline = local_cluster(graph, seed, 0.5, 3)
+        assert indexed.stats.tier == "cluster-index"
+        assert baseline.stats.tier == "oracle"
+        np.testing.assert_array_equal(indexed.members, baseline.members)
+        assert indexed.seed_role == baseline.seed_role
+        assert indexed.boundary == baseline.boundary
+        assert indexed.stats.sigma_evaluations == 0
         assert baseline.stats.sigma_evaluations > 0
-        # The index tier reads qualifying prefixes, not whole rows.
-        assert (
-            results["cluster-index"].stats.touched_edges
-            <= results["edge-index"].stats.touched_edges
-        )
+        # The index tier reads qualifying prefixes; the oracle tier
+        # reads every touched vertex's whole row.
+        assert indexed.stats.touched_edges <= baseline.stats.touched_edges
 
 
 def test_touched_edges_scale_with_cluster_not_graph():
@@ -244,21 +233,19 @@ def test_stale_index_is_rejected():
 
 def test_oracle_semantic_mismatch_is_rejected():
     graph = gnm_random_graph(30, 90, seed=1)
-    edge = EdgeSimilarityIndex.build(graph)  # cosine semantics
+    ci = ClusteringIndex.build(graph)  # cosine semantics
     oracle = SimilarityOracle(
         graph, SimilarityConfig(kind="jaccard", pruning=False)
     )
     with pytest.raises(ConfigError):
-        local_cluster(graph, 0, 0.5, 2, edge_index=edge, oracle=oracle)
+        local_cluster(graph, 0, 0.5, 2, cluster_index=ci, oracle=oracle)
 
 
 def test_build_tiers_chain_shape():
     graph = gnm_random_graph(20, 50, seed=0)
     ci = ClusteringIndex.build(graph)
     chain = build_tiers(graph, cluster_index=ci)
-    assert [t.name for t in chain] == ["cluster-index", "edge-index", "oracle"]
-    chain = build_tiers(graph, edge_index=ci.edge)
-    assert [t.name for t in chain] == ["edge-index", "oracle"]
+    assert [t.name for t in chain] == ["cluster-index", "oracle"]
     chain = build_tiers(graph)
     assert [t.name for t in chain] == ["oracle"]
 
@@ -316,7 +303,7 @@ def test_hypothesis_local_equals_scan(edges, mu, epsilon, order_seed):
     graph = _build(edges)
     reference = scan(graph, mu, epsilon, seed=order_seed)
     ci = ClusteringIndex.build(graph, mu_cap=4)
-    for kw in ({"cluster_index": ci}, {"edge_index": ci.edge}, {}):
+    for kw in ({"cluster_index": ci}, {}):
         for seed in range(graph.num_vertices):
             _assert_seed_exact(
                 graph, reference, seed, epsilon, mu, order_seed, kw
@@ -324,7 +311,7 @@ def test_hypothesis_local_equals_scan(edges, mu, epsilon, order_seed):
 
 
 # ----------------------------------------------------------------------
-# chaos: a faulted tier degrades to the next, exactly and witnessed
+# chaos: a faulted index tier degrades to the oracle, exactly and witnessed
 # ----------------------------------------------------------------------
 @pytest.mark.chaos
 def test_faulted_index_tier_degrades_with_witnessed_event():
@@ -343,7 +330,7 @@ def test_faulted_index_tier_degrades_with_witnessed_event():
             )
     finally:
         remove_degradation_listener(listener)
-    assert result.stats.tier == "edge-index"
+    assert result.stats.tier == "oracle"
     assert result.stats.degraded_from == ("cluster-index",)
     assert [e.backend for e in events] == ["local-cluster-index"]
     assert events[0].failures == 1
@@ -351,6 +338,8 @@ def test_faulted_index_tier_degrades_with_witnessed_event():
 
 @pytest.mark.chaos
 def test_double_fault_degrades_to_oracle():
+    """A fault that keeps firing (every index read fails) still lands
+    on the oracle tier after one witnessed degradation."""
     graph = gnm_random_graph(50, 160, seed=8)
     ci = ClusteringIndex.build(graph)
     reference = scan(graph, 3, 0.5, seed=0)
@@ -360,10 +349,9 @@ def test_double_fault_degrades_to_oracle():
         plan = FaultPlan(
             [
                 FaultRule(
-                    site="local.index_query", exception="RuntimeError"
-                ),
-                FaultRule(
-                    site="local.edge_query", exception="RuntimeError"
+                    site="local.index_query",
+                    exception="RuntimeError",
+                    times=None,
                 ),
             ]
         )
@@ -374,11 +362,8 @@ def test_double_fault_degrades_to_oracle():
     finally:
         remove_degradation_listener(listener)
     assert result.stats.tier == "oracle"
-    assert result.stats.degraded_from == ("cluster-index", "edge-index")
-    assert [e.backend for e in events] == [
-        "local-cluster-index",
-        "local-edge-index",
-    ]
+    assert result.stats.degraded_from == ("cluster-index",)
+    assert [e.backend for e in events] == ["local-cluster-index"]
 
 
 @pytest.mark.chaos

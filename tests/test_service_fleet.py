@@ -491,11 +491,12 @@ def test_fleet_forwards_every_job_route_to_the_owner():
         )
         settled = [
             lambda c: c.cancel(job_id),  # no-op on a cancelled job
-            lambda c: c.resume(job_id),  # 400: cancelled
+            lambda c: c.resume(job_id),  # 409: cancelled
             lambda c: c.status(job_id),
         ]
         for call in settled:
             assert _answer(other, call) == _answer(owner, call)
+        assert _answer(owner, lambda c: c.resume(job_id))[0] == 409
         assert forwarded() - before == len(stable) + 2 + len(settled)
         # The /jobs union is a fan-out from either shard, not a forward.
         assert other.jobs() == owner.jobs()

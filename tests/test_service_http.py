@@ -13,7 +13,8 @@ Covers the issue's service-level criteria end to end:
 * ``update-edges`` invalidates exactly the affected cache entries;
 * two concurrent jobs run interleaved; a mid-run snapshot reports
   ``assigned_fraction`` strictly inside (0, 1);
-* domain errors map to 400/404/409 with JSON bodies;
+* domain errors map to 400/404/409 with JSON bodies (409 for results
+  not yet available and for job transitions a finished job refuses);
 * servers sharing one listening socket (the fleet's pre-forked accept)
   stop promptly.
 """
@@ -294,6 +295,23 @@ def test_pause_resume_priority_cancel_endpoints(client):
     deadline = time.monotonic() + _WAIT
     while not client.status(victim)["finished"]:
         assert time.monotonic() < deadline
+
+
+def test_refused_job_transitions_answer_409(client):
+    """Pausing, resuming or reprioritizing a finished job is a state
+    conflict (409), not a malformed request (400)."""
+    client.load_graph("settled", graph=_lfr(120, seed=31))
+    job_id = client.cluster("settled", 3, 0.5, wait=_WAIT)["job_id"]
+    assert client.status(job_id)["state"] == "done"
+    for call in (
+        client.pause,
+        client.resume,
+        lambda job: client.set_priority(job, 2),
+    ):
+        with pytest.raises(ServiceClientError) as excinfo:
+            call(job_id)
+        assert excinfo.value.status == 409
+        assert "done" in str(excinfo.value)
 
 
 def test_error_statuses(client, server):

@@ -1,4 +1,9 @@
-"""EdgeSimilarityIndex: build parity, persistence, and guarded reuse."""
+"""EdgeSimilarityIndex: build parity, persistence, and guarded reuse.
+
+The σ array is queried through the :class:`ClusteringIndex` built on
+it; its own query behaviour is pinned in ``test_gsindex.py`` and the
+index differential battery.
+"""
 
 import numpy as np
 import pytest
@@ -10,11 +15,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex
-from repro.similarity.index import (
-    EdgeSimilarityIndex,
-    IndexedOracle,
-    graph_fingerprint,
-)
+from repro.core.backend_scan import parallel_scan
+from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 
@@ -31,8 +33,9 @@ def index(graph):
 class TestBuild:
     def test_values_match_the_oracle(self, graph, index):
         oracle = SimilarityOracle(graph, SimilarityConfig())
+        indptr = graph.indptr
         for p in range(graph.num_vertices):
-            row = index.sigma_row(p)
+            row = index.sigmas[indptr[p] : indptr[p + 1]]
             for slot, q in enumerate(graph.neighbors(p)):
                 assert row[slot] == pytest.approx(
                     oracle.sigma_unrecorded(p, int(q)), abs=1e-12
@@ -61,7 +64,7 @@ class TestBuild:
         empty = GraphBuilder(5).build()
         built = EdgeSimilarityIndex.build(empty, SimilarityConfig())
         assert built.sigmas.shape == (0,)
-        assert built.eps_neighborhood(0, 0.5).shape == (0,)
+        assert ClusteringIndex(built).eps_neighborhood(0, 0.5).shape == (0,)
 
     def test_wrong_sigma_shape_rejected(self, graph):
         with pytest.raises(ConfigError):
@@ -72,33 +75,14 @@ class TestBuild:
 
 class TestQueries:
     def test_eps_neighborhood_matches_oracle(self, graph, index):
+        adopted = ClusteringIndex(index)
         oracle = SimilarityOracle(graph, SimilarityConfig())
         for eps in (0.2, 0.5, 0.8):
             for p in range(0, graph.num_vertices, 7):
                 np.testing.assert_array_equal(
-                    index.eps_neighborhood(p, eps),
+                    adopted.eps_neighborhood(p, eps),
                     oracle.eps_neighborhood(p, eps),
                 )
-
-    def test_eps_counts_matches_per_vertex_queries(self, graph, index):
-        oracle = SimilarityOracle(graph, SimilarityConfig())
-        counts = index.eps_counts(0.4)
-        for p in range(graph.num_vertices):
-            assert counts[p] == oracle.eps_neighborhood(p, 0.4).shape[0]
-
-    def test_lookup_distinguishes_non_edges(self, graph, index):
-        nb = set(graph.neighbors(0).tolist())
-        non_edge = next(
-            q for q in range(1, graph.num_vertices) if q not in nb
-        )
-        edge = next(iter(sorted(nb)))
-        values, found = index.lookup(
-            np.array([0, 0]), np.array([edge, non_edge])
-        )
-        assert found.tolist() == [True, False]
-        assert values[1] == 0.0
-        value, hit = index.lookup_one(0, edge)
-        assert hit and value == values[0]
 
 
 class TestPersistence:
@@ -145,57 +129,33 @@ class TestPersistence:
         )
 
 
-class TestIndexedOracle:
+class TestAdoptedIndex:
+    """A ClusteringIndex over a prebuilt σ array answers for exactly
+    the graph and semantics that array was built for."""
+
     def test_scan_parity_and_zero_evaluations(self, graph, index):
-        oracle = IndexedOracle(index)
+        adopted = ClusteringIndex(index)
         ref = scan(graph, 3, 0.5, seed=0)
-        got = scan(graph, 3, 0.5, oracle=oracle, seed=0)
+        got = parallel_scan(graph, 3, 0.5, index=adopted, seed=0)
         np.testing.assert_array_equal(ref.labels, got.labels)
         np.testing.assert_array_equal(ref.roles, got.roles)
-        assert oracle.counters.sigma_evaluations == 0
-        assert oracle.counters.work_units == 0.0
-        assert oracle.index_lookups > 0
-        assert oracle.index_misses == 0
-
-    def test_non_edge_pairs_fall_back_to_kernels(self, graph, index):
-        oracle = IndexedOracle(index)
-        reference = SimilarityOracle(graph, SimilarityConfig())
-        nb = set(graph.neighbors(0).tolist())
-        non_edge = next(
-            q for q in range(1, graph.num_vertices) if q not in nb
-        )
-        assert oracle.sigma(0, non_edge) == pytest.approx(
-            reference.sigma_unrecorded(0, non_edge), abs=1e-12
-        )
-        assert oracle.index_misses == 1
-
-    def test_sigma_batch_mixes_hits_and_misses(self, graph, index):
-        oracle = IndexedOracle(index)
-        reference = SimilarityOracle(graph, SimilarityConfig())
-        nb = graph.neighbors(0)
-        non_edges = [
-            q
-            for q in range(graph.num_vertices)
-            if q != 0 and q not in set(nb.tolist())
-        ][:4]
-        qs = np.concatenate([nb, np.asarray(non_edges, dtype=np.int64)])
-        values = oracle.sigma_batch(0, qs)
-        for q, value in zip(qs, values):
-            assert value == pytest.approx(
-                reference.sigma_unrecorded(0, int(q)), abs=1e-12
-            )
-        assert oracle.index_misses == len(non_edges)
+        assert adopted.last_query["sigma_evaluations"] == 0
 
     def test_mismatched_graph_rejected(self, index):
         other = gnm_random_graph(80, 301, seed=15)
+        adopted = ClusteringIndex(index)
         with pytest.raises(ConfigError, match="different graph"):
-            IndexedOracle(index, graph=other)
+            adopted.require_compatible(graph=other)
+        with pytest.raises(ConfigError, match="different graph"):
+            parallel_scan(other, 3, 0.5, index=adopted)
 
-    def test_mismatched_config_rejected(self, index):
+    def test_mismatched_config_rejected(self, graph, index):
+        adopted = ClusteringIndex(index)
+        config = SimilarityConfig(closed=False, pruning=False)
         with pytest.raises(ConfigError, match="semantics mismatch"):
-            IndexedOracle(
-                index, config=SimilarityConfig(closed=False, pruning=False)
-            )
+            adopted.require_compatible(config=config)
+        with pytest.raises(ConfigError, match="semantics mismatch"):
+            parallel_scan(graph, 3, 0.5, index=adopted, config=config)
 
 
 class TestExplorerAdoption:

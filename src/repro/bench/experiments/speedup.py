@@ -1,7 +1,8 @@
 """Measured σ-phase speedups on real backends vs the simulator's prediction.
 
 Figures 10–12 are reproduced on the *simulated* multicore machine; this
-experiment times the same embarrassingly parallel σ-evaluation phase for
+experiment times the same embarrassingly parallel σ-evaluation phase (σ
+for every edge in vertex-range row blocks, the index build's σ pass) for
 real — once on the thread backend and once on the shared-memory process
 backend — and prints the simulator's predicted curve beside them.  On a
 GIL-bound interpreter the thread row stays flat while the process row
@@ -11,7 +12,7 @@ the bench-scale graph).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -25,15 +26,13 @@ from repro.parallel.simulator import speedup_curve
 
 __all__ = ["speedup"]
 
-_EPSILON = 0.5
-
 
 def _sigma_phase_costs(graph: Graph) -> IterationCosts:
-    """Per-vertex range-query costs as one parallel block.
+    """Per-vertex σ-row costs as one parallel block.
 
-    A range query on p merges p's adjacency list against each neighbor's,
-    so its cost is deg(p) plus the degrees of all its neighbors — the
-    same unit the cost log charges for σ evaluations.
+    Vertex p's row merges p's adjacency list against each neighbor q's,
+    at deg(p) + deg(q) per slot — the same unit the cost log charges for
+    σ evaluations.
     """
     degrees = np.diff(graph.indptr).astype(np.float64)
     neighbor_deg = degrees[graph.indices]
@@ -44,18 +43,11 @@ def _sigma_phase_costs(graph: Graph) -> IterationCosts:
     if nonempty.any():
         starts = graph.indptr[:-1][nonempty]
         sums[nonempty] = np.add.reduceat(neighbor_deg, starts)
-    block = ParallelBlock(name="sigma/range-queries")
+    block = ParallelBlock(name="sigma/rows")
     block.task_costs = [float(c) for c in degrees * degrees + sums]
     record = IterationCosts(step="sigma", index=0)
     record.blocks.append(block)
     return record
-
-
-def _sample_vertices(graph: Graph, limit: int) -> Sequence[int] | None:
-    if graph.num_vertices <= limit:
-        return None
-    rng = np.random.default_rng(0)
-    return [int(v) for v in rng.choice(graph.num_vertices, limit, False)]
 
 
 def speedup(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]:
@@ -63,21 +55,19 @@ def speedup(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
     if quick:
         graph = gnm_random_graph(300, 900, seed=7)
         workers = [1, 2]
-        vertices = None
         repeats = 2  # best-of-2 discards the lazy pool spin-up
     else:
         # >=200k edges: large enough that per-task work dominates the
         # pool's serialization overhead on a multi-core machine.
         graph = gnm_random_graph(60_000, 240_000, seed=7)
         workers = [1, 2, 4, 8]
-        vertices = _sample_vertices(graph, 4_000)
         repeats = 3
 
     table = ExperimentResult(
         exp_id="speedup",
         title=(
             f"measured sigma-phase speedup (n={graph.num_vertices:,}, "
-            f"m={graph.num_edges:,}, eps={_EPSILON})"
+            f"m={graph.num_edges:,})"
         ),
         headers=["backend"] + [f"t={t}" for t in workers],
     )
@@ -91,9 +81,7 @@ def speedup(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
         rows = measured_sigma_speedups(
             graph,
             workers,
-            epsilon=_EPSILON,
             backend=name,
-            vertices=vertices,
             repeats=repeats,
         )
         kinds = {r.kind for r in rows}

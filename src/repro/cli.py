@@ -161,12 +161,8 @@ def main(argv=None) -> int:
             )
             return 2
         started = time.perf_counter()
-        clustering = parallel_scan(
-            graph,
-            args.mu,
-            args.epsilon,
-            index=cluster_index,
-            seed=args.seed,
+        clustering = cluster_index.query(
+            args.epsilon, args.mu, seed=args.seed
         )
         print(
             f"query answered from the clustering index in "

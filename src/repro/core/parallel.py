@@ -27,17 +27,11 @@ from repro.core.anyscan import AnySCAN
 from repro.core.config import AnyScanConfig
 from repro.errors import SimulationError
 from repro.graph.csr import Graph
-from repro.parallel.backends import (
-    backend_kind,
-    close_backend,
-    create_backend,
-    run_range_queries,
-)
+from repro.parallel.backends import backend_kind, close_backend, create_backend
 from repro.parallel.costs import IterationCosts, ParallelBlock
 from repro.parallel.simulator import MachineSpec, MulticoreSimulator
 from repro.result import Clustering
 from repro.similarity.weighted import SimilarityConfig
-from repro.validation import check_eps_mu
 
 __all__ = [
     "ParallelRunReport",
@@ -227,9 +221,7 @@ def measured_sigma_speedups(
     graph: Graph,
     worker_counts: Sequence[int],
     *,
-    epsilon: float = 0.5,
     backend: str = "auto",
-    vertices: Optional[Sequence[int]] = None,
     config: Optional[SimilarityConfig] = None,
     chunk_size: Optional[int] = None,
     repeats: int = 1,
@@ -237,24 +229,17 @@ def measured_sigma_speedups(
     """Measured wall-clock speedups of the σ-evaluation phase.
 
     The simulator above *predicts* scalability from cost logs; this
-    times the same embarrassingly parallel phase (batched ε range
-    queries) for real on the selected registry backend, giving the
-    real-hardware column next to Figures 10–12.  The first entry of
-    ``worker_counts`` is the baseline, so pass ``[1, 2, 4, ...]``.
-
-    ``vertices`` restricts the batch (default: every vertex); ``repeats``
-    keeps the best of N timings to damp scheduler noise.
+    times the same embarrassingly parallel phase (σ for every edge, in
+    vertex-range row blocks — the index build's σ pass) for real on the
+    selected registry backend, giving the real-hardware column next to
+    Figures 10–12.  The first entry of ``worker_counts`` is the
+    baseline, so pass ``[1, 2, 4, ...]``.  ``repeats`` keeps the best of
+    N timings to damp scheduler noise.
     """
-    check_eps_mu(epsilon=epsilon)
     if not worker_counts:
         raise SimulationError("need at least one worker count")
     if repeats < 1:
         raise SimulationError("repeats must be >= 1")
-    batch = (
-        list(range(graph.num_vertices))
-        if vertices is None
-        else [int(v) for v in vertices]
-    )
     out: List[MeasuredSpeedup] = []
     baseline: Optional[float] = None
     for count in worker_counts:
@@ -265,9 +250,7 @@ def measured_sigma_speedups(
             best = float("inf")
             for _ in range(repeats):
                 started = time.perf_counter()
-                run_range_queries(
-                    graph, batch, epsilon, backend=runner, config=config
-                )
+                runner.sigma_rows(graph, config)
                 best = min(best, time.perf_counter() - started)
             kind = backend_kind(runner)
         finally:

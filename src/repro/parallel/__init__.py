@@ -6,9 +6,6 @@ from repro.parallel.backends import (
     close_backend,
     create_backend,
     resolve_backend_name,
-    run_edge_similarities,
-    run_neighbor_updates,
-    run_range_queries,
 )
 from repro.parallel.costs import IterationCosts, ParallelBlock
 from repro.parallel.processes import (
@@ -24,11 +21,7 @@ from repro.parallel.sync import (
     critical,
     critical_union,
 )
-from repro.parallel.threads import (
-    ThreadBackend,
-    parallel_edge_similarities,
-    parallel_range_queries,
-)
+from repro.parallel.threads import ThreadBackend
 from repro.parallel.simulator import (
     BlockTiming,
     MachineSpec,
@@ -52,11 +45,6 @@ __all__ = [
     "create_backend",
     "backend_kind",
     "close_backend",
-    "run_range_queries",
-    "run_edge_similarities",
-    "run_neighbor_updates",
-    "parallel_range_queries",
-    "parallel_edge_similarities",
     "atomic_add",
     "atomic_store",
     "atomic_max",

@@ -11,25 +11,19 @@ the same way:
 * ``"auto"``    — process when the machine has more than one core and
   shared memory works, thread otherwise.
 
-The ``run_*`` helpers dispatch one workload to whichever backend object
-they are handed, so differential tests can sweep backends through a
-single code path.
+Both backend classes expose the one workload, ``sigma_rows(graph,
+config)`` (σ for every directed CSR edge), so callers sweep backends
+through a single code path without dispatching on the class.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Union
 
 from repro.errors import SimulationError
-from repro.graph.csr import Graph
-from repro.parallel import threads as _threads
 from repro.parallel.processes import ProcessBackend, shared_memory_available
 from repro.parallel.threads import ThreadBackend
-from repro.similarity.weighted import SimilarityConfig
-from repro.validation import check_eps_mu
 
 __all__ = [
     "BACKEND_NAMES",
@@ -38,10 +32,6 @@ __all__ = [
     "create_backend",
     "backend_kind",
     "close_backend",
-    "run_range_queries",
-    "run_edge_similarities",
-    "run_neighbor_updates",
-    "run_sigma_rows",
 ]
 
 #: Names accepted everywhere a backend is selected.
@@ -91,74 +81,3 @@ def close_backend(backend: Backend) -> None:
     """Release backend resources (no-op for thread backends)."""
     if isinstance(backend, ProcessBackend):
         backend.close()
-
-
-# ----------------------------------------------------------------------
-# uniform workload dispatch
-# ----------------------------------------------------------------------
-def run_range_queries(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: Backend,
-    config: SimilarityConfig | None = None,
-) -> List[np.ndarray]:
-    """ε-neighborhood batch on whichever backend object is handed in."""
-    check_eps_mu(epsilon=epsilon)
-    if isinstance(backend, ProcessBackend):
-        return backend.map_range_queries(
-            graph, vertices, epsilon, config=config
-        )
-    return _threads.parallel_range_queries(
-        graph, vertices, epsilon, backend=backend, config=config
-    )
-
-
-def run_edge_similarities(
-    graph: Graph,
-    edges: Sequence[Tuple[int, int]],
-    *,
-    backend: Backend,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """Edge σ batch on whichever backend object is handed in."""
-    if isinstance(backend, ProcessBackend):
-        return backend.map_edge_similarities(graph, edges, config=config)
-    return _threads.parallel_edge_similarities(
-        graph, edges, backend=backend, config=config
-    )
-
-
-def run_sigma_rows(
-    graph: Graph,
-    *,
-    backend: Backend,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """All-edges σ (the index build) on whichever backend is handed in."""
-    if isinstance(backend, ProcessBackend):
-        return backend.map_sigma_rows(graph, config=config)
-    return _threads.parallel_sigma_rows(
-        graph, backend=backend, config=config
-    )
-
-
-def run_neighbor_updates(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: Backend,
-    config: SimilarityConfig | None = None,
-    out: np.ndarray | None = None,
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Neighbor-touch counting on whichever backend object is handed in."""
-    check_eps_mu(epsilon=epsilon)
-    if isinstance(backend, ProcessBackend):
-        return backend.map_neighbor_updates(
-            graph, vertices, epsilon, config=config, out=out
-        )
-    return _threads.parallel_neighbor_updates(
-        graph, vertices, epsilon, backend=backend, config=config, out=out
-    )

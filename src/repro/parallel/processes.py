@@ -6,11 +6,11 @@ The graph's CSR arrays (``indptr``, ``indices``, ``weights``) and the
 oracle's precomputed invariants (``l_p``, ``w_p``, linear sums) are
 published once through :mod:`multiprocessing.shared_memory`; worker
 processes attach by name and rebuild zero-copy numpy views, so the only
-per-task traffic is the vertex/edge ids going out and the (small)
-ε-neighborhoods coming back.  The σ-evaluation / range-query phase is
-embarrassingly parallel (no shared writes at all — shared updates are
-reduced in the parent), which is exactly the phase the paper's Figure 4
-and the parallel-SCAN literature identify as the scalability carrier.
+per-task traffic is one vertex range going out; each worker writes that
+range's σ slice straight into the shared ``sigma_out`` segment.  The σ
+phase is embarrassingly parallel (every slot has exactly one writer),
+which is exactly the phase the paper's Figure 4 and the parallel-SCAN
+literature identify as the scalability carrier.
 
 Lifecycle contract:
 
@@ -24,10 +24,10 @@ Lifecycle contract:
   segment on interpreter exit (``KeyboardInterrupt`` included), and
   :func:`install_signal_cleanup` extends that to SIGTERM — segments are
   named ``repro_{pid}_…`` so a leak check can audit ``/dev/shm``;
-* when shared memory is unavailable (restricted ``/dev/shm``, forced
-  off via :data:`FORCE_FALLBACK_ENV`) the backend degrades to an
-  equivalent :class:`~repro.parallel.threads.ThreadBackend` — same
-  results, no real speedup — unless ``allow_fallback=False``.
+* when shared memory is unavailable (restricted ``/dev/shm``) the
+  backend degrades to an equivalent
+  :class:`~repro.parallel.threads.ThreadBackend` — same results, no
+  real speedup — unless ``allow_fallback=False``.
 """
 
 from __future__ import annotations
@@ -52,13 +52,10 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.faults import FaultInjected, fault_point
 from repro.graph.csr import Graph
-from repro.parallel import threads as _threads
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.validation import check_eps_mu
 
 __all__ = [
-    "FORCE_FALLBACK_ENV",
     "SEGMENT_PREFIX",
     "DegradationEvent",
     "SegmentRegistry",
@@ -72,16 +69,7 @@ __all__ = [
     "ProcessBackend",
     "cleanup_live_segments",
     "install_signal_cleanup",
-    "parallel_range_queries",
-    "parallel_edge_similarities",
-    "parallel_neighbor_updates",
-    "parallel_sigma_rows",
 ]
-
-#: Setting this environment variable (to any non-empty value) makes the
-#: backend behave as if shared memory were unavailable — the CI smoke
-#: tests use it to exercise the thread-fallback path deterministically.
-FORCE_FALLBACK_ENV = "REPRO_FORCE_THREAD_FALLBACK"
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ _emit_degradation = emit_degradation
 
 #: Labels of the arrays a :class:`SharedGraph` publishes.  ``sigma_out``
 #: is the only writable one: an all-edges σ buffer that
-#: :meth:`ProcessBackend.map_sigma_rows` workers fill in disjoint
+#: :meth:`ProcessBackend.sigma_rows` workers fill in disjoint
 #: vertex-range slices (the index build's reduction lives in shared
 #: memory instead of pickling one float per edge back to the parent).
 _ARRAY_LABELS = (
@@ -224,9 +212,7 @@ def install_signal_cleanup(
 
 
 def shared_memory_available() -> bool:
-    """Whether POSIX shared memory works here (and is not forced off)."""
-    if os.environ.get(FORCE_FALLBACK_ENV):
-        return False
+    """Whether POSIX shared memory works here."""
     try:
         probe = shared_memory.SharedMemory(create=True, size=8)
     except (OSError, ValueError):
@@ -635,28 +621,6 @@ def _worker_init(handle: SharedGraphHandle) -> None:
     }
 
 
-def _worker_oracle() -> SimilarityOracle:
-    if _WORKER_STATE is None:  # pragma: no cover - defensive
-        raise SimulationError("worker used before pool initialization")
-    return _WORKER_STATE["oracle"]
-
-
-def _range_query_chunk(task: Tuple[Sequence[int], float]) -> List[np.ndarray]:
-    fault_point("process.worker.chunk")
-    vertices, epsilon = task
-    oracle = _worker_oracle()
-    return [oracle.eps_neighborhood(int(v), epsilon) for v in vertices]
-
-
-def _edge_sigma_chunk(task: Sequence[Tuple[int, int]]) -> np.ndarray:
-    fault_point("process.worker.chunk")
-    oracle = _worker_oracle()
-    return np.asarray(
-        [oracle.sigma_unrecorded(int(u), int(v)) for u, v in task],
-        dtype=np.float64,
-    )
-
-
 def _sigma_row_chunk(task: Tuple[int, int]) -> None:
     """Fill ``sigma_out`` for one vertex range's CSR rows.
 
@@ -689,21 +653,21 @@ class _FallbackResult:
 class ProcessBackend:
     """Chunked parallel map over a pool of real processes.
 
-    Mirrors :class:`~repro.parallel.threads.ThreadBackend`'s chunked-map
-    API for the three SCAN workloads (range queries, edge σ, neighbor
-    updates).  Worker callables must be module-level functions (they are
-    pickled); closures stay the thread backend's territory.
+    Mirrors :class:`~repro.parallel.threads.ThreadBackend`'s
+    :meth:`sigma_rows`, the one backend workload.  Worker callables must
+    be module-level functions (they are pickled); closures stay the
+    thread backend's territory.
 
     Parameters
     ----------
     workers:
         Pool width; defaults to ``os.cpu_count()``.
     chunk_size:
-        Work items handed to a worker per task, as in OpenMP's
+        Vertices handed to a worker per task, as in OpenMP's
         ``schedule(dynamic, chunk)``.
     allow_fallback:
         Degrade to an equivalent thread backend when shared memory is
-        unavailable (or forced off), or after the failure budget is
+        unavailable, or after the failure budget is
         spent; when ``False`` such conditions raise
         :class:`~repro.errors.SimulationError` instead.
     start_method:
@@ -865,12 +829,6 @@ class ProcessBackend:
         self._config = config
         return None
 
-    def _chunks(self, items: list) -> List[list]:
-        return [
-            items[i : i + self.chunk_size]
-            for i in range(0, len(items), self.chunk_size)
-        ]
-
     def _sleep_backoff(self, attempt: int) -> None:
         """Exponential backoff with jitter before re-running a chunk."""
         if self.retry_backoff <= 0:
@@ -902,9 +860,9 @@ class ProcessBackend:
         backend degrades for good to the thread fallback and re-runs the
         whole batch via ``retry`` (returned wrapped in
         :class:`_FallbackResult` because it is already final-shaped).
-        Chunks are idempotent by construction (pure reads, or disjoint
-        slice writes re-written whole on retry), so reassignment cannot
-        corrupt results.
+        Chunks are idempotent by construction (disjoint slice writes
+        re-written whole on retry), so reassignment cannot corrupt
+        results.
         """
         tasks = list(tasks)
         results: List[object] = [None] * len(tasks)
@@ -968,66 +926,9 @@ class ProcessBackend:
             executor.shutdown(wait=False, cancel_futures=True)
         self._executor = self._make_executor()
 
-    # -- the three SCAN workloads --------------------------------------
-    def map_range_queries(
-        self,
-        graph: Graph,
-        vertices: Sequence[int],
-        epsilon: float,
-        *,
-        config: SimilarityConfig | None = None,
-    ) -> List[np.ndarray]:
-        """ε-neighborhoods for a batch of vertices (σ-evaluation phase)."""
-        check_eps_mu(epsilon=epsilon)
-        config = config or SimilarityConfig()
-        items = [int(v) for v in vertices]
-        if not items:
-            return []
-
-        def sequentialize():
-            return _threads.parallel_range_queries(
-                graph, items, epsilon, backend=self._fallback, config=config
-            )
-
-        if self._ensure_session(graph, config) is not None:
-            return sequentialize()
-        tasks = [(chunk, float(epsilon)) for chunk in self._chunks(items)]
-        out = self._run_chunks(_range_query_chunk, tasks, sequentialize)
-        if isinstance(out, _FallbackResult):
-            return out.value
-        return [hood for chunk in out for hood in chunk]
-
-    def map_edge_similarities(
-        self,
-        graph: Graph,
-        edges: Sequence[Tuple[int, int]],
-        *,
-        config: SimilarityConfig | None = None,
-    ) -> np.ndarray:
-        """σ for a batch of edges (the ideal algorithm's parallel block)."""
-        config = config or SimilarityConfig()
-        items = [(int(u), int(v)) for u, v in edges]
-        if not items:
-            return np.zeros(0, dtype=np.float64)
-
-        def sequentialize():
-            return _threads.parallel_edge_similarities(
-                graph, items, backend=self._fallback, config=config
-            )
-
-        if self._ensure_session(graph, config) is not None:
-            return sequentialize()
-        tasks = self._chunks(items)
-        out = self._run_chunks(_edge_sigma_chunk, tasks, sequentialize)
-        if isinstance(out, _FallbackResult):
-            return out.value
-        return np.concatenate(out)
-
-    def map_sigma_rows(
-        self,
-        graph: Graph,
-        *,
-        config: SimilarityConfig | None = None,
+    # -- the workload -------------------------------------------------
+    def sigma_rows(
+        self, graph: Graph, config: SimilarityConfig | None = None
     ) -> np.ndarray:
         """σ for every directed CSR edge (the index build's σ phase).
 
@@ -1042,9 +943,7 @@ class ProcessBackend:
             return np.zeros(0, dtype=np.float64)
 
         def sequentialize():
-            return _threads.parallel_sigma_rows(
-                graph, backend=self._fallback, config=config
-            )
+            return self._fallback.sigma_rows(graph, config)
 
         if self._ensure_session(graph, config) is not None:
             return sequentialize()
@@ -1058,101 +957,3 @@ class ProcessBackend:
             return out.value
         assert self._shared is not None
         return self._shared.read_array("sigma_out")
-
-    def map_neighbor_updates(
-        self,
-        graph: Graph,
-        vertices: Sequence[int],
-        epsilon: float,
-        *,
-        config: SimilarityConfig | None = None,
-        out: np.ndarray | None = None,
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Range queries plus the shared ε-touch counts.
-
-        Workers never write shared state: each returns its chunk's
-        neighborhoods and the parent reduces them into the counter array
-        (a sum reduction is arithmetically identical to the thread
-        backend's one-atomic-per-neighbor updates).
-        """
-        check_eps_mu(epsilon=epsilon)
-        hoods = self.map_range_queries(
-            graph, vertices, epsilon, config=config
-        )
-        flat = (
-            np.concatenate(hoods)
-            if hoods
-            else np.zeros(0, dtype=np.int64)
-        )
-        counts = np.bincount(flat, minlength=graph.num_vertices).astype(np.int64)
-        if out is None:
-            return hoods, counts
-        out[...] = np.asarray(out) + counts
-        return hoods, out
-
-
-# ----------------------------------------------------------------------
-# module-level conveniences mirroring repro.parallel.threads
-# ----------------------------------------------------------------------
-def parallel_range_queries(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: ProcessBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> List[np.ndarray]:
-    """ε-neighborhoods on real processes; owns a throwaway backend if needed."""
-    check_eps_mu(epsilon=epsilon)
-    if backend is not None:
-        return backend.map_range_queries(graph, vertices, epsilon, config=config)
-    with ProcessBackend() as owned:
-        return owned.map_range_queries(graph, vertices, epsilon, config=config)
-
-
-def parallel_edge_similarities(
-    graph: Graph,
-    edges: Sequence[Tuple[int, int]],
-    *,
-    backend: ProcessBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """Edge σ batch on real processes; owns a throwaway backend if needed."""
-    if backend is not None:
-        return backend.map_edge_similarities(graph, edges, config=config)
-    with ProcessBackend() as owned:
-        return owned.map_edge_similarities(graph, edges, config=config)
-
-
-def parallel_sigma_rows(
-    graph: Graph,
-    *,
-    backend: ProcessBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """All-edges σ on real processes; owns a throwaway backend if needed."""
-    if backend is not None:
-        return backend.map_sigma_rows(graph, config=config)
-    with ProcessBackend() as owned:
-        return owned.map_sigma_rows(graph, config=config)
-
-
-def parallel_neighbor_updates(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: ProcessBackend | None = None,
-    config: SimilarityConfig | None = None,
-    out: np.ndarray | None = None,
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Neighbor-touch counting on real processes (parent-side reduction)."""
-    check_eps_mu(epsilon=epsilon)
-    if backend is not None:
-        return backend.map_neighbor_updates(
-            graph, vertices, epsilon, config=config, out=out
-        )
-    with ProcessBackend() as owned:
-        return owned.map_neighbor_updates(
-            graph, vertices, epsilon, config=config, out=out
-        )

@@ -1,7 +1,7 @@
 """Real-thread execution backend (GIL-bound; see DESIGN.md §3).
 
-This backend runs the embarrassingly parallel portions of the SCAN
-workload — batches of σ evaluations or range queries — on a genuine
+This backend runs the embarrassingly parallel phase of the SCAN
+workload — σ for every edge, in vertex-range row blocks — on a genuine
 :class:`~concurrent.futures.ThreadPoolExecutor`.  On CPython the GIL
 serializes the bytecode, so **wall-clock speedups are not expected**;
 the backend exists because
@@ -26,17 +26,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.csr import Graph
-from repro.parallel.sync import atomic_add
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.validation import check_eps_mu
 
-__all__ = [
-    "ThreadBackend",
-    "parallel_range_queries",
-    "parallel_edge_similarities",
-    "parallel_neighbor_updates",
-    "parallel_sigma_rows",
-]
+__all__ = ["ThreadBackend"]
 
 T = TypeVar("T")
 
@@ -82,121 +74,30 @@ class ThreadBackend:
             list(pool.map(run_chunk, starts))
         return results
 
+    def sigma_rows(
+        self, graph: Graph, config: SimilarityConfig | None = None
+    ) -> np.ndarray:
+        """σ for **every** directed CSR edge, in vertex-range blocks.
 
-def parallel_range_queries(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: ThreadBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> List[np.ndarray]:
-    """Step 1's parallel block: ε-neighborhoods for a batch of vertices.
+        The σ phase of the index build
+        (:class:`~repro.similarity.gsindex.ClusteringIndex`): each worker
+        runs the batched kernel over a contiguous vertex range, and
+        because slot (u, v) is always computed by expanding v's row, the
+        concatenation is bitwise-identical for every block decomposition.
+        """
+        oracle = SimilarityOracle(graph, config or SimilarityConfig())
+        if graph.indices.shape[0] == 0:
+            return np.zeros(0, dtype=np.float64)
+        # Materialize the lazy probe structure before fanning out so worker
+        # threads share one read-only array instead of racing to build it.
+        oracle.edge_keys
+        n = graph.num_vertices
+        blocks = [
+            (lo, min(lo + self.chunk_size, n))
+            for lo in range(0, n, self.chunk_size)
+        ]
 
-    Each thread owns a private oracle (no shared counters → no locking),
-    exactly like the per-thread buffers of Figure 4 lines 6-9.
-    """
-    check_eps_mu(epsilon=epsilon)
-    backend = backend or ThreadBackend()
-    config = config or SimilarityConfig()
-    # Thread-local oracles: constructed once per call; precomputation is
-    # O(|E|) and shared work is read-only afterwards.
-    oracle = SimilarityOracle(graph, config)
+        def block_sigmas(block: Tuple[int, int]) -> np.ndarray:
+            return oracle.sigma_row_block(block[0], block[1])
 
-    def query(v: int) -> np.ndarray:
-        return oracle.eps_neighborhood(int(v), epsilon)
-
-    return backend.map(query, list(vertices))  # type: ignore[return-value]
-
-
-def parallel_neighbor_updates(
-    graph: Graph,
-    vertices: Sequence[int],
-    epsilon: float,
-    *,
-    backend: ThreadBackend | None = None,
-    config: SimilarityConfig | None = None,
-    out: np.ndarray | None = None,
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Step 1's shared update: count how often each vertex is ε-touched.
-
-    Each worker runs one range query and performs **one atomic per
-    neighbor update** (Figure 4 lines 14-15) into the shared counter
-    array — exactly the concurrency contract rule R1 of
-    :mod:`repro.analysis` enforces.  Returns the per-vertex
-    ε-neighborhoods and the shared touch counts.  ``out`` supplies the
-    counter array to update in place (e.g. a
-    :class:`~repro.analysis.runtime.ShadowArray` under the runtime race
-    checker); a fresh zero array is used otherwise.
-    """
-    check_eps_mu(epsilon=epsilon)
-    backend = backend or ThreadBackend()
-    config = config or SimilarityConfig()
-    oracle = SimilarityOracle(graph, config)
-    touched = (
-        out if out is not None
-        else np.zeros(graph.num_vertices, dtype=np.int64)
-    )
-
-    def update(v: int) -> np.ndarray:
-        hood = oracle.eps_neighborhood(int(v), epsilon)
-        for q in hood:
-            atomic_add(touched, int(q), 1)
-        return hood
-
-    hoods = backend.map(update, list(vertices))
-    return hoods, touched  # type: ignore[return-value]
-
-
-def parallel_sigma_rows(
-    graph: Graph,
-    *,
-    backend: ThreadBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """σ for **every** directed CSR edge, in vertex-range blocks.
-
-    The building block of the edge-similarity index
-    (:class:`~repro.similarity.index.EdgeSimilarityIndex`): each worker
-    runs the batched kernel over a contiguous vertex range, and because
-    slot (u, v) is always computed by expanding v's row, the
-    concatenation is bitwise-identical for every block decomposition.
-    """
-    backend = backend or ThreadBackend()
-    config = config or SimilarityConfig()
-    oracle = SimilarityOracle(graph, config)
-    if graph.indices.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    # Materialize the lazy probe structure before fanning out so worker
-    # threads share one read-only array instead of racing to build it.
-    oracle.edge_keys
-    n = graph.num_vertices
-    blocks = [
-        (lo, min(lo + backend.chunk_size, n))
-        for lo in range(0, n, backend.chunk_size)
-    ]
-
-    def block_sigmas(block: Tuple[int, int]) -> np.ndarray:
-        return oracle.sigma_row_block(block[0], block[1])
-
-    return np.concatenate(backend.map(block_sigmas, blocks))
-
-
-def parallel_edge_similarities(
-    graph: Graph,
-    edges: Sequence[Tuple[int, int]],
-    *,
-    backend: ThreadBackend | None = None,
-    config: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """The ideal algorithm's parallel block: σ for a batch of edges."""
-    backend = backend or ThreadBackend()
-    config = config or SimilarityConfig()
-    oracle = SimilarityOracle(graph, config)
-
-    def sigma(edge: Tuple[int, int]) -> float:
-        return oracle.sigma_unrecorded(int(edge[0]), int(edge[1]))
-
-    return np.asarray(
-        backend.map(sigma, list(edges)), dtype=np.float64
-    )
+        return np.concatenate(self.map(block_sigmas, blocks))

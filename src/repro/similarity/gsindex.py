@@ -26,8 +26,8 @@ precomputed-σ input every query path takes.  Its parts:
   (same seed ⇒ byte-identical labels and roles, hubs/outliers included;
   see :meth:`ClusteringIndex.query` for why the replay is exact).
 
-Construction reuses the batched σ kernels through
-``parallel_sigma_rows`` (thread/process/auto backends produce the
+Construction reuses the batched σ kernels through the backends'
+``sigma_rows`` (thread/process/auto backends produce the
 bitwise-identical index), persistence reuses the ``.npz`` + checksum +
 quarantine machinery of :mod:`repro.similarity.index` — a
 ``ClusteringIndex`` archive is a strict superset of the edge-index
@@ -113,7 +113,7 @@ class ClusteringIndex:
         over the thread/process backends) and derive the query structure.
 
         Every backend produces the bitwise-identical index: the σ array
-        is slot-deterministic (see ``parallel_sigma_rows``) and the
+        is slot-deterministic (see ``ThreadBackend.sigma_rows``) and the
         derived orders are deterministic functions of it.
         """
         edge = EdgeSimilarityIndex.build(

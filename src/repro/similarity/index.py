@@ -130,7 +130,7 @@ class EdgeSimilarityIndex:
         name (``"thread" | "process" | "auto"``) or backend object fans
         the blocks out over the parallel backends — the process path
         reduces directly into a shared-memory σ segment (see
-        :meth:`~repro.parallel.processes.ProcessBackend.map_sigma_rows`).
+        :meth:`~repro.parallel.processes.ProcessBackend.sigma_rows`).
         All paths yield the bitwise-identical array.
         """
         config = config or SimilarityConfig()
@@ -145,16 +145,14 @@ class EdgeSimilarityIndex:
             )
             return cls(graph, config, sigmas)
         # Local import: repro.parallel imports this package.
-        from repro.parallel.backends import (
-            close_backend, create_backend, run_sigma_rows,
-        )
+        from repro.parallel.backends import close_backend, create_backend
 
         owned = isinstance(backend, str)
         resolved = (
             create_backend(backend, workers=workers) if owned else backend
         )
         try:
-            sigmas = run_sigma_rows(graph, backend=resolved, config=config)
+            sigmas = resolved.sigma_rows(graph, config)
         finally:
             if owned:
                 close_backend(resolved)

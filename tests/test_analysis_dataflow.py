@@ -59,7 +59,7 @@ class TestCallGraph:
         program = Program.build([REPO / "src" / "repro"])
         graph = build_call_graph(program, AnalysisConfig())
         roots = {root.function.ref for root in graph.roots}
-        assert "repro.parallel.processes:_range_query_chunk" in roots
+        assert "repro.parallel.processes:_sigma_row_chunk" in roots
         assert "repro.parallel.processes:_worker_init" in roots
         assert "repro.service.jobs:JobScheduler._worker_loop" in roots
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backend_scan import parallel_scan
 from repro.errors import ConfigError, SimulationError
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.backends import (
@@ -11,12 +12,10 @@ from repro.parallel.backends import (
     close_backend,
     create_backend,
     resolve_backend_name,
-    run_edge_similarities,
-    run_neighbor_updates,
-    run_range_queries,
 )
-from repro.parallel.processes import FORCE_FALLBACK_ENV, ProcessBackend
+from repro.parallel.processes import ProcessBackend
 from repro.parallel.threads import ThreadBackend
+from repro.similarity.gsindex import ClusteringIndex
 
 EPS = 0.4
 
@@ -34,8 +33,9 @@ class TestResolution:
     def test_auto_resolves_to_a_concrete_name(self):
         assert resolve_backend_name("auto") in ("thread", "process")
 
-    def test_auto_avoids_processes_without_shared_memory(self, monkeypatch):
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
+    def test_auto_avoids_processes_without_shared_memory(
+        self, no_shared_memory
+    ):
         assert resolve_backend_name("auto") == "thread"
 
     def test_unknown_name_raises(self):
@@ -79,32 +79,30 @@ class TestDispatch:
         close_backend(process)
 
     def test_range_queries_agree(self, small, backends):
-        results = {
-            name: run_range_queries(small, range(small.num_vertices), EPS,
-                                    backend=backend)
+        """ε-neighborhoods read from indexes built on either backend."""
+        indexes = {
+            name: ClusteringIndex.build(small, backend=backend)
             for name, backend in backends.items()
         }
-        for a, b in zip(results["thread"], results["process"]):
-            np.testing.assert_array_equal(a, b)
+        for v in range(small.num_vertices):
+            np.testing.assert_array_equal(
+                indexes["thread"].eps_neighborhood(v, EPS),
+                indexes["process"].eps_neighborhood(v, EPS),
+            )
 
     def test_edge_similarities_agree(self, small, backends):
-        edges = [(0, int(q)) for q in small.neighbors(0)]
         results = {
-            name: run_edge_similarities(small, edges, backend=backend)
+            name: backend.sigma_rows(small)
             for name, backend in backends.items()
         }
-        np.testing.assert_allclose(results["thread"], results["process"])
+        assert results["thread"].shape == small.indices.shape
+        np.testing.assert_array_equal(results["thread"], results["process"])
 
-    def test_neighbor_updates_agree(self, small, backends):
-        counts = {}
-        for name, backend in backends.items():
-            _, counts[name] = run_neighbor_updates(
-                small, range(small.num_vertices), EPS, backend=backend
-            )
-        np.testing.assert_array_equal(counts["thread"], counts["process"])
-
-    def test_epsilon_validated_before_dispatch(self, small, backends):
-        with pytest.raises(ConfigError):
-            run_range_queries(
-                small, [0], 1.5, backend=backends["thread"]
-            )
+    def test_epsilon_validated_before_dispatch(self, small):
+        backend = ProcessBackend(workers=2)
+        try:
+            with pytest.raises(ConfigError):
+                parallel_scan(small, 3, 1.5, backend=backend)
+            assert backend._executor is None  # no pool was started
+        finally:
+            backend.close()

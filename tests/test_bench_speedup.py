@@ -7,7 +7,6 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.core.parallel import MeasuredSpeedup, measured_sigma_speedups
 from repro.errors import SimulationError
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.parallel.processes import FORCE_FALLBACK_ENV
 
 
 class TestRegistry:
@@ -28,9 +27,8 @@ class TestRegistry:
         for row in table.rows:
             assert row[1] == pytest.approx(1.0)
 
-    def test_quick_run_under_forced_fallback(self, monkeypatch):
+    def test_quick_run_under_forced_fallback(self, no_shared_memory):
         """The shm-off path must still produce a complete table."""
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
         tables = run_experiment("speedup", quick=True)
         backends = tables[0].column("backend")
         # The process row records that it degraded to threads.
@@ -58,10 +56,10 @@ class TestMeasuredSpeedups:
         assert all(r.kind == "thread" for r in rows)
         assert all(r.seconds > 0 for r in rows)
 
-    def test_vertex_subset_and_chunking(self):
+    def test_chunking(self):
         graph = gnm_random_graph(120, 360, seed=5)
         rows = measured_sigma_speedups(
-            graph, [1], backend="thread", vertices=[0, 1, 2], chunk_size=2
+            graph, [1], backend="thread", chunk_size=2
         )
         assert len(rows) == 1
 

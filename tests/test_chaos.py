@@ -76,7 +76,6 @@ _BACKEND_SITES = [
     "process.worker.chunk",
     "process.pool.spawn",
     "process.segment.create",
-    "sigma.query",
 ]
 _EXIT_SITES = ["process.worker.chunk"]
 
@@ -294,23 +293,31 @@ def test_lock_order_watch_armed_during_faulted_scan(seed):
     """Battery E: the lock-order sanitizer rides a faulted parallel scan.
 
     Every declared atomic/critical acquisition reports to the watch
-    while the backend absorbs injected faults; the acquisition-order
-    graph observed across the whole run must stay acyclic.
+    while the process backend absorbs injected worker-chunk faults; the
+    acquisition-order graph observed across the whole run must stay
+    acyclic.
     """
+    if not shared_memory_available():
+        pytest.skip("POSIX shared memory unavailable")
     graph = gnm_random_graph(120, 420, seed=31)
-    plan = FaultPlan.random(seed, sites=["sigma.query"])
+    plan = FaultPlan.random(seed, sites=["process.worker.chunk"])
     _dump_plan(plan, "lockorder")
     watch = LockOrderWatch()
     previous = set_lock_order_watch(watch)
     try:
-        with armed(plan):
-            try:
-                parallel_scan(graph, 2, 0.5, seed=0)
-            except _STRUCTURED:
-                pass
+        # 15 chunks: every seed's plan fires in the workers.
+        with ProcessBackend(
+            workers=2, chunk_size=8, retry_backoff=0.01
+        ) as backend:
+            with armed(plan):
+                try:
+                    parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
+                except _STRUCTURED:
+                    pass
     finally:
         set_lock_order_watch(previous)
     watch.assert_acyclic()
+    assert _stray_segments() == [], plan.to_json()
 
 
 def test_lock_order_watch_flags_injected_abba_cycle():

@@ -113,10 +113,7 @@ class TestBackendFlag:
         err = self._summary(capsys)[1]
         assert "resolved to thread" in err
 
-    def test_forced_fallback_path(self, graph_file, capsys, monkeypatch):
-        from repro.parallel.processes import FORCE_FALLBACK_ENV
-
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
+    def test_forced_fallback_path(self, graph_file, capsys, no_shared_memory):
         assert main(
             [graph_file, "--mu", "4", "--algorithm", "scan",
              "--backend", "process"]

@@ -1,12 +1,12 @@
-"""Concurrency stress: ShadowArray race audit under adversarial chunking.
+"""Concurrency stress: adversarial chunking of the σ-row workload.
 
-The dynamic half of rule R1: run the real thread backend's shared
-neighbor-update workload against a :class:`ShadowArray`, with chunk
-sizes chosen to maximize interleaving (1, primes, n), and assert that
-every multi-writer cell was guarded and no update was dropped.  The
-process backend gets the complementary check — its workers share
-nothing, so the contract is that no chunk geometry drops or duplicates
-results.
+The thread backend runs the σ-row pass with chunk sizes chosen to
+maximize interleaving (1, primes, n) and must reassemble the sequential
+σ array bitwise; the dynamic half of rule R1 — the
+:class:`ShadowArray` race audit — must still fire on a deliberately
+racy workload.  The process backend gets the complementary check — its
+workers write disjoint slices of one shared segment, so the contract is
+that no chunk geometry drops, duplicates or reorders a slot.
 """
 
 import time
@@ -17,13 +17,9 @@ import pytest
 from repro.analysis.runtime import ShadowArray, ShadowWriteLog
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.processes import ProcessBackend, shared_memory_available
-from repro.parallel.threads import (
-    ThreadBackend,
-    parallel_neighbor_updates,
-    parallel_range_queries,
-)
+from repro.parallel.threads import ThreadBackend
+from repro.similarity.index import EdgeSimilarityIndex
 
-EPS = 0.4
 N = 120
 
 CHUNK_SIZES = [1, 7, 13, N, 127]  # 1, primes, whole-batch, prime > n
@@ -36,49 +32,20 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def expected_counts(graph):
-    hoods = parallel_range_queries(
-        graph, range(N), EPS, backend=ThreadBackend(threads=1)
-    )
-    flat = np.concatenate([h for h in hoods if h.size] or [np.zeros(0, int)])
-    return np.bincount(flat.astype(np.int64), minlength=N)
+def expected_sigmas(graph):
+    return EdgeSimilarityIndex.build(graph).sigmas
 
 
 class TestThreadBackendUnderShadow:
     @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_neighbor_updates_race_free_and_lossless(
-        self, graph, expected_counts, threads, chunk
+    def test_sigma_rows_lossless_under_any_chunking(
+        self, graph, expected_sigmas, threads, chunk
     ):
-        log = ShadowWriteLog()
-        shadow = ShadowArray(
-            np.zeros(N, dtype=np.int64), log, name="touch-counts"
+        got = ThreadBackend(threads=threads, chunk_size=chunk).sigma_rows(
+            graph
         )
-        _, out = parallel_neighbor_updates(
-            graph,
-            range(N),
-            EPS,
-            backend=ThreadBackend(threads=threads, chunk_size=chunk),
-            out=shadow,
-        )
-        assert out is shadow
-        log.assert_race_free()
-        np.testing.assert_array_equal(np.asarray(shadow), expected_counts)
-
-    def test_every_write_was_guarded(self, graph):
-        log = ShadowWriteLog()
-        shadow = ShadowArray(np.zeros(N, dtype=np.int64), log, name="counts")
-        parallel_neighbor_updates(
-            graph,
-            range(N),
-            EPS,
-            backend=ThreadBackend(threads=4, chunk_size=1),
-            out=shadow,
-        )
-        assert log.records, "workload produced no writes to audit"
-        assert all(r.guarded for r in log.records), (
-            "atomic_add must mark every touch-count write as guarded"
-        )
+        np.testing.assert_array_equal(got, expected_sigmas)
 
     def test_shadow_catches_a_seeded_race(self):
         """The checker itself must fire on a deliberately racy workload."""
@@ -105,18 +72,14 @@ class TestThreadBackendUnderShadow:
 class TestProcessBackendChunkGeometry:
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_no_dropped_or_duplicated_results(
-        self, graph, expected_counts, chunk
+        self, graph, expected_sigmas, chunk
     ):
         with ProcessBackend(workers=2, chunk_size=chunk) as backend:
-            hoods, counts = backend.map_neighbor_updates(graph, range(N), EPS)
-        assert len(hoods) == N
-        np.testing.assert_array_equal(counts, expected_counts)
+            got = backend.sigma_rows(graph)
+        np.testing.assert_array_equal(got, expected_sigmas)
 
     def test_order_preserved_under_tiny_chunks(self, graph):
-        want = parallel_range_queries(
-            graph, range(N), EPS, backend=ThreadBackend(threads=1)
-        )
-        with ProcessBackend(workers=2, chunk_size=1) as backend:
-            got = backend.map_range_queries(graph, range(N), EPS)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        want = ThreadBackend(threads=1).sigma_rows(graph)
+        with ProcessBackend(workers=3, chunk_size=1) as backend:
+            got = backend.sigma_rows(graph)
+        np.testing.assert_array_equal(got, want)

@@ -1,9 +1,10 @@
 """Cross-backend differential battery: one clustering, three executions.
 
-The conformance contract of the PR: sequential ``scan``, ``parallel_scan``
-on the thread backend, and ``parallel_scan`` on the shared-memory process
+The conformance contract: sequential ``scan``, ``parallel_scan`` on the
+thread backend, and ``parallel_scan`` on the shared-memory process
 backend must produce **byte-identical** labels and roles for the same
-seed, on every graph family and every (ε, μ) cell of the grid.  AnySCAN
+seed, on every graph family, every (ε, μ) cell of the grid, and every
+σ kind in closed and open mode.  AnySCAN
 is held to the paper's own equivalence (Lemma 4): identical member sets,
 identical core partition, valid border attachments — shared borders may
 legitimately land in a different cluster.
@@ -28,6 +29,7 @@ from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 GRID = [(0.3, 2), (0.5, 3), (0.7, 4)]  # (epsilon, mu)
+KINDS = ["cosine", "jaccard", "dice", "overlap"]
 
 
 def _lfr():
@@ -91,6 +93,23 @@ class TestByteIdenticalExecutions:
             )
             np.testing.assert_array_equal(ref.labels, got.labels)
 
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_sigma_kind_matches_sequential(
+        self, family, kind, closed, process_pool
+    ):
+        _, graph = family
+        config = SimilarityConfig(kind=kind, closed=closed, pruning=False)
+        backends = [ThreadBackend(threads=3, chunk_size=13), process_pool]
+        for eps, mu in GRID:
+            ref = scan(graph, mu, eps, similarity_config=config, seed=0)
+            for backend in backends:
+                got = parallel_scan(
+                    graph, mu, eps, backend=backend, config=config, seed=0
+                )
+                np.testing.assert_array_equal(ref.labels, got.labels)
+                np.testing.assert_array_equal(ref.roles, got.roles)
+
     def test_worker_and_chunk_counts_are_invisible(self, family):
         """Same labels whatever the pool geometry (thread side; the
         process side is pinned by test_process_matches_sequential)."""
@@ -152,12 +171,19 @@ class TestIndexedExecutions:
     def test_parallel_scan_with_index_matches_sequential(
         self, family, eps, mu
     ):
+        """parallel_scan is an index build plus one query: it answers
+        like a prebuilt index, including μ above the default cap."""
         _, graph = family
         index = ClusteringIndex.build(graph, SimilarityConfig(pruning=False))
-        ref = scan(graph, mu, eps, seed=0)
-        got = parallel_scan(graph, mu, eps, index=index, seed=0)
-        np.testing.assert_array_equal(ref.labels, got.labels)
-        np.testing.assert_array_equal(ref.roles, got.roles)
+        backend = ThreadBackend(threads=2, chunk_size=9)
+        for query_mu in (mu, mu + 16):
+            ref = scan(graph, query_mu, eps, seed=0)
+            for got in (
+                index.query(eps, query_mu, seed=0),
+                parallel_scan(graph, query_mu, eps, backend=backend, seed=0),
+            ):
+                np.testing.assert_array_equal(ref.labels, got.labels)
+                np.testing.assert_array_equal(ref.roles, got.roles)
 
     def test_index_builds_are_bitwise_identical_across_backends(
         self, family, process_pool
@@ -181,7 +207,7 @@ class TestIndexedExecutions:
         index = ClusteringIndex.build(graph, SimilarityConfig(pruning=False))
         lookups = 0
         for eps, mu in GRID:
-            parallel_scan(graph, mu, eps, index=index, seed=0)
+            index.query(eps, mu, seed=0)
             lookups += index.last_query["index_lookups"]
         assert index.counters.sigma_evaluations == 0
         assert index.counters.work_units == 0.0

@@ -190,7 +190,8 @@ def test_exact_sigma_tie_boundaries(seed):
 @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
 def test_index_built_on_any_backend_is_exact(backend):
     """Build σ on each backend; the index (and its answers) must be
-    identical — and parallel_scan must short-circuit through it."""
+    identical — and parallel_scan, which builds one on the backend
+    named, must answer the same."""
     graph = gnm_random_graph(70, 240, seed=2)
     index = ClusteringIndex.build(graph, backend=backend, workers=2)
     reference_index = ClusteringIndex.build(graph)
@@ -198,19 +199,21 @@ def test_index_built_on_any_backend_is_exact(backend):
         index.edge.sigmas, reference_index.edge.sigmas
     )
     for epsilon, mu in ((0.45, 2), (0.6, 4)):
+        via_index = index.query(epsilon, mu, seed=3)
+        assert index.last_query["sigma_evaluations"] == 0
         via_parallel = parallel_scan(
             graph,
             mu,
             epsilon,
-            index=index,
+            backend=backend,
+            workers=2,
             seed=3,
             config=SimilarityConfig(),
         )
         reference = scan(graph, mu, epsilon, seed=3)
-        np.testing.assert_array_equal(
-            via_parallel.labels, reference.labels
-        )
-        assert index.last_query["sigma_evaluations"] == 0
+        for got in (via_index, via_parallel):
+            np.testing.assert_array_equal(got.labels, reference.labels)
+            np.testing.assert_array_equal(got.roles, reference.roles)
 
 
 # ----------------------------------------------------------------------

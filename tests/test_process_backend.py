@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.analysis.runtime import ShadowArray, ShadowWriteLog
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.graph.csr import Graph
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel import processes as procmod
 from repro.parallel.processes import (
-    FORCE_FALLBACK_ENV,
     ProcessBackend,
     SharedGraph,
     shared_memory_available,
 )
-from repro.parallel.threads import (
-    parallel_edge_similarities as thread_edge_similarities,
-    parallel_neighbor_updates as thread_neighbor_updates,
-    parallel_range_queries as thread_range_queries,
-)
+from repro.parallel.threads import ThreadBackend
+from repro.similarity.gsindex import ClusteringIndex
+from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 pytestmark = pytest.mark.skipif(
@@ -39,8 +35,14 @@ def pool(medium):
     """One pool reused across the module (spin-up is the slow part)."""
     with ProcessBackend(workers=2, chunk_size=16) as backend:
         # Warm the session once so individual tests stay fast.
-        backend.map_range_queries(medium, [0], EPS)
+        backend.sigma_rows(medium)
         yield backend
+
+
+@pytest.fixture(scope="module")
+def want_sigmas(medium):
+    """The in-process σ array every backend must reproduce bitwise."""
+    return EdgeSimilarityIndex.build(medium).sigmas
 
 
 class TestSharedGraph:
@@ -75,7 +77,7 @@ class TestSharedGraph:
         with SharedGraph(medium) as shared:
             procmod._worker_init(shared.handle)
             try:
-                rebuilt = procmod._worker_oracle()
+                rebuilt = procmod._WORKER_STATE["oracle"]
                 fresh = SimilarityOracle(medium, SimilarityConfig())
                 for v in range(0, medium.num_vertices, 17):
                     np.testing.assert_array_equal(
@@ -88,69 +90,52 @@ class TestSharedGraph:
 
 class TestParity:
     def test_range_queries_match_threads(self, medium, pool):
-        got = pool.map_range_queries(medium, range(medium.num_vertices), EPS)
-        want = thread_range_queries(medium, range(medium.num_vertices), EPS)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-    def test_edge_similarities_match_threads(self, medium, pool):
-        edges = [
-            (int(medium.indices[medium.indptr[v]]), v)
-            for v in range(medium.num_vertices)
-            if medium.indptr[v] < medium.indptr[v + 1]
-        ]
-        got = pool.map_edge_similarities(medium, edges)
-        want = thread_edge_similarities(medium, edges)
-        np.testing.assert_allclose(got, want)
-
-    def test_neighbor_updates_match_threads(self, medium, pool):
-        vertices = list(range(medium.num_vertices))
-        hoods_p, counts_p = pool.map_neighbor_updates(medium, vertices, EPS)
-        hoods_t, counts_t = thread_neighbor_updates(medium, vertices, EPS)
-        np.testing.assert_array_equal(counts_p, counts_t)
-        for a, b in zip(hoods_p, hoods_t):
-            np.testing.assert_array_equal(a, b)
-
-    def test_neighbor_updates_out_param_accumulates(self, medium, pool):
-        base = np.full(medium.num_vertices, 5, dtype=np.int64)
-        _, counts = pool.map_neighbor_updates(
-            medium, range(medium.num_vertices), EPS, out=base
+        """ε-neighborhoods read from a pool-built index equal those of a
+        thread-built index and the sequential oracle's range queries."""
+        from_pool = ClusteringIndex.build(medium, backend=pool)
+        from_threads = ClusteringIndex.build(
+            medium, backend=ThreadBackend(threads=2, chunk_size=7)
         )
-        assert counts is base
-        _, fresh = pool.map_neighbor_updates(
-            medium, range(medium.num_vertices), EPS
-        )
-        np.testing.assert_array_equal(base, fresh + 5)
+        oracle = SimilarityOracle(medium, SimilarityConfig())
+        for v in range(medium.num_vertices):
+            want = oracle.eps_neighborhood(v, EPS)
+            np.testing.assert_array_equal(
+                from_pool.eps_neighborhood(v, EPS), want
+            )
+            np.testing.assert_array_equal(
+                from_threads.eps_neighborhood(v, EPS), want
+            )
 
-    def test_empty_batches(self, medium, pool):
-        assert pool.map_range_queries(medium, [], EPS) == []
-        assert pool.map_edge_similarities(medium, []).shape == (0,)
-        hoods, counts = pool.map_neighbor_updates(medium, [], EPS)
-        assert hoods == []
-        assert counts.sum() == 0
+    def test_edge_similarities_match_threads(self, medium, pool, want_sigmas):
+        got = pool.sigma_rows(medium)
+        threaded = ThreadBackend(threads=2, chunk_size=7).sigma_rows(medium)
+        np.testing.assert_array_equal(got, want_sigmas)
+        np.testing.assert_array_equal(threaded, want_sigmas)
+
+    def test_empty_batches(self, pool):
+        empty = Graph.from_edges(4, [])
+        assert pool.sigma_rows(empty).shape == (0,)
 
 
 class TestLifecycle:
     def test_session_reused_for_same_graph(self, medium, pool):
-        pool.map_range_queries(medium, [0, 1], EPS)
+        pool.sigma_rows(medium)
         executor = pool._executor
-        pool.map_range_queries(medium, [2, 3], EPS)
+        pool.sigma_rows(medium)
         assert pool._executor is executor
 
     def test_close_then_reuse_respins(self, medium):
         backend = ProcessBackend(workers=2, chunk_size=8)
-        first = backend.map_range_queries(medium, [0, 1, 2], EPS)
+        first = backend.sigma_rows(medium)
         backend.close()
         assert backend._executor is None
-        second = backend.map_range_queries(medium, [0, 1, 2], EPS)
+        second = backend.sigma_rows(medium)
         backend.close()
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first, second)
 
     def test_context_manager_unlinks_segments(self, medium):
         with ProcessBackend(workers=2) as backend:
-            backend.map_range_queries(medium, [0], EPS)
+            backend.sigma_rows(medium)
             shared = backend._shared
             assert shared is not None and not shared.closed
         assert shared.closed
@@ -166,100 +151,16 @@ class TestLifecycle:
 
 
 class TestFallback:
-    def test_env_var_forces_thread_fallback(self, medium, monkeypatch):
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
+    def test_shared_memory_failure_forces_thread_fallback(
+        self, medium, want_sigmas, no_shared_memory
+    ):
         assert not shared_memory_available()
         with ProcessBackend(workers=2) as backend:
-            got = backend.map_range_queries(
-                medium, range(medium.num_vertices), EPS
-            )
+            got = backend.sigma_rows(medium)
             assert backend.kind == "thread"
-        want = thread_range_queries(medium, range(medium.num_vertices), EPS)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got, want_sigmas)
 
-    def test_fallback_covers_all_three_workloads(self, medium, monkeypatch):
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "yes")
-        with ProcessBackend(workers=2) as backend:
-            hoods, counts = backend.map_neighbor_updates(medium, [0, 1], EPS)
-            sigmas = backend.map_edge_similarities(medium, [(0, 1)])
-        assert len(hoods) == 2 and counts.shape == (medium.num_vertices,)
-        assert sigmas.shape == (1,)
-
-    def test_allow_fallback_false_raises(self, medium, monkeypatch):
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
+    def test_allow_fallback_false_raises(self, medium, no_shared_memory):
         backend = ProcessBackend(workers=2, allow_fallback=False)
         with pytest.raises(SimulationError, match="fallback"):
-            backend.map_range_queries(medium, [0], EPS)
-
-
-class TestModuleConveniences:
-    def test_owned_backend_range_queries(self, medium):
-        got = procmod.parallel_range_queries(medium, [0, 1, 2], EPS)
-        want = thread_range_queries(medium, [0, 1, 2], EPS)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-    def test_epsilon_validated(self, medium, pool):
-        with pytest.raises(ConfigError):
-            procmod.parallel_range_queries(medium, [0], -0.5, backend=pool)
-
-
-class TestShadowArrayIntegration:
-    """R1's runtime checker composed with the process backend.
-
-    The process backend's reduction model means the *parent* is the
-    only writer of the shared counter array — the shadow log must see
-    exactly one writing thread and no races, in both the real process
-    path and the forced thread fallback.
-    """
-
-    def test_out_param_writes_are_single_threaded(self, medium, pool):
-        log = ShadowWriteLog()
-        base = np.zeros(medium.num_vertices, dtype=np.int64)
-        shadow = ShadowArray(base, log, name="counts")
-        _, out = pool.map_neighbor_updates(
-            medium, range(medium.num_vertices), EPS, out=shadow
-        )
-        assert out is shadow
-        writers = {r.thread_id for r in log.records}
-        assert len(writers) == 1
-        log.assert_race_free()
-        _, want = thread_neighbor_updates(
-            medium, range(medium.num_vertices), EPS
-        )
-        np.testing.assert_array_equal(base, want)
-
-    def test_out_param_race_free_under_thread_fallback(
-        self, medium, monkeypatch
-    ):
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
-        log = ShadowWriteLog()
-        base = np.zeros(medium.num_vertices, dtype=np.int64)
-        shadow = ShadowArray(base, log, name="counts")
-        with ProcessBackend(workers=2) as backend:
-            _, out = backend.map_neighbor_updates(
-                medium, range(medium.num_vertices), EPS, out=shadow
-            )
-            assert backend.kind == "thread"
-        assert out is shadow
-        log.assert_race_free()
-        _, want = thread_neighbor_updates(
-            medium, range(medium.num_vertices), EPS
-        )
-        np.testing.assert_array_equal(base, want)
-
-    def test_accumulation_into_shadow_matches_plain_array(
-        self, medium, pool
-    ):
-        log = ShadowWriteLog()
-        base = np.full(medium.num_vertices, 3, dtype=np.int64)
-        shadow = ShadowArray(base, log, name="counts")
-        pool.map_neighbor_updates(
-            medium, range(medium.num_vertices), EPS, out=shadow
-        )
-        plain = np.full(medium.num_vertices, 3, dtype=np.int64)
-        pool.map_neighbor_updates(
-            medium, range(medium.num_vertices), EPS, out=plain
-        )
-        np.testing.assert_array_equal(base, plain)
+            backend.sigma_rows(medium)

@@ -43,7 +43,7 @@ def test_segments_are_named_and_cleaned_in_process():
     graph = gnm_random_graph(120, 480, seed=2)
     backend = ProcessBackend(workers=2)
     try:
-        backend.map_range_queries(graph, range(graph.num_vertices), epsilon=0.5)
+        backend.sigma_rows(graph)
         if backend.kind != "process":
             pytest.skip("process pool unavailable; thread fallback active")
         assert _segments_of(os.getpid())
@@ -56,7 +56,7 @@ def test_cleanup_live_segments_sweeps_open_backends():
     graph = gnm_random_graph(100, 400, seed=3)
     backend = ProcessBackend(workers=2)
     try:
-        backend.map_range_queries(graph, range(graph.num_vertices), epsilon=0.5)
+        backend.sigma_rows(graph)
         if backend.kind != "process":
             pytest.skip("process pool unavailable; thread fallback active")
         assert _segments_of(os.getpid())
@@ -92,14 +92,14 @@ _CHILD = textwrap.dedent(
     install_signal_cleanup()
     graph = gnm_random_graph(400, 1600, seed=1)
     backend = ProcessBackend(workers=2)
-    backend.map_range_queries(graph, range(graph.num_vertices), epsilon=0.5)
+    backend.sigma_rows(graph)
     if backend.kind != "process":
         print("FALLBACK", flush=True)
         sys.exit(0)
 
     def spin():
         while True:
-            backend.map_range_queries(graph, range(graph.num_vertices), epsilon=0.5)
+            backend.sigma_rows(graph)
 
     threading.Thread(target=spin, daemon=True).start()
     print("READY", flush=True)

@@ -15,7 +15,6 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex
-from repro.core.backend_scan import parallel_scan
 from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
@@ -136,7 +135,7 @@ class TestAdoptedIndex:
     def test_scan_parity_and_zero_evaluations(self, graph, index):
         adopted = ClusteringIndex(index)
         ref = scan(graph, 3, 0.5, seed=0)
-        got = parallel_scan(graph, 3, 0.5, index=adopted, seed=0)
+        got = adopted.query(0.5, 3, seed=0)
         np.testing.assert_array_equal(ref.labels, got.labels)
         np.testing.assert_array_equal(ref.roles, got.roles)
         assert adopted.last_query["sigma_evaluations"] == 0
@@ -146,16 +145,12 @@ class TestAdoptedIndex:
         adopted = ClusteringIndex(index)
         with pytest.raises(ConfigError, match="different graph"):
             adopted.require_compatible(graph=other)
-        with pytest.raises(ConfigError, match="different graph"):
-            parallel_scan(other, 3, 0.5, index=adopted)
 
     def test_mismatched_config_rejected(self, graph, index):
         adopted = ClusteringIndex(index)
         config = SimilarityConfig(closed=False, pruning=False)
         with pytest.raises(ConfigError, match="semantics mismatch"):
             adopted.require_compatible(config=config)
-        with pytest.raises(ConfigError, match="semantics mismatch"):
-            parallel_scan(graph, 3, 0.5, index=adopted, config=config)
 
 
 class TestExplorerAdoption:

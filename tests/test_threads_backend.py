@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.parallel.threads import (
-    ThreadBackend,
-    parallel_edge_similarities,
-    parallel_range_queries,
-)
+from repro.parallel.threads import ThreadBackend
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
+
+
+def _scalar_sigma_rows(graph, config):
+    """σ of every directed CSR slot (u, v), one scalar call per slot."""
+    oracle = SimilarityOracle(graph, config)
+    return np.asarray(
+        [
+            oracle.sigma_unrecorded(u, int(v))
+            for u in range(graph.num_vertices)
+            for v in graph.neighbors(u)
+        ]
+    )
 
 
 class TestBackend:
@@ -46,32 +55,23 @@ class TestParallelQueries:
     def test_range_queries_match_sequential(self, karate):
         oracle = SimilarityOracle(karate, SimilarityConfig())
         expected = [oracle.eps_neighborhood(v, 0.5) for v in range(34)]
-        parallel = parallel_range_queries(
-            karate, list(range(34)), 0.5,
-            backend=ThreadBackend(threads=4, chunk_size=5),
+        index = ClusteringIndex.build(
+            karate, backend=ThreadBackend(threads=4, chunk_size=5)
         )
-        for a, b in zip(expected, parallel):
-            assert np.array_equal(a, b)
+        for v, want in enumerate(expected):
+            assert np.array_equal(index.eps_neighborhood(v, 0.5), want)
 
     def test_edge_similarities_match_sequential(self, karate):
-        oracle = SimilarityOracle(karate, SimilarityConfig())
-        edges = [(u, v) for u, v, _ in karate.edges()]
-        expected = np.asarray(
-            [oracle.sigma_unrecorded(u, v) for u, v in edges]
-        )
-        parallel = parallel_edge_similarities(
-            karate, edges, backend=ThreadBackend(threads=4, chunk_size=7)
-        )
+        expected = _scalar_sigma_rows(karate, SimilarityConfig())
+        parallel = ThreadBackend(threads=4, chunk_size=7).sigma_rows(karate)
+        assert parallel.shape == karate.indices.shape
         assert np.allclose(expected, parallel)
 
     def test_custom_similarity_config(self, karate):
         open_mode = SimilarityConfig(closed=False, count_self=False)
-        oracle = SimilarityOracle(karate, open_mode)
-        edges = [(0, 1), (2, 3)]
-        expected = [oracle.sigma_unrecorded(u, v) for u, v in edges]
-        parallel = parallel_edge_similarities(
-            karate, edges, config=open_mode,
-            backend=ThreadBackend(threads=2, chunk_size=1),
+        expected = _scalar_sigma_rows(karate, open_mode)
+        parallel = ThreadBackend(threads=2, chunk_size=1).sigma_rows(
+            karate, open_mode
         )
         assert np.allclose(expected, parallel)
 
@@ -120,37 +120,3 @@ class TestValidateErrorPaths:
 
     def test_valid_backend_passes(self):
         ThreadBackend(threads=1, chunk_size=1).validate()
-
-
-class TestParallelNeighborUpdates:
-    def test_matches_sequential_tally(self, karate):
-        from collections import Counter
-
-        from repro.parallel.threads import parallel_neighbor_updates
-
-        oracle = SimilarityOracle(karate, SimilarityConfig())
-        vertices = list(range(34))
-        expected_hoods = [
-            oracle.eps_neighborhood(v, 0.5) for v in vertices
-        ]
-        tally = Counter()
-        for hood in expected_hoods:
-            tally.update(int(q) for q in hood)
-
-        hoods, touched = parallel_neighbor_updates(
-            karate, vertices, 0.5,
-            backend=ThreadBackend(threads=4, chunk_size=3),
-        )
-        for a, b in zip(expected_hoods, hoods):
-            assert np.array_equal(a, b)
-        for v in range(34):
-            assert touched[v] == tally.get(v, 0)
-
-    def test_epsilon_validated(self, karate):
-        from repro.errors import ConfigError
-        from repro.parallel.threads import parallel_neighbor_updates
-
-        with pytest.raises(ConfigError):
-            parallel_neighbor_updates(karate, [0], 0.0)
-        with pytest.raises(ConfigError):
-            parallel_range_queries(karate, [0], 1.5)

@@ -28,7 +28,7 @@ from repro.parallel.backends import (
     create_backend,
 )
 from repro.result import HUB, Clustering
-from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.gsindex import ClusteringIndex
 
 __all__ = ["main"]
 
@@ -87,9 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cluster-index",
         choices=["off", "build", "use"],
         default="off",
-        help="GS*-style clustering index: σ-sorted neighbor lists plus a "
-        "core order, so any (ε, μ) query is answered by binary search + "
-        "union-find with zero σ evaluations; 'build' saves it next to "
+        help="GS*-style clustering index: σ-sorted neighbor lists, so "
+        "any (ε, μ) query is answered by array passes + union-find "
+        "with zero σ evaluations; 'build' saves it next to "
         "the graph, 'use' loads a previously built one (requires "
         "--algorithm scan)",
     )
@@ -97,13 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cluster-index-path",
         default=None,
         help="where the clustering index lives (default: GRAPH.gsindex.npz)",
-    )
-    parser.add_argument(
-        "--mu-cap",
-        type=int,
-        default=DEFAULT_MU_CAP,
-        help="largest μ the clustering index answers by binary search "
-        "(larger μ still works via an O(n) gather, still zero σ)",
     )
     parser.add_argument(
         "--output", default=None, help="write 'vertex label' lines here"
@@ -215,22 +208,17 @@ def _prepare_cluster_index(graph, args) -> ClusteringIndex | None:
     if args.cluster_index == "build":
         started = time.perf_counter()
         cluster_index = ClusteringIndex.build(
-            graph, mu_cap=args.mu_cap, backend=backend, workers=args.workers
+            graph, backend=backend, workers=args.workers
         )
         cluster_index.save(path)
         print(
-            f"clustering index built (μ ≤ {cluster_index.mu_cap} by "
-            f"binary search) in {time.perf_counter() - started:.2f}s, "
-            f"saved to {path}",
+            f"clustering index built in "
+            f"{time.perf_counter() - started:.2f}s, saved to {path}",
             file=sys.stderr,
         )
         return cluster_index
     cluster_index, recovered = ClusteringIndex.load_or_rebuild(
-        path,
-        graph,
-        mu_cap=args.mu_cap,
-        backend=backend,
-        workers=args.workers,
+        path, graph, backend=backend, workers=args.workers
     )
     if recovered:
         print(
@@ -274,11 +262,10 @@ def _build_local_parser() -> argparse.ArgumentParser:
         "--cluster-index",
         choices=["off", "build", "use"],
         default="off",
-        help="GS*-style σ tier: core checks and ε-neighborhoods by "
-        "binary search, zero σ evaluations per query",
+        help="GS*-style σ tier: core checks by O(1) reads and "
+        "ε-neighborhoods by binary search, zero σ evaluations per query",
     )
     parser.add_argument("--cluster-index-path", default=None)
-    parser.add_argument("--mu-cap", type=int, default=DEFAULT_MU_CAP)
     parser.add_argument(
         "--backend",
         choices=["sequential"] + list(BACKEND_NAMES),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.graph.csr import Graph
 from repro.parallel.backends import Backend
 from repro.result import Clustering
-from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig
 from repro.validation import check_eps_mu
 
@@ -61,7 +61,6 @@ def parallel_scan(
     index = ClusteringIndex.build(
         graph,
         config or SimilarityConfig(pruning=False),
-        mu_cap=min(mu, DEFAULT_MU_CAP),
         backend=backend,
         workers=workers,
     )

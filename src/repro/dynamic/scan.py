@@ -24,7 +24,7 @@ from repro.dynamic.graph import AdjacencyGraph
 from repro.errors import ConfigError
 from repro.graph.patch import affected_rows
 from repro.result import Clustering
-from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig
 
@@ -75,9 +75,7 @@ class DynamicSCAN:
         self.config = similarity or SimilarityConfig()
         self.config.validate()
         snapshot = graph.to_csr()
-        self._index = ClusteringIndex.build(
-            snapshot, self.config, mu_cap=min(mu, DEFAULT_MU_CAP)
-        )
+        self._index = ClusteringIndex.build(snapshot, self.config)
         self.sigma_recomputations = int(snapshot.indices.shape[0])
         self._touched: Set[int] = set()
         self._dirty = True

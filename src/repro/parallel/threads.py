@@ -80,11 +80,14 @@ class ThreadBackend:
         """σ for **every** directed CSR edge, in vertex-range blocks.
 
         The σ phase of the index build
-        (:class:`~repro.similarity.gsindex.ClusteringIndex`): each worker
-        runs the batched kernel over a contiguous vertex range, and
-        because slot (u, v) is always computed by expanding v's row, the
+        (:class:`~repro.similarity.gsindex.ClusteringIndex`): blocks of
+        ``chunk_size`` vertices are handed to the pool one per task, so
+        any graph with two or more blocks fans out.  Each task runs the
+        batched kernel over its contiguous vertex range, and because
+        slot (u, v) is always computed by expanding v's row, the
         concatenation is bitwise-identical for every block decomposition.
         """
+        self.validate()
         oracle = SimilarityOracle(graph, config or SimilarityConfig())
         if graph.indices.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
@@ -100,4 +103,9 @@ class ThreadBackend:
         def block_sigmas(block: Tuple[int, int]) -> np.ndarray:
             return oracle.sigma_row_block(block[0], block[1])
 
-        return np.concatenate(self.map(block_sigmas, blocks))
+        if self.threads == 1 or len(blocks) < 2:
+            return np.concatenate([block_sigmas(block) for block in blocks])
+        with ThreadPoolExecutor(
+            max_workers=min(self.threads, len(blocks))
+        ) as pool:
+            return np.concatenate(list(pool.map(block_sigmas, blocks)))

@@ -14,7 +14,7 @@ generated from it, so they cannot drift apart.
 | GET    | /graphs                   | list_graphs    | enumerate hosted graphs               |
 | GET    | /graphs/{name}            | graph_info     | one graph's fingerprint/size/index    |
 | GET    | /graphs/{name}/local-cluster | local_cluster | the seed vertex's exact cluster (§12) |
-| POST   | /graphs/{name}/index      | build_index    | build/widen the graph's cluster index |
+| POST   | /graphs/{name}/index      | build_index    | build the graph's cluster index       |
 | POST   | /graphs/{name}/update-edges | update_edges | edge inserts/deletes (CSR patch + index row refresh) |
 | POST   | /cluster                  | cluster        | index extraction, else an anySCAN job |
 | GET    | /jobs                     | list_jobs      | enumerate jobs                        |

@@ -338,7 +338,6 @@ class ServiceClient:
         num_vertices: Optional[int] = None,
         similarity: Optional[Dict[str, object]] = None,
         build_cluster_index: bool = False,
-        mu_cap: Optional[int] = None,
         replace: bool = False,
     ) -> Dict[str, object]:
         """Host a graph server-side, from a CSR ``graph`` or raw edges."""
@@ -357,25 +356,18 @@ class ServiceClient:
         }
         if num_vertices is not None:
             payload["num_vertices"] = int(num_vertices)
-        if mu_cap is not None:
-            payload["mu_cap"] = int(mu_cap)
         if similarity is not None:
             payload["similarity"] = similarity
         return self._request("POST", "/graphs", payload)
 
-    def build_cluster_index(
-        self, name: str, *, mu_cap: Optional[int] = None
-    ) -> Dict[str, object]:
-        """Build (or rebuild) the clustering index for a hosted graph.
+    def build_cluster_index(self, name: str) -> Dict[str, object]:
+        """Build the clustering index for a hosted graph (if missing).
 
         Afterwards every ``cluster`` query on the graph is answered
         straight from the index — zero σ evaluations — and the index is
         repatched automatically across ``update_edges`` calls.
         """
-        payload: Dict[str, object] = {}
-        if mu_cap is not None:
-            payload["mu_cap"] = int(mu_cap)
-        return self._request("POST", f"/graphs/{name}/index", payload)
+        return self._request("POST", f"/graphs/{name}/index", {})
 
     def graphs(self) -> List[Dict[str, object]]:
         return list(self._request("GET", "/graphs")["graphs"])

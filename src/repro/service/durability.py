@@ -519,7 +519,6 @@ def write_checkpoint(
                 "sha256": _sha256_file(graph_path),
                 "fingerprint": entry.fingerprint,
                 "similarity": similarity_to_wire(entry.similarity),
-                "mu_cap": int(entry.mu_cap),
                 "auto_cluster_index": bool(entry.auto_cluster_index),
                 "updates_applied": int(entry.updates_applied),
                 "index_rows_refreshed": int(entry.index_rows_refreshed),
@@ -676,7 +675,6 @@ def _load_checkpoint_into(
                 "its recorded fingerprint"
             )
         similarity = similarity_from_wire(record["similarity"])
-        mu_cap = int(record["mu_cap"])
         cluster_index = None
         indexed = record.get("index_kind") in ("cluster", "edge")
         if indexed:
@@ -685,7 +683,7 @@ def _load_checkpoint_into(
                     directory, record, "index_file", "index_sha256"
                 )
                 cluster_index = ClusteringIndex.load(
-                    index_path, graph, config=similarity, mu_cap=mu_cap
+                    index_path, graph, config=similarity
                 )
             except (DurabilityError, IndexIntegrityError, ConfigError) as exc:
                 if metrics is not None:
@@ -696,9 +694,7 @@ def _load_checkpoint_into(
                             "error": f"{type(exc).__name__}: {exc}",
                         },
                     )
-                cluster_index = ClusteringIndex.build(
-                    graph, similarity, mu_cap=mu_cap
-                )
+                cluster_index = ClusteringIndex.build(graph, similarity)
         entry = GraphEntry(
             name=str(record["name"]),
             graph=graph,
@@ -707,7 +703,6 @@ def _load_checkpoint_into(
             cluster_index=cluster_index,
             auto_cluster_index=bool(record.get("auto_cluster_index"))
             or indexed,
-            mu_cap=mu_cap,
             updates_applied=int(record.get("updates_applied", 0)),
             index_rows_refreshed=int(record.get("index_rows_refreshed", 0)),
         )
@@ -788,7 +783,6 @@ def _apply_record(
                     record.get("build_cluster_index")
                     or record.get("build_index")
                 ),
-                mu_cap=int(record["mu_cap"]),
                 replace=bool(record.get("replace")),
             )
             return "applied", len(record["edges"])
@@ -819,9 +813,7 @@ def _apply_record(
                 + int(record.get("add_vertices", 0))
             )
         if op in ("build_cluster_index", "build_index"):
-            store.ensure_cluster_index(
-                str(record["name"]), mu_cap=record.get("mu_cap")
-            )
+            store.ensure_cluster_index(str(record["name"]))
             return "applied", 0
         raise DurabilityError(f"unknown WAL record op {op!r}")
     except DurabilityError:

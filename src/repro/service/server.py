@@ -69,7 +69,6 @@ from repro.service.store import (
     make_cache_key,
     make_local_cache_key,
 )
-from repro.similarity.gsindex import DEFAULT_MU_CAP
 from repro.similarity.weighted import SimilarityConfig
 from repro.validation import check_eps_mu
 
@@ -277,7 +276,6 @@ class ClusteringService:
             graph,
             similarity=_similarity_from_payload(payload.get("similarity")),
             build_cluster_index=get_bool(payload, "build_cluster_index"),
-            mu_cap=get_int(payload, "mu_cap", DEFAULT_MU_CAP) or DEFAULT_MU_CAP,
             replace=get_bool(payload, "replace"),
         )
         self.metrics.increment("graphs_loaded")
@@ -295,17 +293,13 @@ class ClusteringService:
     def handle_build_index(
         self, payload: Dict[str, object], name: str
     ) -> Dict[str, object]:
-        """Build (or widen) the graph's GS*-style clustering index.
+        """Build the graph's GS*-style clustering index (a graph that
+        already has one keeps it).
 
         Subsequent ``cluster`` requests for this graph short-circuit to
-        index extraction: any (ε, μ), zero σ evaluations.  ``mu_cap``
-        bounds the binary-search core path (larger μ stays exact via the
-        O(n) gather); re-posting with a larger cap rebuilds the derived
-        orders from the existing σ array.
+        index extraction: any (ε, μ), zero σ evaluations.
         """
-        self.store.ensure_cluster_index(
-            name, mu_cap=get_int(payload, "mu_cap")
-        )
+        self.store.ensure_cluster_index(name)
         self.metrics.increment("cluster_indexes_built")
         self._durability_note()
         return self.store.get(name).info()
@@ -1134,13 +1128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "zero σ evaluations)",
     )
     parser.add_argument(
-        "--mu-cap",
-        type=int,
-        default=None,
-        help="largest μ with a precomputed core order in the clustering "
-        "index (larger μ stays exact via an O(n) pass)",
-    )
-    parser.add_argument(
         "--data-dir",
         default=None,
         metavar="PATH",
@@ -1192,15 +1179,9 @@ def _parse_graph_specs(specs) -> Optional[List[Tuple[str, str]]]:
 
 def _preload_specs(args, graphs) -> List[List[object]]:
     """``--graph`` preloads as JSON-ready rows: ``[name, path, weighted,
-    build_cluster_index, mu_cap]``."""
+    build_cluster_index]``."""
     return [
-        [
-            name,
-            path,
-            bool(args.weighted),
-            bool(args.build_cluster_index),
-            args.mu_cap,
-        ]
+        [name, path, bool(args.weighted), bool(args.build_cluster_index)]
         for name, path in graphs
     ]
 
@@ -1217,7 +1198,7 @@ def preload_graphs(service: ClusteringService, specs) -> None:
 
     hosted = set(service.store.names())
     for spec in specs:
-        name, path, weighted, build_cluster_index, mu_cap = spec
+        name, path, weighted, build_cluster_index = spec
         if name in hosted:
             service.metrics.record_event("preload_skipped", {"graph": name})
             print(
@@ -1227,10 +1208,7 @@ def preload_graphs(service: ClusteringService, specs) -> None:
             continue
         graph, _ = load_edge_list(path, weighted=weighted)
         service.store.add(
-            name,
-            graph,
-            build_cluster_index=build_cluster_index,
-            mu_cap=mu_cap if mu_cap is not None else DEFAULT_MU_CAP,
+            name, graph, build_cluster_index=build_cluster_index
         )
         print(
             f"loaded {name}: {graph.num_vertices:,d} vertices, "

@@ -386,7 +386,6 @@ class StorePublisher:
                     "count_self": entry.similarity.count_self,
                     "pruning": entry.similarity.pruning,
                 },
-                "mu_cap": int(entry.mu_cap),
                 "auto_cluster_index": bool(entry.auto_cluster_index),
                 "updates_applied": int(entry.updates_applied),
                 "index_rows_refreshed": int(entry.index_rows_refreshed),
@@ -619,7 +618,6 @@ class AttachedGraphStore:
                     graph, similarity, views["sigmas"],
                     fingerprint=fingerprint,
                 ),
-                mu_cap=int(record["mu_cap"]),
                 arrays={
                     label[len("ci_"):]: view
                     for label, view in views.items()
@@ -633,7 +631,6 @@ class AttachedGraphStore:
             fingerprint=fingerprint,
             cluster_index=cluster_index,
             auto_cluster_index=bool(record["auto_cluster_index"]),
-            mu_cap=int(record["mu_cap"]),
             updates_applied=int(record["updates_applied"]),
             index_rows_refreshed=int(record["index_rows_refreshed"]),
         )
@@ -735,9 +732,7 @@ class AttachedGraphStore:
     def update_edges(self, name: str, **kwargs):
         raise self._read_only()
 
-    def ensure_cluster_index(
-        self, name: str, *, mu_cap: int | None = None
-    ) -> GraphEntry:
+    def ensure_cluster_index(self, name: str) -> GraphEntry:
         """Read-only stores never build; serve whatever is attached."""
         return self.get(name)
 

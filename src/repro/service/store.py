@@ -38,7 +38,7 @@ from repro.errors import ConfigError
 from repro.faults import fault_point
 from repro.graph.csr import Graph
 from repro.graph.patch import apply_edge_batch
-from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import graph_fingerprint
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.validation import check_eps_mu
@@ -290,7 +290,6 @@ class GraphEntry:
         default=None, repr=False
     )
     auto_cluster_index: bool = False
-    mu_cap: int = DEFAULT_MU_CAP
     updates_applied: int = 0
     #: σ-row refreshes the clustering index absorbed in-place (as
     #: opposed to full rebuilds) across update-edges batches.
@@ -309,7 +308,6 @@ class GraphEntry:
             "epoch": int(self.epoch),
             "cluster_indexed": self.cluster_index is not None,
             "auto_cluster_index": self.auto_cluster_index,
-            "mu_cap": int(self.mu_cap),
             "updates_applied": self.updates_applied,
             "index_rows_refreshed": self.index_rows_refreshed,
             "similarity": {
@@ -476,7 +474,6 @@ class GraphStore:
         *,
         similarity: SimilarityConfig | None = None,
         build_cluster_index: bool = False,
-        mu_cap: int = DEFAULT_MU_CAP,
         replace: bool = False,
     ) -> GraphEntry:
         """Host ``graph`` under ``name``; optionally build its index."""
@@ -485,7 +482,7 @@ class GraphStore:
         similarity = similarity or SimilarityConfig()
         similarity.validate()
         cluster_index = (
-            ClusteringIndex.build(graph, similarity, mu_cap=mu_cap)
+            ClusteringIndex.build(graph, similarity)
             if build_cluster_index
             else None
         )
@@ -496,7 +493,6 @@ class GraphStore:
             fingerprint=graph_fingerprint(graph),
             cluster_index=cluster_index,
             auto_cluster_index=build_cluster_index,
-            mu_cap=int(mu_cap),
         )
         record = None
         if self._journal is not None:
@@ -512,7 +508,6 @@ class GraphStore:
                 ],
                 "similarity": self._similarity_record(similarity),
                 "build_cluster_index": bool(build_cluster_index),
-                "mu_cap": int(mu_cap),
                 "replace": bool(replace),
             }
         with self._lock:
@@ -589,30 +584,19 @@ class GraphStore:
             cache.put(key, value)
             return True
 
-    def ensure_cluster_index(
-        self, name: str, *, mu_cap: int | None = None
-    ) -> GraphEntry:
-        """Build (or widen) the clustering index for ``name``.
+    def ensure_cluster_index(self, name: str) -> GraphEntry:
+        """Build the clustering index for ``name`` unless it has one.
 
-        A missing index is built from the graph; a narrower one is
-        widened by deriving the larger cap's core orders from the σ
-        array it already holds, so widening does no σ pass.  The work
-        happens outside the store lock and is only installed when the
-        graph has not changed underneath it.  The entry is marked
-        ``auto_cluster_index`` here, where the ``build_cluster_index``
-        record is journaled, so WAL replay restores the flag too.
+        The build happens outside the store lock and is only installed
+        when the graph has not changed underneath it.  The entry is
+        marked ``auto_cluster_index`` here, where the
+        ``build_cluster_index`` record is journaled, so WAL replay
+        restores the flag too.
         """
         entry = self.get(name)
-        cap = int(mu_cap) if mu_cap is not None else entry.mu_cap
-        current_index = entry.cluster_index
-        if current_index is not None and current_index.mu_cap >= cap:
+        if entry.cluster_index is not None:
             return entry
-        if current_index is not None:
-            cluster_index = ClusteringIndex(current_index.edge, mu_cap=cap)
-        else:
-            cluster_index = ClusteringIndex.build(
-                entry.graph, entry.similarity, mu_cap=cap
-            )
+        cluster_index = ClusteringIndex.build(entry.graph, entry.similarity)
         with self._lock:
             current = self._entries.get(name)
             if (
@@ -620,15 +604,10 @@ class GraphStore:
                 and current.fingerprint == cluster_index.fingerprint
             ):
                 self._journal_best_effort(
-                    {
-                        "op": "build_cluster_index",
-                        "name": name,
-                        "mu_cap": cap,
-                    }
+                    {"op": "build_cluster_index", "name": name}
                 )
                 current.cluster_index = cluster_index
                 current.auto_cluster_index = True
-                current.mu_cap = cap
                 self._publish_locked(current)
         return entry
 

@@ -3,7 +3,7 @@
 from repro.similarity.counters import SimilarityCounters
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.similarity.index import EdgeSimilarityIndex, graph_fingerprint
-from repro.similarity.gsindex import DEFAULT_MU_CAP, ClusteringIndex
+from repro.similarity.gsindex import ClusteringIndex
 
 __all__ = [
     "SimilarityConfig",
@@ -11,6 +11,5 @@ __all__ = [
     "SimilarityCounters",
     "EdgeSimilarityIndex",
     "ClusteringIndex",
-    "DEFAULT_MU_CAP",
     "graph_fingerprint",
 ]

@@ -14,12 +14,11 @@ precomputed-σ input every query path takes.  Its parts:
   deterministic and tie ordering is observably irrelevant).  The
   ε-neighborhood of any vertex is a *prefix* of its sorted row, found
   by one binary search.
-* **core order** — for every μ up to ``mu_cap``, each vertex's *core
-  threshold* ``ε̂_μ(v)``: the maximal ε at which v is still a μ-core
-  (the (μ − self)-th largest σ in its row).  Vertices are kept sorted
-  by that threshold, so the core set of any (ε, μ) with μ ≤ ``mu_cap``
-  is a prefix of the order, found by one binary search; larger μ fall
-  back to a vectorized gather over the sorted rows (still zero σ).
+* **core thresholds** — for any μ, each vertex's *core threshold*
+  ``ε̂_μ(v)``: the maximal ε at which v is still a μ-core, i.e. the
+  (μ − self)-th largest σ in its sorted row.  All n thresholds are one
+  O(n) gather over the sorted rows (zero σ), so the core set of any
+  (ε, μ) is one comparison against them.
 * **cluster extraction** — a union-find sweep over the qualifying
   (σ ≥ ε) core-core edges, followed by the reference border attachment
   rule, reproducing :func:`repro.baselines.scan.scan` labels *exactly*
@@ -30,18 +29,17 @@ Construction reuses the batched σ kernels through the backends'
 ``sigma_rows`` (thread/process/auto backends produce the
 bitwise-identical index), persistence reuses the ``.npz`` + checksum +
 quarantine machinery of :mod:`repro.similarity.index` — a
-``ClusteringIndex`` archive is a strict superset of the edge-index
-format (one extra ``mu_cap`` field outside the checksum), so it is also
-loadable as a plain :class:`EdgeSimilarityIndex`.  Dynamic updates
-patch the index through :meth:`ClusteringIndex.refresh`: only the rows
-whose σ actually changed are recomputed; all others are copied, and the
-result is bitwise-identical to a fresh build on the updated graph.
+``ClusteringIndex`` archive is exactly the edge-index format, so either
+class loads it.  Dynamic updates patch the index through
+:meth:`ClusteringIndex.refresh`: only the rows whose σ actually changed
+are recomputed; all others are copied, and the result is
+bitwise-identical to a fresh build on the updated graph.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -59,11 +57,7 @@ from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 from repro.structures.disjoint_set import DisjointSet
 from repro.validation import check_eps_mu
 
-__all__ = ["ClusteringIndex", "DEFAULT_MU_CAP"]
-
-#: Default upper bound on μ served by the O(log n)-core-determination
-#: path; queries above it stay exact through an O(n) gather (no σ work).
-DEFAULT_MU_CAP = 16
+__all__ = ["ClusteringIndex"]
 
 #: Core-threshold sentinel: "core at every valid ε" (ε ≤ 1 < 2).
 _ALWAYS_CORE = 2.0
@@ -79,19 +73,12 @@ class ClusteringIndex:
     edge:
         The materialized per-edge σ values the structure is derived
         from; the graph, similarity semantics, and fingerprint are
-        taken from it.
-    mu_cap:
-        Largest μ with a precomputed core order.  Queries with
-        ``μ > mu_cap`` remain exact (and still σ-free); only their core
-        determination degrades from a binary search to one vectorized
-        pass over the vertex set.
+        taken from it.  The derived structure is the σ-sorted rows;
+        core thresholds at any μ are gathered from them per query.
     """
 
-    def __init__(self, edge: EdgeSimilarityIndex, *, mu_cap: int = DEFAULT_MU_CAP) -> None:
-        if mu_cap < 1:
-            raise ConfigError("mu_cap must be >= 1")
+    def __init__(self, edge: EdgeSimilarityIndex) -> None:
         self.edge = edge
-        self.mu_cap = int(mu_cap)
         self.counters = SimilarityCounters()
         self.last_query: Dict[str, object] = {}
         self._derive()
@@ -105,7 +92,6 @@ class ClusteringIndex:
         graph: Graph,
         config: SimilarityConfig | None = None,
         *,
-        mu_cap: int = DEFAULT_MU_CAP,
         backend=None,
         workers: int | None = None,
     ) -> "ClusteringIndex":
@@ -114,15 +100,15 @@ class ClusteringIndex:
 
         Every backend produces the bitwise-identical index: the σ array
         is slot-deterministic (see ``ThreadBackend.sigma_rows``) and the
-        derived orders are deterministic functions of it.
+        derived order is a deterministic function of it.
         """
         edge = EdgeSimilarityIndex.build(
             graph, config, backend=backend, workers=workers
         )
-        return cls(edge, mu_cap=mu_cap)
+        return cls(edge)
 
     def _derive(self) -> None:
-        """Sorted rows + per-μ core orders from the σ array (no σ work)."""
+        """σ-sorted rows from the σ array (no σ work)."""
         graph = self.edge.graph
         sigmas = self.edge.sigmas
         n = graph.num_vertices
@@ -142,24 +128,6 @@ class ClusteringIndex:
             np.int64, copy=False
         )
         self._self_count = 1 if self.edge.config.count_self else 0
-        core_eps = np.stack(
-            [
-                self._gather_thresholds(mu, slice(None))
-                for mu in range(1, self.mu_cap + 1)
-            ]
-        )
-        self._core_eps = core_eps
-        # Per-μ vertex order by threshold descending, vertex id ascending.
-        vertex_ids = np.arange(n, dtype=np.int64)
-        core_order = np.empty((self.mu_cap, n), dtype=np.int64)
-        for level in range(self.mu_cap):
-            core_order[level, :] = np.lexsort(
-                (vertex_ids, -core_eps[level, :])
-            )
-        self._core_order = core_order
-        self._core_thresholds_sorted = np.take_along_axis(
-            core_eps, core_order, axis=1
-        )
 
     #: The derived arrays, in a fixed order: ``derived_arrays`` exports
     #: them under these names and :meth:`from_derived` re-imports them.
@@ -168,15 +136,12 @@ class ClusteringIndex:
         "order",
         "sorted_sigmas",
         "sorted_neighbors",
-        "core_eps",
-        "core_order",
-        "core_thresholds_sorted",
     )
 
     def derived_arrays(self) -> Dict[str, np.ndarray]:
         """The derived structure as a name → array mapping.
 
-        These are deterministic functions of (σ, graph, μ-cap); together
+        These are deterministic functions of (σ, graph); together
         with the :class:`EdgeSimilarityIndex` payload they are the whole
         queryable state, which is what the service's zero-copy publisher
         ships through shared memory so attaching processes skip the
@@ -187,9 +152,6 @@ class ClusteringIndex:
             "order": self._order,
             "sorted_sigmas": self._sorted_sigmas,
             "sorted_neighbors": self._sorted_neighbors,
-            "core_eps": self._core_eps,
-            "core_order": self._core_order,
-            "core_thresholds_sorted": self._core_thresholds_sorted,
         }
 
     @classmethod
@@ -197,7 +159,6 @@ class ClusteringIndex:
         cls,
         edge: EdgeSimilarityIndex,
         *,
-        mu_cap: int,
         arrays: Dict[str, np.ndarray],
     ) -> "ClusteringIndex":
         """Rebuild an index around externally supplied derived arrays.
@@ -209,8 +170,6 @@ class ClusteringIndex:
         wrong answers.  Queries on the result are byte-identical to the
         source index: :meth:`query` is a pure function of these arrays.
         """
-        if mu_cap < 1:
-            raise ConfigError("mu_cap must be >= 1")
         missing = [
             label for label in cls.DERIVED_LABELS if label not in arrays
         ]
@@ -220,35 +179,24 @@ class ClusteringIndex:
             )
         index = cls.__new__(cls)
         index.edge = edge
-        index.mu_cap = int(mu_cap)
         index.counters = SimilarityCounters()
         index.last_query = {}
         m = edge.sigmas.shape[0]
-        n = edge.graph.num_vertices
         index._owners = arrays["owners"]
         index._order = arrays["order"]
         index._sorted_sigmas = arrays["sorted_sigmas"]
         index._sorted_neighbors = arrays["sorted_neighbors"]
-        index._core_eps = arrays["core_eps"]
-        index._core_order = arrays["core_order"]
-        index._core_thresholds_sorted = arrays["core_thresholds_sorted"]
         index._self_count = 1 if edge.config.count_self else 0
-        for label in ("owners", "order", "sorted_sigmas", "sorted_neighbors"):
+        for label in cls.DERIVED_LABELS:
             if arrays[label].shape != (m,):
                 raise ConfigError(
                     f"derived array {label!r} has shape "
                     f"{arrays[label].shape}, expected ({m},)"
                 )
-        for label in ("core_eps", "core_order", "core_thresholds_sorted"):
-            if arrays[label].shape != (index.mu_cap, n):
-                raise ConfigError(
-                    f"derived array {label!r} has shape "
-                    f"{arrays[label].shape}, expected ({index.mu_cap}, {n})"
-                )
         return index
 
     # ------------------------------------------------------------------
-    # core determination (binary search; no σ evaluations)
+    # core determination (one gather over the sorted rows; no σ work)
     # ------------------------------------------------------------------
     def _gather_thresholds(self, mu: int, vertices) -> np.ndarray:
         """Core thresholds of ``vertices`` (an index into the vertex
@@ -270,42 +218,30 @@ class ClusteringIndex:
 
         Sentinels: ``2.0`` means "core at every valid ε" (possible for
         μ ≤ the self count), ``-1.0`` means "core at no ε" (degree too
-        small).  For μ ≤ ``mu_cap`` this is the precomputed table's row
-        itself (not a copy; do not write to it); above the cap it is one
-        O(n) gather from the σ-sorted rows.  Either way no σ is
-        evaluated.
+        small).  A fresh array from one O(n) gather over the σ-sorted
+        rows; no σ is evaluated.
         """
         check_eps_mu(mu=mu)
-        if mu <= self.mu_cap:
-            return self._core_eps[mu - 1]
         return self._gather_thresholds(mu, slice(None))
 
     def core_epsilon(self, v: int, mu: int) -> float:
         """Maximal ε at which ``v`` is a μ-core (sentinels as in
-        :meth:`core_thresholds`); O(1) at any μ."""
+        :meth:`core_thresholds`); O(1) scalar reads at any μ."""
         check_eps_mu(mu=mu)
-        if mu <= self.mu_cap:
-            return float(self._core_eps[mu - 1, int(v)])
-        return float(self._gather_thresholds(mu, [int(v)])[0])
+        k = mu - self._self_count
+        if k <= 0:
+            return _ALWAYS_CORE
+        indptr = self.edge.graph.indptr
+        start = int(indptr[v])
+        if int(indptr[v + 1]) - start < k:
+            return _NEVER_CORE
+        return float(self._sorted_sigmas[start + k - 1])
 
     def core_mask(self, epsilon: float, mu: int) -> np.ndarray:
-        """Boolean μ-core indicator at ε — zero σ evaluations.
-
-        μ ≤ ``mu_cap``: one binary search over the precomputed core
-        order plus a prefix write (output-proportional).  Larger μ: one
-        vectorized gather over the σ-sorted rows (O(n), still σ-free).
-        """
+        """Boolean μ-core indicator at ε: the core thresholds compared
+        against ε (one O(n) gather, zero σ evaluations)."""
         check_eps_mu(mu=mu, epsilon=epsilon)
-        if mu > self.mu_cap:
-            return self.core_thresholds(mu) >= epsilon
-        level = mu - 1
-        thresholds = self._core_thresholds_sorted[level]
-        count = int(
-            np.searchsorted(-thresholds, -float(epsilon), side="right")
-        )
-        mask = np.zeros(self.edge.graph.num_vertices, dtype=bool)
-        mask[self._core_order[level, :count]] = True
-        return mask
+        return self.core_thresholds(mu) >= epsilon
 
     def cores(self, epsilon: float, mu: int) -> np.ndarray:
         """Ascending ids of the (ε, μ)-cores."""
@@ -348,8 +284,8 @@ class ClusteringIndex:
         same ``seed``, because the sequential algorithm's outcome is a
         pure function of structures this index holds —
 
-        * the core set is determined by per-vertex thresholds (binary
-          search over the core order);
+        * the core set is determined by per-vertex thresholds (one
+          gather over the σ-sorted rows);
         * cores connected through qualifying (σ ≥ ε) core-core edges
           always share a cluster regardless of visit order (σ is
           symmetric), so the member partition of cores equals the
@@ -462,7 +398,6 @@ class ClusteringIndex:
         """JSON-ready summary (service ``graph_info`` embeds this)."""
         graph = self.edge.graph
         return {
-            "mu_cap": self.mu_cap,
             "slots": int(graph.indices.shape[0]),
             "num_vertices": int(graph.num_vertices),
             "fingerprint": self.edge.fingerprint,
@@ -470,9 +405,6 @@ class ClusteringIndex:
                 self._sorted_sigmas.nbytes
                 + self._sorted_neighbors.nbytes
                 + self._order.nbytes
-                + self._core_eps.nbytes
-                + self._core_order.nbytes
-                + self._core_thresholds_sorted.nbytes
                 + self.edge.sigmas.nbytes
             ),
         }
@@ -498,7 +430,7 @@ class ClusteringIndex:
         pair depends only on the two endpoint neighborhoods, so the
         copied values are bitwise what a fresh build would produce.  The result
         is therefore bitwise-identical to
-        ``ClusteringIndex.build(new_graph, config, mu_cap=...)`` while
+        ``ClusteringIndex.build(new_graph, config)`` while
         charging σ-kernel work only for the affected rows.
 
         Returns ``(patched_index, stats)`` with ``rows_recomputed``,
@@ -565,7 +497,7 @@ class ClusteringIndex:
                     new_sigmas[a:b] = oracle.sigma_row_block(lo, hi)
                     slots_recomputed += b - a
         edge = EdgeSimilarityIndex(new_graph, self.edge.config, new_sigmas)
-        patched = type(self)(edge, mu_cap=self.mu_cap)
+        patched = type(self)(edge)
         stats = {
             "rows_recomputed": int(affected_mask.sum()),
             "slots_recomputed": int(slots_recomputed),
@@ -574,17 +506,16 @@ class ClusteringIndex:
         return patched, stats
 
     # ------------------------------------------------------------------
-    # persistence (.npz superset of the edge-index format)
+    # persistence (the edge-index .npz format)
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Persist atomically; the archive doubles as an edge index.
 
         Same fields, checksum, and atomic write-to-temp + ``os.replace``
-        discipline as :meth:`EdgeSimilarityIndex.save`, plus ``mu_cap``.
-        The checksum covers the σ payload exactly as the edge-index
-        format does, so the file is loadable by either class; the
-        derived orders are deterministic functions of σ and are rebuilt
-        on load rather than trusted from disk.
+        discipline as :meth:`EdgeSimilarityIndex.save`, so the file is
+        loadable by either class; the derived order is a deterministic
+        function of σ and is rebuilt on load rather than trusted from
+        disk.
         """
         fault_point("index.save")
         edge = self.edge
@@ -604,7 +535,6 @@ class ClusteringIndex:
                 self_weight=np.float64(cfg.self_weight),
                 count_self=np.bool_(cfg.count_self),
                 pruning=np.bool_(cfg.pruning),
-                mu_cap=np.int64(self.mu_cap),
             )
             os.replace(tmp, final)
         finally:
@@ -618,35 +548,17 @@ class ClusteringIndex:
         graph: Graph,
         *,
         config: SimilarityConfig | None = None,
-        mu_cap: int | None = None,
     ) -> "ClusteringIndex":
         """Load an archive saved by :meth:`save` (or by the edge index).
 
         Verification (checksum, fingerprint, semantics) is delegated to
         :meth:`EdgeSimilarityIndex.load` — damage raises
         :class:`~repro.errors.IndexIntegrityError`, a graph/semantics
-        mismatch raises :class:`~repro.errors.ConfigError`.  ``mu_cap``
-        overrides the stored cap (an edge-index archive has none; the
-        default cap applies then).
+        mismatch raises :class:`~repro.errors.ConfigError`.  Fields the
+        edge index does not read (a ``mu_cap`` written by older
+        versions) are ignored.
         """
-        edge = EdgeSimilarityIndex.load(path, graph, config=config)
-        stored_cap: Optional[int] = None
-        try:
-            with np.load(_archive_path(path), allow_pickle=False) as data:
-                if "mu_cap" in data.files:
-                    stored_cap = int(data["mu_cap"])
-        except Exception as exc:
-            raise IndexIntegrityError(
-                f"clustering index at {os.fspath(path)!s} lost its "
-                f"archive mid-load ({type(exc).__name__}: {exc})"
-            ) from exc
-        if stored_cap is not None and stored_cap < 1:
-            raise IndexIntegrityError(
-                f"clustering index at {os.fspath(path)!s} stores an "
-                f"invalid mu_cap ({stored_cap}); the archive is damaged"
-            )
-        cap = mu_cap if mu_cap is not None else (stored_cap or DEFAULT_MU_CAP)
-        return cls(edge, mu_cap=cap)
+        return cls(EdgeSimilarityIndex.load(path, graph, config=config))
 
     @classmethod
     def load_or_rebuild(
@@ -655,7 +567,6 @@ class ClusteringIndex:
         graph: Graph,
         *,
         config: SimilarityConfig | None = None,
-        mu_cap: int | None = None,
         backend=None,
         workers: int | None = None,
     ) -> Tuple["ClusteringIndex", bool]:
@@ -670,21 +581,14 @@ class ClusteringIndex:
         """
         final = _archive_path(path)
         try:
-            return (
-                cls.load(final, graph, config=config, mu_cap=mu_cap),
-                False,
-            )
+            return cls.load(final, graph, config=config), False
         except IndexIntegrityError:
             try:
                 os.replace(final, final + ".quarantined")
             except FileNotFoundError:
                 pass  # missing archive: nothing to quarantine
             index = cls.build(
-                graph,
-                config,
-                mu_cap=mu_cap if mu_cap is not None else DEFAULT_MU_CAP,
-                backend=backend,
-                workers=workers,
+                graph, config, backend=backend, workers=workers
             )
             index.save(final)
             return index, True

@@ -5,8 +5,7 @@ storing the result turns every later (ε, μ) query into array passes —
 the design of Tseng, Dhulipala & Shun's index-based parallel SCAN,
 adapted to this repository's CSR layout.  :class:`EdgeSimilarityIndex`
 is that σ array; :class:`~repro.similarity.gsindex.ClusteringIndex`
-(its ``.edge``) derives the σ-sorted rows and core order that answer
-queries:
+(its ``.edge``) derives the σ-sorted rows that answer queries:
 
 * One float64 per **directed** CSR edge slot, aligned with
   ``graph.indices`` — σ for vertex ``p``'s whole row is a contiguous

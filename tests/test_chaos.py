@@ -227,7 +227,7 @@ def test_clustering_index_persistence_under_corruption(seed, tmp_path):
     """Battery B': the clustering-index archive survives the same rot
     modes — quarantine, rebuild, and *identical query answers* after."""
     graph = gnm_random_graph(80, 240, seed=41)
-    fresh = ClusteringIndex.build(graph, mu_cap=5)
+    fresh = ClusteringIndex.build(graph)
     path = tmp_path / "battery.gsindex.npz"
     fresh.save(path)
     mode = CORRUPTION_MODES[seed % len(CORRUPTION_MODES)]
@@ -235,7 +235,7 @@ def test_clustering_index_persistence_under_corruption(seed, tmp_path):
     with pytest.raises(IndexIntegrityError):
         ClusteringIndex.load(path, graph)
     recovered_index, recovered = ClusteringIndex.load_or_rebuild(
-        path, graph, mu_cap=5
+        path, graph
     )
     assert recovered
     quarantined = [
@@ -262,7 +262,7 @@ def test_store_index_refresh_faults_never_leave_stale_reads(seed):
     plan = FaultPlan.random(seed, sites=["store.index_refresh"])
     _dump_plan(plan, "index_refresh")
     store = GraphStore()
-    store.add("chaos", graph, build_cluster_index=True, mu_cap=4)
+    store.add("chaos", graph, build_cluster_index=True)
     with armed(plan):
         for step in range(4):
             u = (3 * step) % graph.num_vertices

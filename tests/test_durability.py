@@ -215,7 +215,6 @@ def _seed_store(manager, *, n=60, m=150, seed=7):
         graph,
         similarity=SimilarityConfig(),
         build_cluster_index=True,
-        mu_cap=4,
     )
     return store
 
@@ -478,9 +477,11 @@ def _write_old_wal(data_dir, records):
         wal.close()
 
 
-def _write_edge_index_checkpoint(data_dir, graph, *, wal_seq):
-    """A checkpoint with an ``index_kind="edge"`` record: the σ archive
-    and flags an edge-only indexed graph was checkpointed with."""
+def _write_old_checkpoint(data_dir, graph, *, wal_seq, index_kind="edge"):
+    """A checkpoint as older versions wrote it: the graph record carries
+    ``mu_cap``.  ``index_kind="edge"`` stores the σ archive and flags an
+    edge-only indexed graph was checkpointed with; ``"cluster"`` stores
+    a clustering-index archive with its own ``mu_cap`` field."""
     directory = os.path.join(
         str(data_dir), "checkpoints", f"ckpt-{wal_seq:012d}"
     )
@@ -491,9 +492,13 @@ def _write_edge_index_checkpoint(data_dir, graph, *, wal_seq):
         indices=graph.indices,
         weights=graph.weights,
     )
-    EdgeSimilarityIndex.build(graph, SimilarityConfig()).save(
-        os.path.join(directory, "index-0.npz")
-    )
+    index_path = os.path.join(directory, "index-0.npz")
+    edge = EdgeSimilarityIndex.build(graph, SimilarityConfig())
+    edge.save(index_path)
+    if index_kind == "cluster":
+        with np.load(index_path, allow_pickle=False) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        np.savez_compressed(index_path, mu_cap=np.int64(4), **fields)
 
     def digest(name):
         with open(os.path.join(directory, name), "rb") as handle:
@@ -516,7 +521,7 @@ def _write_edge_index_checkpoint(data_dir, graph, *, wal_seq):
                 "index_rows_refreshed": 0,
                 "index_file": "index-0.npz",
                 "index_sha256": digest("index-0.npz"),
-                "index_kind": "edge",
+                "index_kind": index_kind,
             }
         ],
         "jobs": [],
@@ -532,8 +537,10 @@ def _write_edge_index_checkpoint(data_dir, graph, *, wal_seq):
 
 
 class TestOldDataDirectories:
-    """Data directories written while the service also kept an
-    edge-only σ index recover with one clustering index."""
+    """Data directories written by older versions recover with one
+    clustering index: those that also kept an edge-only σ index, and
+    those whose records carry the retired ``mu_cap`` setting (read and
+    ignored; queries stay exact at μ above the old cap)."""
 
     def _recover_indexed(self, data_dir, graph):
         manager = DurabilityManager(data_dir)
@@ -544,7 +551,7 @@ class TestOldDataDirectories:
         assert entry.cluster_index is not None
         assert entry.auto_cluster_index is True
         assert entry.fingerprint == graph_fingerprint(graph)
-        for mu, epsilon in ((2, 0.4), (3, 0.5), (4, 0.6)):
+        for mu, epsilon in ((2, 0.4), (3, 0.5), (4, 0.6), (6, 0.3)):
             got = entry.cluster_index.query(epsilon, mu, seed=0)
             want = scan(graph, mu, epsilon, seed=0)
             assert got.labels.tobytes() == want.labels.tobytes()
@@ -559,7 +566,49 @@ class TestOldDataDirectories:
             tmp_path, [_old_add_graph_record(graph, build_index=True)]
         )
         entry = self._recover_indexed(tmp_path, graph)
-        assert entry.mu_cap == 4
+        assert "mu_cap" not in entry.info()
+
+    def test_add_graph_record_with_mu_cap_recovers(self, tmp_path):
+        graph = gnm_random_graph(60, 180, seed=20)
+        _write_old_wal(
+            tmp_path,
+            [_old_add_graph_record(graph, build_cluster_index=True, mu_cap=2)],
+        )
+        self._recover_indexed(tmp_path, graph)
+
+    def test_build_cluster_index_record_with_mu_cap_recovers(
+        self, tmp_path
+    ):
+        graph = gnm_random_graph(60, 180, seed=21)
+        _write_old_wal(
+            tmp_path,
+            [
+                _old_add_graph_record(graph, build_cluster_index=False),
+                {"op": "build_cluster_index", "name": "g", "mu_cap": 3},
+            ],
+        )
+        self._recover_indexed(tmp_path, graph)
+
+    def test_cluster_checkpoint_record_with_mu_cap_recovers(
+        self, tmp_path, sigma_passes
+    ):
+        graph = gnm_random_graph(60, 180, seed=22)
+        _write_old_wal(
+            tmp_path,
+            [_old_add_graph_record(graph, build_cluster_index=True)],
+        )
+        _write_old_checkpoint(
+            tmp_path, graph, wal_seq=1, index_kind="cluster"
+        )
+        sigma_passes.clear()
+        manager = DurabilityManager(tmp_path)
+        try:
+            state = manager.recover()
+        finally:
+            manager.close()
+        assert sigma_passes == []
+        assert state.checkpoint_seq == 1 and state.replayed_records == 0
+        self._recover_indexed(tmp_path, graph)
 
     def test_build_index_op_recovers_cluster_indexed(self, tmp_path):
         graph = gnm_random_graph(60, 180, seed=18)
@@ -581,7 +630,7 @@ class TestOldDataDirectories:
         _write_old_wal(
             tmp_path, [_old_add_graph_record(graph, build_index=True)]
         )
-        _write_edge_index_checkpoint(tmp_path, graph, wal_seq=1)
+        _write_old_checkpoint(tmp_path, graph, wal_seq=1)
         archived = EdgeSimilarityIndex.build(graph, SimilarityConfig())
         sigma_passes.clear()
         manager = DurabilityManager(tmp_path)
@@ -592,7 +641,6 @@ class TestOldDataDirectories:
         assert sigma_passes == []
         assert state.checkpoint_seq == 1 and state.replayed_records == 0
         entry = state.store.get("g")
-        assert entry.cluster_index.mu_cap == 4
         assert (
             entry.cluster_index.edge.sigmas.tobytes()
             == archived.sigmas.tobytes()

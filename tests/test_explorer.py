@@ -41,20 +41,6 @@ class TestExactness:
         assert result.same_partition(reference)
         assert_byte_identical(result, reference)
 
-    def test_mu_above_the_index_cap_is_exact(self, lfr_small):
-        """μ > mu_cap takes the index's O(n) gather path, not an error."""
-        index = ClusteringIndex.build(lfr_small, mu_cap=3)
-        explorer = ParameterExplorer(lfr_small, index=index)
-        for mu, eps in [(4, 0.3), (6, 0.4), (9, 0.2)]:
-            reference = scan(lfr_small, mu, eps, seed=0)
-            assert_byte_identical(explorer.clustering_at(mu, eps), reference)
-        wide = ParameterExplorer(lfr_small, index=ClusteringIndex.build(
-            lfr_small, mu_cap=9
-        ))
-        np.testing.assert_array_equal(
-            explorer.core_thresholds(9), wide.core_thresholds(9)
-        )
-
 
 class TestCoreThresholds:
     def test_thresholds_consistent_with_cores(self, lfr_small, explorer):

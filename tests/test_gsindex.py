@@ -1,7 +1,7 @@
 """Unit tests for the GS*-style clustering index (DESIGN.md §10).
 
-Covers the derived structures in isolation — core thresholds, core
-order, σ-sorted neighborhood prefixes — plus persistence, incremental
+Covers the derived structures in isolation — σ-sorted rows, the core
+thresholds gathered from them, σ-sorted neighborhood prefixes — plus persistence, incremental
 refresh, and the zero-σ counter contract.  The differential battery
 against the sequential reference lives in ``test_index_differential``;
 metamorphic properties in ``test_index_properties``.
@@ -16,11 +16,7 @@ from repro.baselines import scan
 from repro.errors import ConfigError, IndexIntegrityError
 from repro.graph.csr import Graph
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.similarity.gsindex import (
-    DEFAULT_MU_CAP,
-    ClusteringIndex,
-    _consecutive_runs,
-)
+from repro.similarity.gsindex import ClusteringIndex, _consecutive_runs
 from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
@@ -32,22 +28,12 @@ def medium():
 
 @pytest.fixture(scope="module")
 def index(medium):
-    return ClusteringIndex.build(medium, mu_cap=6)
+    return ClusteringIndex.build(medium)
 
 
 # ----------------------------------------------------------------------
 # construction and validation
 # ----------------------------------------------------------------------
-def test_mu_cap_must_be_positive(medium):
-    edge = EdgeSimilarityIndex.build(medium)
-    with pytest.raises(ConfigError):
-        ClusteringIndex(edge, mu_cap=0)
-
-
-def test_build_default_cap(medium):
-    assert ClusteringIndex.build(medium).mu_cap == DEFAULT_MU_CAP
-
-
 def test_sorted_rows_are_permuted_csr_rows(medium, index):
     """Each σ-sorted row holds exactly the CSR row, σ non-increasing,
     ties broken by ascending neighbor id."""
@@ -89,15 +75,46 @@ def test_core_mask_matches_thresholds(medium, index):
                 assert mask[v] == (index.core_epsilon(v, mu) >= epsilon)
 
 
-def test_core_mask_above_cap_matches_below_cap(medium):
-    """μ > mu_cap degrades to the gather path; answers must not change."""
-    small = ClusteringIndex.build(medium, mu_cap=2)
-    wide = ClusteringIndex.build(medium, mu_cap=12)
-    for epsilon in (0.3, 0.6):
-        for mu in (3, 7, 12):
+def _kth_largest_reference(index, mu):
+    """Per vertex, straight from ``edge.sigmas``: the (μ − self)-th
+    largest σ of its CSR row, 2.0 when μ ≤ self, −1.0 when the row is
+    too short."""
+    graph = index.graph
+    k = mu - (1 if index.config.count_self else 0)
+    expected = np.empty(graph.num_vertices, dtype=np.float64)
+    for v in range(graph.num_vertices):
+        lo, hi = int(graph.indptr[v]), int(graph.indptr[v + 1])
+        row = sorted(index.edge.sigmas[lo:hi].tolist(), reverse=True)
+        if k <= 0:
+            expected[v] = 2.0
+        elif k > len(row):
+            expected[v] = -1.0
+        else:
+            expected[v] = row[k - 1]
+    return expected
+
+
+@pytest.mark.parametrize("count_self", [True, False])
+def test_core_thresholds_match_kth_largest_reference(medium, count_self):
+    """``core_thresholds`` and ``core_epsilon`` equal the per-row
+    reference bit for bit at every μ from 1 to max degree + 2, both
+    sentinels included (a graph with isolated vertices adds rows too
+    short at every μ > self)."""
+    config = SimilarityConfig(count_self=count_self)
+    small = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    for graph in (medium, small):
+        idx = ClusteringIndex.build(graph, config)
+        for mu in range(1, int(graph.degrees.max()) + 3):
+            expected = _kth_largest_reference(idx, mu)
+            thresholds = idx.core_thresholds(mu)
+            np.testing.assert_array_equal(thresholds, expected)
+            for v in range(graph.num_vertices):
+                assert idx.core_epsilon(v, mu) == expected[v]
+            # A fresh array: writing to it leaves the index untouched.
+            thresholds[:] = 0.0
+            np.testing.assert_array_equal(idx.core_thresholds(mu), expected)
             np.testing.assert_array_equal(
-                small.core_mask(epsilon, mu),  # gather path
-                wide.core_mask(epsilon, mu),  # binary-search path
+                idx.core_mask(0.5, mu), expected >= 0.5
             )
 
 
@@ -136,7 +153,7 @@ def test_cores_ascending(medium, index):
 # ----------------------------------------------------------------------
 def test_queries_never_evaluate_sigma(medium):
     """The whole point: after build, σ counters stay frozen at zero."""
-    idx = ClusteringIndex.build(medium, mu_cap=4)
+    idx = ClusteringIndex.build(medium)
     assert idx.counters.sigma_evaluations == 0
     for epsilon, mu in ((0.3, 2), (0.5, 4), (0.7, 9), (0.9, 2)):
         idx.query(epsilon, mu, seed=3)
@@ -176,7 +193,6 @@ def test_empty_graph():
 
 def test_info_reports_structure(index, medium):
     info = index.info()
-    assert info["mu_cap"] == 6
     assert info["num_vertices"] == medium.num_vertices
     assert info["slots"] == int(medium.indices.shape[0])
     assert info["bytes"] > 0
@@ -192,8 +208,6 @@ def test_build_bitwise_identical_across_backends(medium):
         other = ClusteringIndex.build(medium, backend=backend, workers=2)
         np.testing.assert_array_equal(base.edge.sigmas, other.edge.sigmas)
         np.testing.assert_array_equal(base._order, other._order)
-        np.testing.assert_array_equal(base._core_eps, other._core_eps)
-        np.testing.assert_array_equal(base._core_order, other._core_order)
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +217,13 @@ def test_save_load_roundtrip(tmp_path, medium, index):
     path = tmp_path / "g.gsindex.npz"
     index.save(path)
     loaded = ClusteringIndex.load(path, medium)
-    assert loaded.mu_cap == index.mu_cap
     np.testing.assert_array_equal(loaded.edge.sigmas, index.edge.sigmas)
     np.testing.assert_array_equal(loaded._order, index._order)
 
 
 def test_archive_is_edge_index_superset(tmp_path, medium, index):
     """A clustering-index archive loads as a plain edge index, and an
-    edge-index archive loads as a clustering index (default cap)."""
+    edge-index archive loads as a clustering index."""
     path = tmp_path / "g.gsindex.npz"
     index.save(path)
     edge = EdgeSimilarityIndex.load(path, medium)
@@ -219,7 +232,6 @@ def test_archive_is_edge_index_superset(tmp_path, medium, index):
     other = tmp_path / "g.sigma.npz"
     index.edge.save(other)
     upgraded = ClusteringIndex.load(other, medium)
-    assert upgraded.mu_cap == DEFAULT_MU_CAP
     np.testing.assert_array_equal(upgraded.edge.sigmas, index.edge.sigmas)
 
 
@@ -239,14 +251,37 @@ def test_load_missing_raises_integrity(tmp_path, medium):
 def test_load_or_rebuild_quarantines_garbage(tmp_path, medium):
     path = tmp_path / "g.gsindex.npz"
     path.write_bytes(b"not an archive")
-    idx, recovered = ClusteringIndex.load_or_rebuild(path, medium, mu_cap=3)
+    idx, recovered = ClusteringIndex.load_or_rebuild(path, medium)
     assert recovered
-    assert idx.mu_cap == 3
     assert (tmp_path / "g.gsindex.npz.quarantined").exists()
     # The rebuilt archive is valid now.
     again, recovered_again = ClusteringIndex.load_or_rebuild(path, medium)
     assert not recovered_again
     np.testing.assert_array_equal(again.edge.sigmas, idx.edge.sigmas)
+
+
+@pytest.mark.parametrize("stored_cap", [16, 3, 0, -2])
+def test_archive_with_a_stored_mu_cap_still_loads(
+    tmp_path, medium, index, stored_cap
+):
+    """Older archives carry a ``mu_cap`` field outside the σ checksum.
+    Nothing reads it now, so any stored value — even one < 1 — loads
+    without a rebuild; the σ checksum stays the integrity check."""
+    path = tmp_path / "old.gsindex.npz"
+    index.save(path)
+    with np.load(path, allow_pickle=False) as archive:
+        fields = {name: archive[name] for name in archive.files}
+    np.savez_compressed(path, mu_cap=np.int64(stored_cap), **fields)
+    loaded = ClusteringIndex.load(path, medium)
+    np.testing.assert_array_equal(loaded.edge.sigmas, index.edge.sigmas)
+    again, recovered = ClusteringIndex.load_or_rebuild(path, medium)
+    assert not recovered
+    assert not (tmp_path / "old.gsindex.npz.quarantined").exists()
+    np.testing.assert_array_equal(again._order, index._order)
+    result = again.query(0.5, 3, seed=1)
+    np.testing.assert_array_equal(
+        result.labels, scan(medium, 3, 0.5, seed=1).labels
+    )
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +306,9 @@ def test_refresh_bitwise_equals_fresh_build(medium, index):
     affected.update(int(q) for q in medium.neighbors(u))
     affected.update(int(q) for q in medium.neighbors(v))
     patched, stats = index.refresh(new_graph, affected)
-    fresh = ClusteringIndex.build(new_graph, mu_cap=index.mu_cap)
+    fresh = ClusteringIndex.build(new_graph)
     np.testing.assert_array_equal(patched.edge.sigmas, fresh.edge.sigmas)
     np.testing.assert_array_equal(patched._order, fresh._order)
-    np.testing.assert_array_equal(patched._core_eps, fresh._core_eps)
     assert stats["rows_recomputed"] == len(affected)
     assert stats["slots_recomputed"] + stats["slots_copied"] == int(
         new_graph.indices.shape[0]

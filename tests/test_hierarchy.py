@@ -59,7 +59,7 @@ class TestConstruction:
             EpsilonHierarchy(triangle, mu=0)
 
     def test_adopted_index_builds_the_same_tree(self, caveman, hierarchy):
-        index = ClusteringIndex.build(caveman, mu_cap=2)  # μ=3 above cap
+        index = ClusteringIndex.build(caveman)
         adopted = EpsilonHierarchy(caveman, mu=3, index=index)
         assert adopted.index is index
         assert adopted.nodes == hierarchy.nodes

@@ -44,8 +44,8 @@ from repro.similarity.weighted import SimilarityConfig
 pytestmark = [pytest.mark.index_differential, pytest.mark.timeout(300)]
 
 # The (ε, μ) grid every generated graph is queried at.  μ=2 is the
-# boundary where every edge endpoint pair is a candidate core; large μ
-# exercises the above-cap gather path on indexes built with small caps.
+# boundary where every edge endpoint pair is a candidate core; μ=11
+# leaves only the highest-degree vertices as candidates.
 _GRID = [
     (0.01, 2),
     (0.30, 2),
@@ -114,19 +114,28 @@ def _assert_views_exact(index: ClusteringIndex, graph: Graph, epsilon, mu):
 @pytest.mark.parametrize("seed", _seeds())
 def test_random_graph_grid_exact(seed):
     graph = gnm_random_graph(90 + 7 * seed, 300 + 23 * seed, seed=seed)
-    index = ClusteringIndex.build(graph, mu_cap=8)
+    index = ClusteringIndex.build(graph)
     for epsilon, mu in _GRID:
         _assert_exact(index, graph, epsilon, mu, seed)
 
 
 def test_lfr_graph_grid_exact():
     """An LFR graph (power-law degrees, planted communities) over the
-    grid an interactive user would sweep."""
+    grid an interactive user would sweep, plus large μ: 17, 20, and the
+    two values past the maximal degree — with the self count, max degree
+    + 1 still admits the top-degree vertices, + 2 admits no core."""
     graph, _ = lfr_graph(
         LFRParams(n=400, average_degree=8, max_degree=30, seed=11)
     )
     index = ClusteringIndex.build(graph)
-    for epsilon, mu in _GRID + [(0.45, 3), (0.55, 5), (0.65, 8)]:
+    top = int(graph.degrees.max())
+    large_mu = [(0.1, 17), (0.2, 17), (0.1, 20), (0.1, top + 1)]
+    for epsilon, mu in large_mu:
+        assert index.cores(epsilon, mu).shape[0] > 0, (epsilon, mu)
+    large_mu.append((0.1, top + 2))
+    for epsilon, mu in (
+        _GRID + [(0.45, 3), (0.55, 5), (0.65, 8)] + large_mu
+    ):
         _assert_exact(index, graph, epsilon, mu, 0)
     assert index.counters.sigma_evaluations == 0
 
@@ -136,7 +145,7 @@ def test_weighted_graph_grid_exact(seed):
     graph = _weighted_variant(
         gnm_random_graph(80, 260, seed=seed), seed
     )
-    index = ClusteringIndex.build(graph, mu_cap=8)
+    index = ClusteringIndex.build(graph)
     for epsilon, mu in _GRID:
         _assert_exact(index, graph, epsilon, mu, seed)
 
@@ -146,7 +155,7 @@ def test_explorer_and_hierarchy_views_exact(seed):
     graph = gnm_random_graph(90 + 7 * seed, 300 + 23 * seed, seed=seed)
     weighted = _weighted_variant(graph, seed)
     for g in (graph, weighted):
-        index = ClusteringIndex.build(g, mu_cap=8)
+        index = ClusteringIndex.build(g)
         for epsilon, mu in _GRID:
             _assert_views_exact(index, g, epsilon, mu)
 
@@ -249,7 +258,7 @@ edge_lists = st.lists(
 )
 def test_hypothesis_unweighted_exact(edges, epsilon, mu, seed):
     graph = _build(edges)
-    index = ClusteringIndex.build(graph, mu_cap=4)
+    index = ClusteringIndex.build(graph)
     _assert_exact(index, graph, epsilon, mu, seed)
 
 
@@ -268,7 +277,7 @@ def test_hypothesis_unweighted_exact(edges, epsilon, mu, seed):
 )
 def test_hypothesis_weighted_exact(edges, weights, epsilon, mu):
     graph = _build(edges, weights)
-    index = ClusteringIndex.build(graph, mu_cap=4)
+    index = ClusteringIndex.build(graph)
     _assert_exact(index, graph, epsilon, mu, 0)
 
 
@@ -281,7 +290,7 @@ def test_hypothesis_weighted_exact(edges, weights, epsilon, mu):
 def test_hypothesis_tie_epsilon_exact(edges, mu, seed):
     """ε drawn from the graph's own σ values (guaranteed exact ties)."""
     graph = _build(edges)
-    index = ClusteringIndex.build(graph, mu_cap=4)
+    index = ClusteringIndex.build(graph)
     distinct = np.unique(index.edge.sigmas)
     distinct = distinct[distinct > 0]
     if distinct.shape[0] == 0:
@@ -302,5 +311,5 @@ def test_hypothesis_tie_epsilon_exact(edges, mu, seed):
 )
 def test_hypothesis_views_exact(edges, epsilon, mu):
     graph = _build(edges)
-    index = ClusteringIndex.build(graph, mu_cap=4)
+    index = ClusteringIndex.build(graph)
     _assert_views_exact(index, graph, epsilon, mu)

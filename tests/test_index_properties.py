@@ -41,7 +41,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def index(graph):
-    return ClusteringIndex.build(graph, mu_cap=6)
+    return ClusteringIndex.build(graph)
 
 
 def _core_sets_by_cluster(index, epsilon, mu):
@@ -127,7 +127,7 @@ def test_hypothesis_monotone_core_counts(edges, eps_pair, mu_pair):
     builder = GraphBuilder(14)
     for u, v in edges:
         builder.add_edge(u, v)
-    idx = ClusteringIndex.build(builder.build(dedup="ignore"), mu_cap=4)
+    idx = ClusteringIndex.build(builder.build(dedup="ignore"))
     eps_lo, eps_hi = sorted(eps_pair)
     mu_lo, mu_hi = sorted(mu_pair)
     loose = idx.core_mask(eps_lo, mu_lo)
@@ -165,8 +165,8 @@ def _reverse_tied_runs(index) -> bool:
 def test_tie_order_is_observably_irrelevant(graph):
     """Unweighted graphs are full of σ ties; reversing every tied run
     must change no core set, neighborhood, or clustering."""
-    pristine = ClusteringIndex.build(graph, mu_cap=6)
-    scrambled = ClusteringIndex.build(graph, mu_cap=6)
+    pristine = ClusteringIndex.build(graph)
+    scrambled = ClusteringIndex.build(graph)
     assert _reverse_tied_runs(scrambled), "graph produced no σ ties"
     for epsilon, mu in ((0.3, 2), (0.5, 3), (0.65, 4), (0.8, 7)):
         np.testing.assert_array_equal(
@@ -210,9 +210,7 @@ def test_corrupt_quarantine_rebuild_answers_identically(
     blob[len(blob) // 2] ^= 0xFF
     blob[len(blob) // 3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    rebuilt, recovered = ClusteringIndex.load_or_rebuild(
-        path, graph, mu_cap=6
-    )
+    rebuilt, recovered = ClusteringIndex.load_or_rebuild(path, graph)
     assert recovered
     assert (tmp_path / "g.gsindex.npz.quarantined").exists()
     for epsilon, mu in ((0.3, 2), (0.55, 4)):

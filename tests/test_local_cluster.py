@@ -302,7 +302,7 @@ def _build(edges):
 def test_hypothesis_local_equals_scan(edges, mu, epsilon, order_seed):
     graph = _build(edges)
     reference = scan(graph, mu, epsilon, seed=order_seed)
-    ci = ClusteringIndex.build(graph, mu_cap=4)
+    ci = ClusteringIndex.build(graph)
     for kw in ({"cluster_index": ci}, {}):
         for seed in range(graph.num_vertices):
             _assert_seed_exact(

@@ -235,7 +235,7 @@ class TestPublisherAttachment:
         with StorePublisher() as publisher:
             store.attach_publisher(publisher)
             store.add("ro", graph)
-            store.add("ro-indexed", graph, build_cluster_index=True, mu_cap=4)
+            store.add("ro-indexed", graph, build_cluster_index=True)
             attached = AttachedGraphStore(publisher.manifest_name)
             try:
                 with pytest.raises(ConfigError, match="read-only"):
@@ -244,16 +244,16 @@ class TestPublisherAttachment:
                     attached.remove("ro")
                 with pytest.raises(ConfigError, match="read-only"):
                     attached.update_edges("ro", insert=[[0, 1, 1.0]])
-                # ensure_cluster_index never builds or widens on a
-                # reader; it serves what the writer published.
+                # ensure_cluster_index never builds on a reader; it
+                # serves what the writer published.
                 assert (
                     attached.ensure_cluster_index("ro").cluster_index
                     is None
                 )
-                widened = attached.ensure_cluster_index(
-                    "ro-indexed", mu_cap=8
+                assert (
+                    attached.ensure_cluster_index("ro-indexed").cluster_index
+                    is not None
                 )
-                assert widened.cluster_index.mu_cap == 4
             finally:
                 attached.close()
 

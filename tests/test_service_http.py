@@ -102,6 +102,33 @@ def test_load_payload_with_build_index_is_refused(client):
     assert "old" not in [g["name"] for g in client.graphs()]
 
 
+def test_payloads_still_carrying_mu_cap_answer_200(client, server):
+    """Older clients send ``mu_cap`` on ``POST /graphs`` and
+    ``POST /graphs/{name}/index``; the field is ignored, the graph is
+    indexed, and a query above any old cap stays exact."""
+    graph = _lfr(120, seed=23)
+    edges = [[int(u), int(v), float(w)] for u, v, w in graph.edges()]
+    for path, payload in (
+        ("/graphs", {"name": "capped", "edges": edges,
+                     "num_vertices": graph.num_vertices, "mu_cap": 4}),
+        ("/graphs/capped/index", {"mu_cap": 9}),
+    ):
+        request = urllib.request.Request(
+            server.url + path,
+            data=json.dumps(payload).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=_WAIT) as response:
+            assert response.status == 200
+            info = json.loads(response.read().decode("utf-8"))
+        assert "mu_cap" not in info
+    assert info["cluster_indexed"] is True
+    body = client.cluster("capped", 17, 0.2, wait=_WAIT)
+    expected = scan(graph, 17, 0.2).canonical()
+    assert np.array_equal(_canonical(body["labels"]).labels, expected.labels)
+
+
 def test_served_result_matches_sequential_scan(client):
     graph = _lfr(300, seed=22)
     client.load_graph("exact", graph=graph)

@@ -226,4 +226,4 @@ def test_graph_info_reports_index_state(service, graph):
     info = service.handle_graph_info({}, "g")
     assert info["cluster_indexed"] is True
     assert info["auto_cluster_index"] is True
-    assert info["mu_cap"] == 7
+    assert "mu_cap" not in info  # an old payload field, ignored

@@ -159,21 +159,17 @@ class TestGraphStore:
         assert store.ensure_cluster_index("g").cluster_index is first
 
 
-    def test_widening_mu_cap_reuses_the_sigma_array(self, sigma_passes):
-        """A larger cap derives the new core orders from the σ array the
-        index already holds: no σ pass, and bitwise equal to a fresh
-        build at the wider cap."""
+    def test_present_index_is_kept_without_a_sigma_pass(self, sigma_passes):
+        """An index built at ``add`` is returned as is: no σ pass, and
+        its derived arrays are bitwise those of a fresh build."""
         store = GraphStore()
         graph = gnm_random_graph(60, 200, seed=11)
-        narrow = store.add(
-            "g", graph, build_cluster_index=True, mu_cap=3
-        ).cluster_index
+        built = store.add("g", graph, build_cluster_index=True).cluster_index
         sigma_passes.clear()
-        entry = store.ensure_cluster_index("g", mu_cap=9)
+        entry = store.ensure_cluster_index("g")
         assert sigma_passes == []
-        assert entry.mu_cap == 9 and entry.cluster_index.mu_cap == 9
-        assert entry.cluster_index.edge is narrow.edge
-        fresh = ClusteringIndex.build(graph, SimilarityConfig(), mu_cap=9)
+        assert entry.cluster_index is built
+        fresh = ClusteringIndex.build(graph, SimilarityConfig())
         got = entry.cluster_index.derived_arrays()
         want = fresh.derived_arrays()
         assert sorted(got) == sorted(want)

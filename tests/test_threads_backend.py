@@ -1,9 +1,13 @@
 """Tests for the real-threads backend (result parity, not speed)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.graph.generators.random_graphs import gnm_random_graph
+from repro.parallel import threads as threads_module
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
@@ -74,6 +78,36 @@ class TestParallelQueries:
             karate, open_mode
         )
         assert np.allclose(expected, parallel)
+
+
+class TestSigmaRowsFanOut:
+    def test_small_graph_starts_a_pool(self, monkeypatch):
+        """n = 300 at the default chunk_size is 5 row blocks: with two
+        threads they run on one pool, off the calling thread, and the σ
+        array is bitwise the sequential one."""
+        graph = gnm_random_graph(300, 900, seed=4)
+        expected = ThreadBackend(threads=1).sigma_rows(graph)
+        pools = []
+        callers = []
+
+        class CountingPool(threads_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        block = SimilarityOracle.sigma_row_block
+
+        def recording_block(oracle, lo, hi):
+            callers.append(threading.get_ident())
+            return block(oracle, lo, hi)
+
+        monkeypatch.setattr(threads_module, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(SimilarityOracle, "sigma_row_block", recording_block)
+        got = ThreadBackend(threads=2).sigma_rows(graph)
+        assert len(pools) == 1
+        assert len(callers) == 5
+        assert threading.get_ident() not in callers
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestChunkingEquivalence:

@@ -364,11 +364,11 @@ class SegmentRegistry:
         self._owner_pid = os.getpid()
         # ``untracked`` opts owned segments out of this process's
         # resource tracker.  A durable fleet writer wants exactly that:
-        # if it is SIGKILLed, its segments must *survive* so a promoted
-        # shard can adopt the manifest and serve through the failover —
-        # the tracker's "leak cleanup" would unlink the very state the
-        # WAL protects.  Normal exits still unlink everything through
-        # this registry (close/atexit/SIGTERM sweep).
+        # if it is SIGKILLed, its segments must *survive* so its
+        # respawned successor can adopt the manifest and serve through
+        # the failover — the tracker's "leak cleanup" would unlink the
+        # very state the WAL protects.  Normal exits still unlink
+        # everything through this registry (close/atexit/SIGTERM sweep).
         self._untracked = bool(untracked)
         self._finalizer = weakref.finalize(
             self, _release_named, self._owned, self._owner_pid

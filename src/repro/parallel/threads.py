@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Tuple
 
 import numpy as np
 
@@ -30,16 +30,14 @@ from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
 __all__ = ["ThreadBackend"]
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class ThreadBackend:
     """A pool of real threads with OpenMP-flavored chunking.
 
-    ``chunk_size`` mirrors ``schedule(dynamic, chunk)``: work items are
-    handed to threads in chunks, which bounds the queue overhead the
-    same way OpenMP's dynamic scheduler does.
+    ``chunk_size`` mirrors ``schedule(dynamic, chunk)``: rows are
+    handed to threads in blocks of ``chunk_size`` vertices, which bounds
+    the queue overhead the same way OpenMP's dynamic scheduler does.
     """
 
     threads: int = 4
@@ -50,29 +48,6 @@ class ThreadBackend:
             raise SimulationError("need at least one thread")
         if self.chunk_size < 1:
             raise SimulationError("chunk_size must be >= 1")
-
-    def map(
-        self,
-        fn: Callable[[T], object],
-        items: Sequence[T],
-    ) -> List[object]:
-        """Order-preserving parallel map (one barrier at the end)."""
-        self.validate()
-        if self.threads == 1 or len(items) <= self.chunk_size:
-            return [fn(item) for item in items]
-        results: List[object] = [None] * len(items)
-
-        def run_chunk(start: int) -> None:
-            for i in range(start, min(start + self.chunk_size, len(items))):
-                # Chunks own disjoint index ranges, so these slot writes
-                # cannot collide across threads.  # repro: allow[R1]
-                results[i] = fn(items[i])
-
-        starts = range(0, len(items), self.chunk_size)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            # Consume the iterator to propagate exceptions (the barrier).
-            list(pool.map(run_chunk, starts))
-        return results
 
     def sigma_rows(
         self, graph: Graph, config: SimilarityConfig | None = None

@@ -28,7 +28,6 @@ generated from it, so they cannot drift apart.
 | POST   | /shutdown                 | shutdown       | stop the server loop                  |
 | POST   | /fleet/register           | fleet_register | worker → supervisor announce (fleet)  |
 | GET    | /fleet/metrics            | fleet_metrics  | merged fleet-wide /metrics            |
-| POST   | /fleet/promote            | fleet_promote  | failover: shard becomes the writer    |
 
 Errors are JSON too: ``{"error": message, "type": exception_class}``
 with status 400 for domain errors (:class:`~repro.errors.ReproError`),
@@ -170,12 +169,6 @@ ROUTES: Tuple[Route, ...] = (
         "/fleet/metrics",
         "fleet_metrics",
         "fleet-wide merged /metrics (summed counters, merged histograms)",
-    ),
-    Route(
-        "POST",
-        "/fleet/promote",
-        "fleet_promote",
-        "supervisor → shard: replay the WAL and take over as writer",
     ),
 )
 

@@ -49,14 +49,14 @@ the writer moves *out* of the supervisor into its own subprocess
 it.  The supervisor becomes a pure process manager: it spawns the
 writer, waits for its handshake file (manifest name + control URL),
 spawns workers against that manifest, and watches both.  When the
-writer dies dirty, the supervisor promotes the lowest registered shard
-via ``POST /fleet/promote``: the shard replays the WAL into a fresh
-writable store, adopts the *existing* manifest segment
-(:meth:`~repro.service.shm.StorePublisher.adopt`), republishes every
-entry at higher epochs, and starts accepting mutations itself — the
-surviving readers never detach, so in-flight queries keep answering
-throughout.  Workers re-resolve the control endpoint from the manifest
-(the promoted writer republishes it) the first time a forward fails.
+writer dies dirty, the supervisor respawns :func:`writer_main` onto the
+*live* manifest: the new writer replays the WAL, adopts the existing
+manifest segment (:meth:`~repro.service.shm.StorePublisher.adopt`) with
+its worker table, republishes every entry at higher epochs, publishes
+its own control URL and only then retires the dead writer's segments —
+the readers never detach, so queries keep answering throughout.
+Workers re-resolve the control endpoint from the manifest the first
+time a forward fails.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from repro.parallel.processes import (
     install_signal_cleanup,
     untrack_attachment,
 )
-from repro.service.api import ServiceError, get_bool, get_int, get_str
+from repro.service.api import ServiceError, get_bool
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.metrics import ServiceMetrics, merge_metric_snapshots
 from repro.service.server import (
@@ -176,33 +176,25 @@ def _scrape_shards(
 class WriterFleet:
     """The fleet's worker table and merged metrics, owned by the writer.
 
-    Wherever the writer runs — inside the supervisor, in the durable
-    writer subprocess (:func:`writer_main`), or on a shard promoted
-    after a failover — this one object answers ``/fleet/register`` and
-    ``/fleet/metrics``.  It publishes the table through the manifest,
-    where shards read it to route jobs and the HA supervisor reads it to
-    count registrations and pick a promotion candidate.
+    Wherever the writer runs — inside the supervisor or in the durable
+    writer subprocess (:func:`writer_main`) — this one object answers
+    ``/fleet/register`` and ``/fleet/metrics``.  It publishes the table
+    through the manifest, where shards read it to route jobs and the HA
+    supervisor reads it to count registrations.  It starts from the
+    table its publisher holds, so a writer respawned onto the live
+    manifest inherits the dead writer's registrations.
     """
 
     def __init__(
-        self,
-        publisher: StorePublisher,
-        *,
-        metrics,
-        processes: int,
-        registrations: Optional[Dict[int, Dict[str, object]]] = None,
-        self_index: Optional[int] = None,
+        self, publisher: StorePublisher, *, metrics, processes: int
     ) -> None:
         self.publisher = publisher
         self.metrics = metrics
         self.processes = int(processes)
-        # A promoted shard inherits the dead writer's table so one new
-        # registration cannot clobber its surviving peers; its own
-        # record is skipped when scraping (it *is* this process).
-        self._registrations: Dict[int, Dict[str, object]] = dict(
-            registrations or {}
-        )
-        self._self_index = self_index
+        self._registrations: Dict[int, Dict[str, object]] = {
+            int(record["process_id"]): dict(record)
+            for record in publisher.workers()
+        }
         self._lock = threading.Lock()
 
     def worker_table(self) -> List[Dict[str, object]]:
@@ -253,13 +245,8 @@ class WriterFleet:
         """Fleet-wide ``/metrics``: summed counters, exactly merged
         histograms, per-shard gauges/events under ``shards``."""
         snapshots = [self.metrics.snapshot()]
-        workers = [
-            record
-            for record in self.worker_table()
-            if record["process_id"] != self._self_index
-        ]
         results, failures = _scrape_shards(
-            workers, lambda shard: shard.metrics()
+            self.worker_table(), lambda shard: shard.metrics()
         )
         scraped = []
         for record, snapshot in results:
@@ -333,9 +320,6 @@ class ServiceSupervisor:
 
         # Durable-writer state (all None/idle in non-HA mode).
         self._writer_proc: Optional[subprocess.Popen] = None
-        self._writer_index: Optional[int] = None
-        self._writer_pid: Optional[int] = None
-        self._failovers = 0
         self._manifest_shm = None
         self._manifest_reader: Optional[ManifestBlock] = None
         self._worker_table: List[Dict[str, object]] = []
@@ -407,6 +391,7 @@ class ServiceSupervisor:
 
     def _fleet_gauge(self) -> Dict[str, object]:
         registered = self._registered()
+        failovers = self.metrics.counter("writer_respawns")
         with self._lock:
             alive = sum(
                 1 for proc in self._procs.values() if proc.poll() is None
@@ -416,7 +401,7 @@ class ServiceSupervisor:
                 "alive": alive,
                 "registered": registered,
                 "respawns": self._respawns,
-                "failovers": self._failovers,
+                "failovers": failovers,
             }
 
     def _registered(self) -> int:
@@ -430,7 +415,10 @@ class ServiceSupervisor:
     # durable writer subprocess (HA mode)
     # ------------------------------------------------------------------
     def _spawn_writer(self) -> None:
-        """Start :func:`writer_main` and wait for its handshake file."""
+        """Start :func:`writer_main` and wait for its handshake file.
+
+        A respawn hands the writer the live manifest's name to adopt.
+        """
         assert self.data_dir is not None
         handshake = os.path.join(self.data_dir, "writer.json")
         if os.path.exists(handshake):
@@ -443,6 +431,7 @@ class ServiceSupervisor:
             "processes": self.processes,
             "service": self._worker_options,
             "graphs": self._writer_graphs,
+            "manifest": self._worker_manifest,
         }
         proc = subprocess.Popen(
             [
@@ -510,14 +499,14 @@ class ServiceSupervisor:
             self._manifest_shm = None
 
     def _poll_worker_table(self) -> None:
-        """Cache the manifest's fleet table (promotion candidates)."""
+        """Cache the manifest's fleet table and control URL."""
         if self._manifest_reader is None:
             return
         try:
             _, payload = self._manifest_reader.read()
         except ConfigError as exc:
             # Torn manifest right after a writer crash: keep the cached
-            # table — it names exactly the shards worth promoting.
+            # table until the respawned writer commits a fresh one.
             self.metrics.record_event(
                 "supervisor_manifest_stalled", {"error": str(exc)}
             )
@@ -528,113 +517,19 @@ class ServiceSupervisor:
             self._worker_control = str(control)
 
     def _check_writer(self) -> None:
-        """Detect writer death; promote a shard or respawn the writer.
-
-        Runs *before* the dead-worker respawn pass each tick so a
-        promoted shard's corpse is still in ``_procs`` when inspected —
-        the pid recorded at promotion time disambiguates it from a
-        plain worker respawned at the same index.
-        """
-        if self._closing.is_set():
+        """Detect writer death; respawn the writer onto the live manifest."""
+        if self._closing.is_set() or self._writer_proc is None:
             return
-        if self._writer_proc is not None:
-            returncode = self._writer_proc.poll()
-            if returncode is None:
-                return
-            self._writer_proc = None
-            self.metrics.record_event(
-                "writer_exit", {"returncode": returncode}
-            )
-            if returncode == 0:
-                # Clean writer exit (drained via /shutdown): the fleet
-                # is done.
-                self.shutdown_event.set()
-                return
-            self.metrics.increment("writer_crashes")
-            self._promote_or_respawn()
-        elif self._writer_index is not None:
-            with self._lock:
-                proc = self._procs.get(self._writer_index)
-            if (
-                proc is not None
-                and proc.pid == self._writer_pid
-                and proc.poll() is None
-            ):
-                return
-            if (
-                proc is not None
-                and proc.pid == self._writer_pid
-                and proc.returncode == 0
-            ):
-                self._writer_index = None
-                self._writer_pid = None
-                self.shutdown_event.set()
-                return
-            failed, self._writer_index = self._writer_index, None
-            self._writer_pid = None
-            self.metrics.record_event(
-                "promoted_writer_exit", {"process_id": failed}
-            )
-            self._promote_or_respawn(exclude=failed)
-
-    def _promote_or_respawn(self, *, exclude: Optional[int] = None) -> None:
-        """Promote the lowest live registered shard; else respawn the
-        writer subprocess from the WAL."""
-        self._poll_worker_table()
-        table = sorted(
-            self._worker_table,
-            key=lambda rec: int(rec.get("process_id", 1 << 30)),
-        )
-        payload = {
-            "data_dir": self.data_dir,
-            "checkpoint_every": self.checkpoint_every,
-            "processes": self.processes,
-        }
-        for record in table:
-            index = int(record.get("process_id", -1))
-            if index == exclude:
-                continue
-            with self._lock:
-                proc = self._procs.get(index)
-            if (
-                proc is None
-                or proc.poll() is not None
-                or proc.pid != int(record.get("pid", -1))
-            ):
-                # Dead, or the registration predates a respawn of this
-                # index — the admin URL would reach the wrong process.
-                continue
-            try:
-                with ServiceClient(
-                    str(record["admin_url"]),
-                    timeout=30.0,
-                    max_retries=0,
-                ) as admin:
-                    body = admin.request(
-                        "POST", "/fleet/promote", payload
-                    )
-            except ServiceClientError as exc:
-                self.metrics.record_event(
-                    "promotion_failed",
-                    {"process_id": index, "error": str(exc)},
-                )
-                continue
-            self._writer_index = index
-            self._writer_pid = proc.pid
-            self._failovers += 1
-            control = body.get("control_url")
-            if control:
-                self._worker_control = str(control)
-            self.metrics.increment("writer_failovers")
-            self.metrics.record_event(
-                "writer_failover",
-                {"process_id": index, "control_url": control},
-            )
+        returncode = self._writer_proc.poll()
+        if returncode is None:
             return
-        # No promotable shard survived: bring up a fresh writer
-        # subprocess from the WAL.  It creates a *new* manifest, so the
-        # dead fleet's segments are swept and the workers restart.
-        self._sweep_manifest()
+        self._writer_proc = None
+        self.metrics.record_event("writer_exit", {"returncode": returncode})
+        if returncode == 0:
+            # Clean writer exit (drained via /shutdown): the fleet is done.
+            self.shutdown_event.set()
+            return
+        self.metrics.increment("writer_crashes")
         try:
             self._spawn_writer()
         except ConfigError as exc:
@@ -644,7 +539,6 @@ class ServiceSupervisor:
             self.shutdown_event.set()
             return
         self.metrics.increment("writer_respawns")
-        self._restart_workers()
 
     def _sweep_manifest(self) -> None:
         """Unlink a dead writer's orphaned manifest + segments.
@@ -670,16 +564,6 @@ class ServiceSupervisor:
         leftover.retire_foreign_segments()
         leftover.close()
         self.metrics.record_event("manifest_swept", {"manifest": name})
-
-    def _restart_workers(self) -> None:
-        """Replace every worker (the manifest they attached is gone)."""
-        with self._lock:
-            procs = dict(self._procs)
-        self._stop_workers(procs.values())
-        with self._lock:
-            for index in procs:
-                self._respawns += 1
-                self._procs[index] = self._spawn(index)
 
     def _stop_workers(self, procs) -> None:
         """SIGTERM every live process; SIGKILL those still up after 5 s."""
@@ -738,9 +622,6 @@ class ServiceSupervisor:
     def _watch_loop(self) -> None:
         while not self._closing.wait(0.2):
             self._poll_worker_table()
-            # Writer health first: a dead promoted shard must be seen
-            # here, pid intact in _procs, before the respawn pass below
-            # replaces it with a plain worker at the same index.
             self._check_writer()
             with self._lock:
                 dead = [
@@ -829,9 +710,9 @@ class ServiceSupervisor:
             self._listen_sock.close()
             self._listen_sock = None
         if self.service is None:
-            # HA teardown: whatever the (possibly killed) writer or a
-            # promoted shard left behind gets retired here — durable
-            # segments are untracked, so nobody else will.
+            # HA teardown: whatever the (possibly killed) writer left
+            # behind gets retired here — durable segments are
+            # untracked, so nobody else will.
             self._sweep_manifest()
         self._close_manifest_reader()
         if self.publisher is not None:
@@ -877,14 +758,6 @@ class WorkerService(ClusteringService):
         self._control_lock = threading.Lock()
         self._peer_lock = threading.Lock()
         self._peers: Dict[str, ServiceClient] = {}
-        # Failover state: after /fleet/promote this shard *is* the
-        # writer — self.store swaps to the recovered writable store,
-        # while the original attachment stays open for concurrent
-        # readers mid-request.
-        self._attached: AttachedGraphStore = store
-        self._promoted = False
-        self._promote_lock = threading.Lock()
-        self.admin_url: Optional[str] = None
         # Epoch-moved entries evict their stale cache lines eagerly
         # (correctness never depends on it — cache keys embed the
         # fingerprint, which the new epoch changed).
@@ -893,20 +766,12 @@ class WorkerService(ClusteringService):
         self.metrics.register_gauge("process", self._process_gauge)
 
     def _process_gauge(self) -> Dict[str, object]:
-        if self._promoted:
-            assert self.fleet is not None
-            return {
-                "role": "writer",
-                "process_id": self.process_index,
-                "pid": os.getpid(),
-                "generation": self.fleet.publisher.generation(),
-            }
         return {
             "role": "worker",
             "process_id": self.process_index,
             "pid": os.getpid(),
-            "generation": self._attached.generation(),
-            "epochs": self._attached.epochs(),
+            "generation": self.store.generation(),
+            "epochs": self.store.epochs(),
         }
 
     def close(self) -> None:
@@ -917,14 +782,7 @@ class WorkerService(ClusteringService):
             self._peers = {}
         for peer in peers:
             peer.close()
-        if self.durability is not None:
-            # Promoted shard: one final checkpoint caps the WAL before
-            # the fsynced handle closes.
-            self.durability.checkpoint(self.durability_snapshot())
-            self.durability.close()
-        if self._promoted and self.fleet is not None:
-            self.fleet.publisher.close()
-        self._attached.close()
+        self.store.close()
 
     # ------------------------------------------------------------------
     # write forwarding (worker → writer over the control channel)
@@ -932,13 +790,13 @@ class WorkerService(ClusteringService):
     def _reresolve_control(self) -> bool:
         """Point the control client at the manifest's current writer.
 
-        After a failover the promoted shard republishes its own control
+        After a failover the respawned writer publishes its own control
         endpoint in the manifest; a worker whose forward just failed at
         the transport level re-resolves from there.  Returns whether
         the endpoint actually changed.
         """
         with self._control_lock:
-            fresh = self._attached.control_url()
+            fresh = self.store.control_url()
             if not fresh or fresh == self.control_url:
                 return False
             stale, self.control_url = self.control_url, fresh
@@ -985,30 +843,20 @@ class WorkerService(ClusteringService):
         body = self._control_request(method, path, payload)
         # The writer committed a new epoch before answering; observe it
         # now so this worker's next read serves the mutated graph.
-        self._attached.refresh()
+        self.store.refresh()
         return body
 
     def handle_load_graph(self, payload):
-        if self._promoted:
-            return ClusteringService.handle_load_graph(self, payload)
         body = self._forward("POST", "/graphs", payload)
         self.metrics.increment("graphs_loaded")
         return body
 
     def handle_build_index(self, payload, name):
-        if self._promoted:
-            return ClusteringService.handle_build_index(
-                self, payload, name
-            )
         body = self._forward("POST", f"/graphs/{name}/index", payload)
         self.metrics.increment("cluster_indexes_built")
         return body
 
     def handle_update_edges(self, payload, name):
-        if self._promoted:
-            return ClusteringService.handle_update_edges(
-                self, payload, name
-            )
         # Invalidate this shard's cache lines for the pre-update
         # fingerprint *before* refresh() (whose listener would otherwise
         # count them first) so the reported count matches what a
@@ -1021,7 +869,7 @@ class WorkerService(ClusteringService):
             # an acked batch, possibly across a crash — recovered
             # markers carry no fingerprints at all), so there is no
             # old→new epoch to migrate cache lines across.
-            self._attached.refresh()
+            self.store.refresh()
             self.metrics.increment("update_idempotent_replays")
             return dict(body)
         # Local-query lines whose read set misses the update survive by
@@ -1036,7 +884,7 @@ class WorkerService(ClusteringService):
         invalidated = self.cache.invalidate_fingerprint(
             str(body["previous_fingerprint"])
         )
-        self._attached.refresh()
+        self.store.refresh()
         self.metrics.increment("edge_updates")
         self.metrics.increment("cache_invalidated", invalidated)
         self.metrics.increment(
@@ -1053,10 +901,6 @@ class WorkerService(ClusteringService):
         )
 
     def handle_shutdown(self, payload):
-        if self._promoted:
-            # This shard is the writer: stopping it drains the fleet
-            # (the supervisor sees its clean exit and shuts down).
-            return ClusteringService.handle_shutdown(self, payload)
         # Stopping one shard of a fleet is not a meaningful client
         # operation; /shutdown stops the whole fleet via the writer.
         body = self._forward("POST", "/shutdown", {})
@@ -1064,107 +908,10 @@ class WorkerService(ClusteringService):
         return body
 
     def _ensure_local_indexes(self, name, entry):
-        if self._promoted:
-            # Writable store again: rebuild a dropped clustering index
-            # on demand like any single-process writer.
-            return ClusteringService._ensure_local_indexes(
-                self, name, entry
-            )
         # The attached store is read-only; local queries serve with
         # whatever index the writer last published (degrading to the
         # oracle tier when no index survived the last update).
         return entry
-
-    # ------------------------------------------------------------------
-    # failover promotion (supervisor → this shard, DESIGN.md §13)
-    # ------------------------------------------------------------------
-    def handle_fleet_promote(self, payload):
-        """Take over as the fleet's writer after the writer died.
-
-        Replays the WAL (checkpoint + tail) into a fresh writable
-        store, adopts the existing manifest so surviving readers never
-        detach, republishes every recovered entry at strictly higher
-        epochs, then starts journaling and accepting mutations itself.
-        """
-        data_dir = get_str(payload, "data_dir")
-        checkpoint_every = get_int(payload, "checkpoint_every", 64)
-        with self._promote_lock:
-            if self._promoted:
-                return {
-                    "status": "already-writer",
-                    "process_id": self.process_index,
-                    "control_url": self.admin_url,
-                }
-            if self.admin_url is None:
-                raise ServiceError(
-                    "shard has no admin endpoint yet; cannot take "
-                    "writer traffic",
-                    status=503, retry_after=0.5,
-                )
-            from repro.service.durability import DurabilityManager
-
-            manager = DurabilityManager(
-                data_dir,
-                checkpoint_every=checkpoint_every,
-                metrics=self.metrics,
-            )
-            try:
-                state = manager.recover()
-                # The dead writer's registration table survives in the
-                # manifest; inherit it so peers keep proxying jobs.
-                peers = {
-                    int(rec["process_id"]): dict(rec)
-                    for rec in self._attached.workers()
-                }
-                publisher = StorePublisher.adopt(
-                    self._attached.manifest_name, metrics=self.metrics
-                )
-            except BaseException:
-                manager.close()
-                raise
-            store = state.store
-            store.metrics = self.metrics
-            self.store = store  # reads flip to the writable store
-            store.attach_publisher(publisher)  # republish every entry
-            publisher.set_control_url(str(self.admin_url))
-            publisher.retire_foreign_segments()
-            self.seed_update_keys(state.update_keys)
-            self.import_recovered_jobs(state.job_blobs)
-            store.attach_journal(manager)
-            self.durability = manager
-            self.fleet = WriterFleet(
-                publisher,
-                metrics=self.metrics,
-                processes=get_int(payload, "processes", len(peers)),
-                registrations=peers,
-                self_index=self.process_index,
-            )
-            self._promoted = True
-        self.metrics.increment("writer_promotions")
-        self.metrics.record_event(
-            "writer_promoted",
-            {
-                "process_id": self.process_index,
-                "wal_seq": state.last_seq,
-                "replayed_records": state.replayed_records,
-                "graphs": len(store.names()),
-            },
-        )
-        return {
-            "status": "promoted",
-            "process_id": self.process_index,
-            "control_url": self.admin_url,
-            "graphs": len(store.names()),
-            "replayed_records": state.replayed_records,
-        }
-
-    def _worker_table(self) -> List[Dict[str, object]]:
-        """The fleet table: from the manifest as a reader, from the
-        local registration map once promoted (GraphStore has none)."""
-        if self._promoted:
-            assert self.fleet is not None
-            return self.fleet.worker_table()
-        return self._attached.workers()
 
     # ------------------------------------------------------------------
     # job routing (shard-prefixed ids; foreign ids go to the owner)
@@ -1180,7 +927,7 @@ class WorkerService(ClusteringService):
             owner = int(prefix[1:])
         except ValueError:
             return None
-        for record in self._worker_table():
+        for record in self.store.workers():
             if int(record.get("process_id", -1)) == owner:
                 admin_url = str(record["admin_url"])
                 with self._peer_lock:
@@ -1221,7 +968,7 @@ class WorkerService(ClusteringService):
         jobs = list(local["jobs"])
         peers = [
             record
-            for record in self._worker_table()
+            for record in self.store.workers()
             if int(record.get("process_id", -1)) != self.process_index
         ]
         results, failures = _scrape_shards(
@@ -1238,8 +985,6 @@ class WorkerService(ClusteringService):
         return {"jobs": jobs}
 
     def handle_fleet_metrics(self, payload):
-        if self._promoted:
-            return ClusteringService.handle_fleet_metrics(self, payload)
         return self._forward("GET", "/fleet/metrics", payload)
 
 
@@ -1300,13 +1045,11 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     public = ClusteringServer(
         service, sock=socket.socket(fileno=int(options["listen_fd"]))
     )
-    # The private admin endpoint: job forwarding, metrics scrapes, and
-    # failover promotion land here, addressed per-shard, never
-    # load-balanced.
+    # The private admin endpoint: job forwarding and metrics scrapes
+    # land here, addressed per-shard, never load-balanced.
     admin = ClusteringServer(service, host="127.0.0.1", port=0)
     public.start()
     admin.start()
-    service.admin_url = admin.url
     register = {
         "process_id": index,
         "pid": os.getpid(),
@@ -1345,9 +1088,13 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     Recovers the store from ``data_dir`` (checkpoint + WAL tail),
     publishes it over shared memory, exposes the writer service on a
     loopback control port, and hands the supervisor a handshake file
-    naming the manifest and control endpoint.  SIGTERM triggers a final
-    checkpoint before exit — a SIGKILL instead is exactly what the WAL
-    protects against.
+    naming the manifest and control endpoint.  A respawned writer is
+    given the live ``manifest`` to adopt instead of creating one: it
+    inherits the worker table, republishes every entry at higher
+    epochs, publishes its control URL and then retires the dead
+    writer's segments, so attached readers never detach.  SIGTERM
+    triggers a final checkpoint before exit — a SIGKILL instead is
+    exactly what the WAL protects against.
     """
     options = _entry_options(argv, "writer_main")
     if options is None:
@@ -1374,16 +1121,21 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     )
     service.seed_update_keys(recovered.update_keys)
     service.import_recovered_jobs(recovered.job_blobs)
-    publisher = StorePublisher(metrics=metrics, durable=True)
-    service.store.attach_publisher(publisher)
+    manifest = options.get("manifest")
+    if manifest:
+        publisher = StorePublisher.adopt(str(manifest), metrics=metrics)
+    else:
+        publisher = StorePublisher(metrics=metrics, durable=True)
+    service.store.attach_publisher(publisher)  # (re)publish every entry
     service.store.attach_journal(manager)
     service.durability = manager
-    control = ClusteringServer(service, host="127.0.0.1", port=0)
-    control.start()
-    publisher.set_control_url(control.url)
     service.fleet = WriterFleet(
         publisher, metrics=metrics, processes=int(options["processes"])
     )
+    control = ClusteringServer(service, host="127.0.0.1", port=0)
+    control.start()
+    publisher.set_control_url(control.url)
+    publisher.retire_foreign_segments()
     preload_graphs(service, options.get("graphs") or [])
     # SIGTERM now means "drain": checkpoint, then exit 0.  (Installed
     # after recovery so an early terminate still aborts hard.)

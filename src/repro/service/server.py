@@ -874,16 +874,6 @@ class ClusteringService:
             return self.fleet.merged_metrics()
         return merge_metric_snapshots([self.metrics.snapshot()])
 
-    def handle_fleet_promote(
-        self, payload: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Writer failover target; only fleet workers can be promoted."""
-        raise ServiceError(
-            "this server is not a fleet worker; promotion addresses a "
-            "worker's admin endpoint after the writer died",
-            status=400,
-        )
-
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -1239,7 +1229,8 @@ def serve_main(argv=None) -> int:
         return 2
     if args.processes > 1 and args.data_dir:
         # Durable fleet: the writer runs as its own subprocess so the
-        # supervisor can SIGKILL-survive it and promote a shard.
+        # supervisor can survive its SIGKILL and respawn it onto the
+        # live manifest.
         return _serve_fleet_durable(args, graphs)
     durability = None
     recovered = None

@@ -194,8 +194,8 @@ class StorePublisher:
         if manifest_bytes < _HEADER.size + 2:
             raise ConfigError("manifest_bytes is too small to hold a header")
         # ``durable`` keeps the segments off the resource tracker so a
-        # SIGKILLed writer leaves them for a promoted shard to adopt
-        # (the WAL makes the state recoverable; the segments make the
+        # SIGKILLed writer leaves them for its respawned successor to
+        # adopt (the WAL makes the state recoverable; the segments make the
         # failover seamless for attached readers).
         self._registry = SegmentRegistry(untracked=durable)
         self._manifest_shm = self._registry.create_block(
@@ -219,9 +219,10 @@ class StorePublisher:
     def adopt(cls, manifest_name: str, *, metrics=None) -> "StorePublisher":
         """Become the writer of a dead writer's manifest (failover).
 
-        The promoted process attaches the *existing* manifest segment
-        so every reader's attachment point survives the failover, then
-        takes over the seqlock as the (again unique) writer:
+        A writer respawned after a crash attaches the *existing*
+        manifest segment so every reader's attachment point survives the
+        failover, then takes over the seqlock as the (again unique)
+        writer:
 
         * a torn commit — the old writer died mid-write, generation odd
           — is repaired by advancing the counter to the next even value
@@ -236,8 +237,8 @@ class StorePublisher:
           republished, so mid-read attachments never dangle.
         """
         self = cls.__new__(cls)
-        # A promoted writer may itself be killed later; keep its epochs
-        # adoptable by the next shard, exactly like the original
+        # A respawned writer may itself be killed later; keep its
+        # epochs adoptable by the next one, exactly like the original
         # durable writer's.
         self._registry = SegmentRegistry(untracked=True)
         self._manifest_shm = shared_memory.SharedMemory(name=manifest_name)
@@ -419,6 +420,11 @@ class StorePublisher:
             self._workers = [dict(worker) for worker in workers]
             self._block.write(self._payload())
 
+    def workers(self) -> List[Dict[str, object]]:
+        """The published fleet table (an adopted manifest's included)."""
+        with self._lock:
+            return [dict(worker) for worker in self._workers]
+
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Unlink every owned segment, manifest included (idempotent)."""
@@ -504,7 +510,7 @@ class AttachedGraphStore:
         seqlock odd) degrades to **stale-but-consistent** serving: the
         entries attached before the crash keep answering, the stalled
         generation is remembered so later reads skip the bounded spin,
-        and the next even generation — committed by a promoted writer —
+        and the next even generation — committed by a respawned writer —
         resynchronizes normally.
         """
         observed = self._block.generation()
@@ -548,7 +554,7 @@ class AttachedGraphStore:
                     # after committing this payload and its segments
                     # are gone (e.g. swept by its resource tracker).
                     # Spinning would hang forever — degrade to
-                    # stale-but-consistent until a promoted writer
+                    # stale-but-consistent until a respawned writer
                     # republishes at a newer generation.
                     if not self._entries:
                         raise ConfigError(
@@ -674,7 +680,7 @@ class AttachedGraphStore:
         """The current writer's control endpoint, per the manifest.
 
         ``None`` until a writer published one; after a failover the
-        promoted writer's republish updates it, so workers re-resolve
+        respawned writer's republish updates it, so workers re-resolve
         instead of dialing the dead process forever.
         """
         self.refresh()

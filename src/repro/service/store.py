@@ -449,7 +449,7 @@ class GraphStore:
     def adopt_entry(
         self, entry: GraphEntry, *, replace: bool = True
     ) -> GraphEntry:
-        """Install a pre-built entry verbatim (recovery/promotion path).
+        """Install a pre-built entry verbatim (recovery path).
 
         No journaling (the entry's history is already in the log or a
         checkpoint) and no index building; publishes to attached

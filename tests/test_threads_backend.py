@@ -25,28 +25,49 @@ def _scalar_sigma_rows(graph, config):
     )
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread pools ``sigma_rows`` constructs during the test."""
+    created = []
+
+    class CountingPool(threads_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threads_module, "ThreadPoolExecutor", CountingPool)
+    return created
+
+
 class TestBackend:
+    """``sigma_rows`` is an order-preserving map of the σ kernel over
+    row blocks, with inline paths where a pool cannot help."""
+
     def test_map_preserves_order(self):
-        backend = ThreadBackend(threads=4, chunk_size=3)
-        out = backend.map(lambda x: x * 2, list(range(100)))
-        assert out == [x * 2 for x in range(100)]
+        # 34 blocks of 3 rows on 4 threads: σ still lands in CSR slot
+        # order, checked against one scalar σ call per slot.
+        graph = gnm_random_graph(100, 400, seed=2)
+        got = ThreadBackend(threads=4, chunk_size=3).sigma_rows(graph)
+        assert np.allclose(got, _scalar_sigma_rows(graph, SimilarityConfig()))
 
-    def test_single_thread_path(self):
-        backend = ThreadBackend(threads=1)
-        assert backend.map(str, [1, 2]) == ["1", "2"]
+    def test_single_thread_path(self, karate, pools):
+        got = ThreadBackend(threads=1, chunk_size=1).sigma_rows(karate)
+        assert pools == []
+        assert np.allclose(got, _scalar_sigma_rows(karate, SimilarityConfig()))
 
-    def test_small_input_runs_inline(self):
-        backend = ThreadBackend(threads=8, chunk_size=64)
-        assert backend.map(lambda x: -x, [5]) == [-5]
+    def test_small_input_runs_inline(self, karate, pools):
+        # 34 vertices are one row block at chunk_size 64.
+        got = ThreadBackend(threads=8, chunk_size=64).sigma_rows(karate)
+        assert pools == []
+        assert np.allclose(got, _scalar_sigma_rows(karate, SimilarityConfig()))
 
-    def test_exceptions_propagate(self):
-        backend = ThreadBackend(threads=2, chunk_size=1)
-
-        def boom(x):
+    def test_exceptions_propagate(self, karate, monkeypatch):
+        def boom(oracle, lo, hi):
             raise ValueError("boom")
 
+        monkeypatch.setattr(SimilarityOracle, "sigma_row_block", boom)
         with pytest.raises(ValueError):
-            backend.map(boom, list(range(10)))
+            ThreadBackend(threads=2, chunk_size=1).sigma_rows(karate)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -81,27 +102,19 @@ class TestParallelQueries:
 
 
 class TestSigmaRowsFanOut:
-    def test_small_graph_starts_a_pool(self, monkeypatch):
+    def test_small_graph_starts_a_pool(self, monkeypatch, pools):
         """n = 300 at the default chunk_size is 5 row blocks: with two
         threads they run on one pool, off the calling thread, and the σ
         array is bitwise the sequential one."""
         graph = gnm_random_graph(300, 900, seed=4)
         expected = ThreadBackend(threads=1).sigma_rows(graph)
-        pools = []
         callers = []
-
-        class CountingPool(threads_module.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
         block = SimilarityOracle.sigma_row_block
 
         def recording_block(oracle, lo, hi):
             callers.append(threading.get_ident())
             return block(oracle, lo, hi)
 
-        monkeypatch.setattr(threads_module, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(SimilarityOracle, "sigma_row_block", recording_block)
         got = ThreadBackend(threads=2).sigma_rows(graph)
         assert len(pools) == 1
@@ -110,31 +123,54 @@ class TestSigmaRowsFanOut:
         assert got.tobytes() == expected.tobytes()
 
 
+#: Jaccard σ on open neighborhoods: a kernel path the default-config
+#: chunking test in ``test_concurrency_stress.py`` does not cover.
+_OPEN_JACCARD = SimilarityConfig(
+    kind="jaccard", closed=False, count_self=False, pruning=False
+)
+
+
+@pytest.fixture(scope="module")
+def chunk_graph():
+    return gnm_random_graph(97, 400, seed=9)
+
+
 class TestChunkingEquivalence:
     """Every (threads, chunk_size) pair computes the sequential answer."""
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 64, 200])
-    def test_matches_sequential_map(self, threads, chunk_size):
-        items = list(range(97))
-        expected = [x * x - 1 for x in items]
+    def test_matches_sequential_map(self, chunk_graph, threads, chunk_size):
+        expected = ThreadBackend(threads=1, chunk_size=97).sigma_rows(
+            chunk_graph, _OPEN_JACCARD
+        )
         backend = ThreadBackend(threads=threads, chunk_size=chunk_size)
-        assert backend.map(lambda x: x * x - 1, items) == expected
+        got = backend.sigma_rows(chunk_graph, _OPEN_JACCARD)
+        assert got.tobytes() == expected.tobytes()
 
-    def test_order_preserved_under_uneven_work(self):
+    def test_order_preserved_under_uneven_work(self, monkeypatch):
         import time
 
-        def slow_for_early_items(x):
-            if x < 4:
-                time.sleep(0.01)
-            return x
+        graph = gnm_random_graph(32, 90, seed=5)
+        expected = ThreadBackend(threads=1).sigma_rows(graph)
+        block = SimilarityOracle.sigma_row_block
 
-        backend = ThreadBackend(threads=4, chunk_size=1)
-        items = list(range(32))
-        assert backend.map(slow_for_early_items, items) == items
+        def slow_for_early_blocks(oracle, lo, hi):
+            if lo < 4:
+                time.sleep(0.01)
+            return block(oracle, lo, hi)
+
+        monkeypatch.setattr(
+            SimilarityOracle, "sigma_row_block", slow_for_early_blocks
+        )
+        got = ThreadBackend(threads=4, chunk_size=1).sigma_rows(graph)
+        assert got.tobytes() == expected.tobytes()
 
     def test_empty_input(self):
-        assert ThreadBackend(threads=4, chunk_size=2).map(str, []) == []
+        got = ThreadBackend(threads=4, chunk_size=2).sigma_rows(
+            gnm_random_graph(5, 0)
+        )
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 class TestValidateErrorPaths:
@@ -148,9 +184,16 @@ class TestValidateErrorPaths:
         with pytest.raises(SimulationError, match="chunk_size"):
             ThreadBackend(threads=2, chunk_size=chunk_size).validate()
 
-    def test_map_validates_before_running(self):
+    def test_map_validates_before_running(self, karate, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            SimilarityOracle,
+            "sigma_row_block",
+            lambda oracle, lo, hi: calls.append((lo, hi)),
+        )
         with pytest.raises(SimulationError):
-            ThreadBackend(threads=0).map(str, [1, 2, 3])
+            ThreadBackend(threads=0).sigma_rows(karate)
+        assert calls == []
 
     def test_valid_backend_passes(self):
         ThreadBackend(threads=1, chunk_size=1).validate()

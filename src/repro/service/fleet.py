@@ -46,9 +46,15 @@ socket crosses the boundary.
 the writer moves *out* of the supervisor into its own subprocess
 (:func:`writer_main`) that journals every mutation through a
 :class:`~repro.service.durability.DurabilityManager` before applying
-it.  The supervisor becomes a pure process manager: it spawns the
-writer, waits for its handshake file (manifest name + control URL),
-spawns workers against that manifest, and watches both.  When the
+it.  Both placements build the writer the same way: the service comes
+from :func:`~repro.service.server.open_service` (which recovers the
+data dir, refuses one that holds state without ``recover``, and takes
+the final checkpoint on close) and is hosted by :func:`host_writer`.
+The placement differs only to keep the non-durable fleet one
+interpreter start faster and one process smaller.  In HA mode the
+supervisor is a pure process manager: it spawns the writer, waits for
+its handshake file (manifest name + control URL), spawns workers
+against that manifest, and watches both.  When the
 writer dies dirty, the supervisor respawns :func:`writer_main` onto the
 *live* manifest: the new writer replays the WAL, adopts the existing
 manifest segment (:meth:`~repro.service.shm.StorePublisher.adopt`) with
@@ -63,7 +69,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
 import subprocess
 import sys
@@ -85,7 +90,9 @@ from repro.service.metrics import ServiceMetrics, merge_metric_snapshots
 from repro.service.server import (
     ClusteringServer,
     ClusteringService,
-    preload_graphs,
+    arm_fault_plan,
+    open_service,
+    wait_for_shutdown,
 )
 from repro.service.shm import (
     AttachedGraphStore,
@@ -97,6 +104,7 @@ __all__ = [
     "ServiceSupervisor",
     "WorkerService",
     "WriterFleet",
+    "host_writer",
     "worker_main",
     "writer_main",
 ]
@@ -234,6 +242,14 @@ class WriterFleet:
         self.metrics.record_event("worker_registered", record)
         return {"status": "registered", "workers": registered}
 
+    def process_gauge(self) -> Dict[str, object]:
+        """The writer's ``process`` gauge (shard 0 of ``/fleet/metrics``)."""
+        return {
+            "role": "writer",
+            "pid": os.getpid(),
+            "generation": self.publisher.generation(),
+        }
+
     def drop_worker(self, index: int) -> None:
         """Forget a dead shard, so its jobs answer 410 until the index
         re-registers."""
@@ -270,6 +286,40 @@ class WriterFleet:
         return merged
 
 
+def host_writer(
+    service: ClusteringService,
+    *,
+    processes: int,
+    manifest: Optional[str] = None,
+) -> ClusteringServer:
+    """Host ``service`` as the fleet's writer, in the supervisor or in
+    :func:`writer_main`; returns its control server.
+
+    A writer respawned onto the live ``manifest`` adopts it and retires
+    the dead writer's segments only after republishing.  A journaling
+    writer's segments are untracked, so a SIGKILL leaves them for its
+    successor.  Closing the control server closes the service, which
+    unlinks its segments.
+    """
+    metrics = service.metrics
+    if manifest:
+        publisher = StorePublisher.adopt(manifest, metrics=metrics)
+    else:
+        publisher = StorePublisher(
+            metrics=metrics, durable=service.durability is not None
+        )
+    service.store.attach_publisher(publisher)  # (re)publish every entry
+    service.fleet = WriterFleet(
+        publisher, metrics=metrics, processes=processes
+    )
+    control = ClusteringServer(service, host="127.0.0.1", port=0)
+    control.start()
+    publisher.set_control_url(control.url)
+    publisher.retire_foreign_segments()
+    metrics.register_gauge("process", service.fleet.process_gauge)
+    return control
+
+
 class ServiceSupervisor:
     """Writer + publisher + worker fleet behind one public port."""
 
@@ -296,12 +346,18 @@ class ServiceSupervisor:
             )
         self.service = service
         self.data_dir = data_dir
-        self.recover = bool(recover)
-        self.checkpoint_every = int(checkpoint_every)
-        self._writer_graphs = [list(g) for g in (writer_graphs or [])]
         self.processes = int(processes)
         self.respawn = bool(respawn)
         self._worker_options = dict(worker_options or {})
+        # writer_main's options, less the per-spawn handshake/manifest.
+        self._writer_options: Dict[str, object] = {
+            "data_dir": data_dir,
+            "recover": bool(recover),
+            "checkpoint_every": int(checkpoint_every),
+            "processes": self.processes,
+            "service": self._worker_options,
+            "graphs": [list(g) for g in (writer_graphs or [])],
+        }
         # HA mode has no in-process service; the supervisor keeps its
         # own registry for process-management telemetry.
         self.metrics = (
@@ -330,45 +386,28 @@ class ServiceSupervisor:
         # store lands in shared memory as a fresh epoch.  In HA mode
         # the writer subprocess owns the publisher and the worker table
         # instead.
-        self.publisher: Optional[StorePublisher] = None
         self.fleet: Optional[WriterFleet] = None
         self._listen_sock: Optional[socket.socket] = None
         self._control: Optional[ClusteringServer] = None
         try:
-            if service is not None:
-                self.publisher = StorePublisher(metrics=service.metrics)
-                service.store.attach_publisher(self.publisher)
-                self.fleet = service.fleet = WriterFleet(
-                    self.publisher,
-                    metrics=service.metrics,
-                    processes=self.processes,
-                )
             # One listening socket, inherited by every worker, which
             # all accept on it.
             self._listen_sock = socket.create_server(
                 (host, port), backlog=128
             )
             self.host, self.port = self._listen_sock.getsockname()[:2]
-            if service is not None:
-                # The control channel: the writer service itself, on a
-                # loopback port workers forward mutations to.
-                self._control = ClusteringServer(
-                    service, host="127.0.0.1", port=0
-                )
-                self._control.start()
-                assert self.publisher is not None
-                self.publisher.set_control_url(self._control.url)
-                self._worker_manifest = self.publisher.manifest_name
-                self._worker_control = self._control.url
-            else:
+            if service is None:
                 self._spawn_writer()
+            else:
+                self._control = host_writer(
+                    service, processes=self.processes
+                )
+                self.fleet = service.fleet
+                self._worker_manifest = self.fleet.publisher.manifest_name
+                self._worker_control = self._control.url
         except BaseException:
             self._teardown()
             raise
-        if service is not None:
-            service.metrics.register_gauge(
-                "process", self._process_gauge
-            )
         self.metrics.register_gauge("fleet", self._fleet_gauge)
 
     # ------------------------------------------------------------------
@@ -380,14 +419,6 @@ class ServiceSupervisor:
     def control_url(self) -> str:
         assert self._worker_control is not None
         return self._worker_control
-
-    def _process_gauge(self) -> Dict[str, object]:
-        assert self.publisher is not None
-        return {
-            "role": "writer",
-            "pid": os.getpid(),
-            "generation": self.publisher.generation(),
-        }
 
     def _fleet_gauge(self) -> Dict[str, object]:
         registered = self._registered()
@@ -419,31 +450,17 @@ class ServiceSupervisor:
 
         A respawn hands the writer the live manifest's name to adopt.
         """
-        assert self.data_dir is not None
-        handshake = os.path.join(self.data_dir, "writer.json")
+        handshake = os.path.join(str(self.data_dir), "writer.json")
         if os.path.exists(handshake):
             os.remove(handshake)
-        options = {
-            "data_dir": self.data_dir,
-            "recover": self.recover,
-            "checkpoint_every": self.checkpoint_every,
-            "handshake": handshake,
-            "processes": self.processes,
-            "service": self._worker_options,
-            "graphs": self._writer_graphs,
-            "manifest": self._worker_manifest,
-        }
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from repro.service.fleet import writer_main; "
-                "sys.exit(writer_main(sys.argv[1:]))",
-                json.dumps(options),
-            ],
-            stdin=subprocess.DEVNULL,
+        proc = self._writer_proc = _spawn_entry(
+            "writer_main",
+            dict(
+                self._writer_options,
+                handshake=handshake,
+                manifest=self._worker_manifest,
+            ),
         )
-        self._writer_proc = proc
         deadline = time.monotonic() + _READY_TIMEOUT_SECONDS
         while True:
             if os.path.exists(handshake):
@@ -473,7 +490,7 @@ class ServiceSupervisor:
         self._attach_manifest_reader()
         # Any later writer spawn replaces a crashed one: it must replay
         # the WAL, never refuse the (now non-empty) data directory.
-        self.recover = True
+        self._writer_options["recover"] = True
 
     def _attach_manifest_reader(self) -> None:
         """(Re-)attach the supervisor's read-only manifest view."""
@@ -499,7 +516,8 @@ class ServiceSupervisor:
             self._manifest_shm = None
 
     def _poll_worker_table(self) -> None:
-        """Cache the manifest's fleet table and control URL."""
+        """Cache the manifest's fleet table (a respawned writer's control
+        URL arrives with its handshake)."""
         if self._manifest_reader is None:
             return
         try:
@@ -512,9 +530,6 @@ class ServiceSupervisor:
             )
             return
         self._worker_table = list(payload.get("workers", []))
-        control = payload.get("control")
-        if control:
-            self._worker_control = str(control)
 
     def _check_writer(self) -> None:
         """Detect writer death; respawn the writer onto the live manifest."""
@@ -565,18 +580,19 @@ class ServiceSupervisor:
         leftover.close()
         self.metrics.record_event("manifest_swept", {"manifest": name})
 
-    def _stop_workers(self, procs) -> None:
-        """SIGTERM every live process; SIGKILL those still up after 5 s."""
+    def _stop(self, procs, timeout: float, escalations: str) -> None:
+        """SIGTERM every live process; SIGKILL (counting ``escalations``)
+        those still up after ``timeout`` seconds."""
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
-        deadline = time.monotonic() + 5.0
+        deadline = time.monotonic() + timeout
         for proc in procs:
             remaining = max(0.0, deadline - time.monotonic())
             try:
                 proc.wait(timeout=remaining)
             except subprocess.TimeoutExpired:
-                self.metrics.increment("worker_kill_escalations")
+                self.metrics.increment(escalations)
                 proc.kill()
                 proc.wait(timeout=5.0)
 
@@ -605,19 +621,7 @@ class ServiceSupervisor:
             "listen_fd": fd,
             "service": self._worker_options,
         }
-        # -c, not -m: runpy would re-execute this module under __main__
-        # after the package import already loaded it once.
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from repro.service.fleet import worker_main; "
-                "sys.exit(worker_main(sys.argv[1:]))",
-                json.dumps(options),
-            ],
-            pass_fds=[fd],
-            stdin=subprocess.DEVNULL,
-        )
+        return _spawn_entry("worker_main", options, pass_fds=[fd])
 
     def _watch_loop(self) -> None:
         while not self._closing.wait(0.2):
@@ -690,19 +694,12 @@ class ServiceSupervisor:
             # writer is still flushing that response to its client;
             # terminating instantly would reset the connection.
             time.sleep(0.3)
-        self._stop_workers(procs)
+        self._stop(procs, 5.0, "worker_kill_escalations")
         writer, self._writer_proc = self._writer_proc, None
         if writer is not None:
             # Graceful stop: SIGTERM lets the writer take one final
             # checkpoint before releasing the WAL.
-            if writer.poll() is None:
-                writer.terminate()
-            try:
-                writer.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                self.metrics.increment("writer_kill_escalations")
-                writer.kill()
-                writer.wait(timeout=5.0)
+            self._stop([writer], 10.0, "writer_kill_escalations")
         if self._control is not None:
             self._control.close()
             self._control = None
@@ -715,8 +712,6 @@ class ServiceSupervisor:
             # untracked, so nobody else will.
             self._sweep_manifest()
         self._close_manifest_reader()
-        if self.publisher is not None:
-            self.publisher.close()
 
     def __enter__(self) -> "ServiceSupervisor":
         return self.start()
@@ -752,9 +747,7 @@ class WorkerService(ClusteringService):
         )
         self.process_index = int(process_index)
         self.control_url = control_url
-        self._control = ServiceClient(
-            control_url, timeout=self.request_timeout, max_retries=0
-        )
+        self._control = self._client(control_url)
         self._control_lock = threading.Lock()
         self._peer_lock = threading.Lock()
         self._peers: Dict[str, ServiceClient] = {}
@@ -762,7 +755,6 @@ class WorkerService(ClusteringService):
         # (correctness never depends on it — cache keys embed the
         # fingerprint, which the new epoch changed).
         store.fingerprint_listeners.append(self.cache.invalidate_fingerprint)
-        store.metrics = self.metrics
         self.metrics.register_gauge("process", self._process_gauge)
 
     def _process_gauge(self) -> Dict[str, object]:
@@ -773,6 +765,9 @@ class WorkerService(ClusteringService):
             "generation": self.store.generation(),
             "epochs": self.store.epochs(),
         }
+
+    def _client(self, url: str) -> ServiceClient:
+        return ServiceClient(url, timeout=self.request_timeout, max_retries=0)
 
     def close(self) -> None:
         super().close()
@@ -801,9 +796,7 @@ class WorkerService(ClusteringService):
                 return False
             stale, self.control_url = self.control_url, fresh
             old_client = self._control
-            self._control = ServiceClient(
-                fresh, timeout=self.request_timeout, max_retries=0
-            )
+            self._control = self._client(fresh)
             old_client.close()
         self.metrics.increment("control_reconnects")
         self.metrics.record_event(
@@ -857,10 +850,6 @@ class WorkerService(ClusteringService):
         return body
 
     def handle_update_edges(self, payload, name):
-        # Invalidate this shard's cache lines for the pre-update
-        # fingerprint *before* refresh() (whose listener would otherwise
-        # count them first) so the reported count matches what a
-        # single-process server answers for the same request stream.
         body = self._control_request(
             "POST", f"/graphs/{name}/update-edges", payload
         )
@@ -872,33 +861,13 @@ class WorkerService(ClusteringService):
             self.store.refresh()
             self.metrics.increment("update_idempotent_replays")
             return dict(body)
-        # Local-query lines whose read set misses the update survive by
-        # re-keying to the new fingerprint — done before refresh() so
-        # the epoch listener's old-fingerprint sweep can't evict them.
-        migration = self.cache.migrate_local(
-            str(body["previous_fingerprint"]),
-            str(body["fingerprint"]),
-            list(body.get("affected_vertices") or ()),
-            renumbered=int(body.get("vertices_added") or 0) > 0,
-        )
-        invalidated = self.cache.invalidate_fingerprint(
-            str(body["previous_fingerprint"])
-        )
+        # Migrate and invalidate this shard's cache lines *before*
+        # refresh(), whose old-fingerprint listener would otherwise evict
+        # the surviving local lines and count the rest first: the counts
+        # match a single-process server's for the same request stream.
+        body = self._migrate_cache(body)
         self.store.refresh()
-        self.metrics.increment("edge_updates")
-        self.metrics.increment("cache_invalidated", invalidated)
-        self.metrics.increment(
-            "local_results_migrated", migration["moved"]
-        )
-        self.metrics.increment(
-            "local_results_evicted", migration["evicted"]
-        )
-        return dict(
-            body,
-            cache_entries_invalidated=invalidated,
-            local_results_migrated=migration["moved"],
-            local_results_evicted=migration["evicted"],
-        )
+        return body
 
     def handle_shutdown(self, payload):
         # Stopping one shard of a fleet is not a meaningful client
@@ -933,10 +902,8 @@ class WorkerService(ClusteringService):
                 with self._peer_lock:
                     peer = self._peers.get(admin_url)
                     if peer is None:
-                        peer = self._peers[admin_url] = ServiceClient(
-                            admin_url,
-                            timeout=self.request_timeout,
-                            max_retries=0,
+                        peer = self._peers[admin_url] = self._client(
+                            admin_url
                         )
                 return peer
         raise ServiceError(
@@ -991,6 +958,26 @@ class WorkerService(ClusteringService):
 # ----------------------------------------------------------------------
 # process entry points (spawned with ``python -c``, one JSON argument)
 # ----------------------------------------------------------------------
+def _spawn_entry(
+    entry: str, options: Dict[str, object], **popen: object
+) -> subprocess.Popen:
+    """Start ``entry`` (``worker_main``/``writer_main``) in a fresh
+    interpreter with ``options`` as its one JSON argument."""
+    # -c, not -m: runpy would re-execute this module under __main__
+    # after the package import already loaded it once.
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; from repro.service.fleet import {entry}; "
+            f"sys.exit({entry}(sys.argv[1:]))",
+            json.dumps(options),
+        ],
+        stdin=subprocess.DEVNULL,
+        **popen,
+    )
+
+
 def _entry_options(
     argv: Optional[List[str]], entry: str
 ) -> Optional[Dict[str, object]]:
@@ -1003,30 +990,8 @@ def _entry_options(
         return None
     options = json.loads(argv[0])
     install_signal_cleanup()
-    service_options = dict(options.get("service") or {})
-    fault_plan = service_options.pop("fault_plan", None)
-    if fault_plan:
-        from repro.faults import FaultPlan, arm
-
-        with open(fault_plan, "r", encoding="utf-8") as handle:
-            arm(FaultPlan.from_json(handle.read()))
-    options["service"] = service_options
+    options["service"] = arm_fault_plan(options.get("service") or {})
     return options
-
-
-def _wait_for_release(service: ClusteringService) -> None:
-    """Serve until the service shuts down or the supervisor is gone.
-
-    A subprocess whose supervisor died without reaping it (it was
-    re-parented to init) stops rather than serve or journal for a fleet
-    nobody manages.
-    """
-    try:
-        while not service.shutdown_event.wait(timeout=0.2):
-            if os.getppid() == 1:
-                break
-    except KeyboardInterrupt:  # ^C stops the process, cleanly
-        service.metrics.increment("keyboard_interrupts")
 
 
 def worker_main(argv: Optional[List[str]] = None) -> int:
@@ -1035,9 +1000,8 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     if options is None:
         return 2
     index = int(options["process_index"])
-    store = AttachedGraphStore(str(options["manifest_name"]))
     service = WorkerService(
-        store=store,
+        store=AttachedGraphStore(str(options["manifest_name"])),
         control_url=str(options["control_url"]),
         process_index=index,
         **options["service"],
@@ -1050,29 +1014,15 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     admin = ClusteringServer(service, host="127.0.0.1", port=0)
     public.start()
     admin.start()
-    register = {
-        "process_id": index,
-        "pid": os.getpid(),
-        "admin_url": admin.url,
-    }
+    # Over the control channel, which re-resolves the writer from the
+    # manifest if it failed over while this worker was starting.
+    service._control_request(
+        "POST",
+        "/fleet/register",
+        {"process_id": index, "pid": os.getpid(), "admin_url": admin.url},
+    )
     try:
-        with ServiceClient(
-            str(options["control_url"]), timeout=10.0, max_retries=2
-        ) as control:
-            control.request("POST", "/fleet/register", register)
-    except ServiceClientError as exc:
-        # The writer may have failed over while this worker was
-        # starting; the manifest names its successor.
-        service.metrics.record_event(
-            "register_reresolved", {"error": str(exc)}
-        )
-        fresh = store.control_url()
-        if fresh is None or fresh == str(options["control_url"]):
-            raise
-        with ServiceClient(fresh, timeout=10.0, max_retries=2) as control:
-            control.request("POST", "/fleet/register", register)
-    try:
-        _wait_for_release(service)
+        wait_for_shutdown(service.shutdown_event, supervised=True)
     finally:
         admin.close()
         public.close()
@@ -1085,63 +1035,31 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
 def writer_main(argv: Optional[List[str]] = None) -> int:
     """Run the fleet's durable writer until drained or terminated.
 
-    Recovers the store from ``data_dir`` (checkpoint + WAL tail),
-    publishes it over shared memory, exposes the writer service on a
-    loopback control port, and hands the supervisor a handshake file
-    naming the manifest and control endpoint.  A respawned writer is
-    given the live ``manifest`` to adopt instead of creating one: it
-    inherits the worker table, republishes every entry at higher
-    epochs, publishes its control URL and then retires the dead
-    writer's segments, so attached readers never detach.  SIGTERM
-    triggers a final checkpoint before exit — a SIGKILL instead is
-    exactly what the WAL protects against.
+    Opens the service on ``data_dir`` (:func:`open_service`), hosts it
+    (:func:`host_writer`; a respawned writer adopts the live
+    ``manifest``, so attached readers never detach), then hands the
+    supervisor a handshake file naming the manifest and control
+    endpoint.  SIGTERM triggers a final checkpoint before exit — a
+    SIGKILL instead is exactly what the WAL protects against.
     """
     options = _entry_options(argv, "writer_main")
     if options is None:
         return 2
-    from repro.service.durability import DurabilityManager
-
-    metrics = ServiceMetrics()
-    manager = DurabilityManager(
-        str(options["data_dir"]),
-        checkpoint_every=int(options.get("checkpoint_every", 64)),
-        metrics=metrics,
-    )
-    recovered = manager.recover()
-    if not options.get("recover") and recovered.last_seq > 0:
-        print(
-            "data dir holds existing state; the supervisor must pass "
-            "recover=True",
-            file=sys.stderr,
+    try:
+        service = open_service(
+            options["service"],
+            options.get("graphs") or [],
+            data_dir=str(options["data_dir"]),
+            recover=bool(options.get("recover")),
+            checkpoint_every=int(options.get("checkpoint_every", 64)),
         )
-        manager.close()
-        return 3
-    service = ClusteringService(
-        store=recovered.store, metrics=metrics, **options["service"]
-    )
-    service.seed_update_keys(recovered.update_keys)
-    service.import_recovered_jobs(recovered.job_blobs)
-    manifest = options.get("manifest")
-    if manifest:
-        publisher = StorePublisher.adopt(str(manifest), metrics=metrics)
-    else:
-        publisher = StorePublisher(metrics=metrics, durable=True)
-    service.store.attach_publisher(publisher)  # (re)publish every entry
-    service.store.attach_journal(manager)
-    service.durability = manager
-    service.fleet = WriterFleet(
-        publisher, metrics=metrics, processes=int(options["processes"])
-    )
-    control = ClusteringServer(service, host="127.0.0.1", port=0)
-    control.start()
-    publisher.set_control_url(control.url)
-    publisher.retire_foreign_segments()
-    preload_graphs(service, options.get("graphs") or [])
-    # SIGTERM now means "drain": checkpoint, then exit 0.  (Installed
-    # after recovery so an early terminate still aborts hard.)
-    signal.signal(
-        signal.SIGTERM,
-        lambda signum, frame: service.shutdown_event.set(),
+    except ConfigError as exc:
+        print(f"writer_main: {exc}", file=sys.stderr)
+        return 2
+    control = host_writer(
+        service,
+        processes=int(options["processes"]),
+        manifest=options.get("manifest"),
     )
     # Handshake last: the supervisor spawns workers only against a
     # writer that is fully ready to take control traffic.
@@ -1150,7 +1068,7 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
     with open(probe, "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "manifest_name": publisher.manifest_name,
+                "manifest_name": service.fleet.publisher.manifest_name,
                 "control_url": control.url,
                 "pid": os.getpid(),
             },
@@ -1158,10 +1076,7 @@ def writer_main(argv: Optional[List[str]] = None) -> int:
         )
     os.replace(probe, handshake)
     try:
-        _wait_for_release(service)
+        wait_for_shutdown(service.shutdown_event, supervised=True)
     finally:
-        control.close()
-        manager.checkpoint(service.durability_snapshot())
-        manager.close()
-        publisher.close()
+        control.close()  # closes the service: checkpoint, segments
     return 0

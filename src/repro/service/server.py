@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import socket
 import sys
@@ -155,10 +156,11 @@ class ClusteringService:
         #: merged metrics) on a fleet's writer service; ``/fleet/*``
         #: handlers consult it.
         self.fleet = None
-        #: Set by `serve_main --data-dir` (or a fleet writer): the
+        #: Set by :func:`open_service` with a ``data_dir``: the
         #: :class:`~repro.service.durability.DurabilityManager` whose
-        #: WAL the store journals to and whose checkpoint cadence
-        #: :meth:`_durability_note` drives.
+        #: WAL the store journals to, whose checkpoint cadence
+        #: :meth:`_durability_note` drives and which :meth:`close`
+        #: checkpoints one last time.
         self.durability = None
         self.shutdown_event = threading.Event()
         # Replayed submissions: (graph, key) → the job already scheduled.
@@ -185,6 +187,14 @@ class ClusteringService:
     def close(self) -> None:
         remove_degradation_listener(self._degradation_listener)
         self.scheduler.close()
+        durability, self.durability = self.durability, None
+        if durability is not None:
+            # The scheduler is drained; the final checkpoint keeps the
+            # jobs that stayed paused/pending for `--recover` to revive.
+            durability.checkpoint(self.durability_snapshot())
+            durability.close()
+        if self.fleet is not None:
+            self.fleet.publisher.close()  # unlinks the writer's segments
 
     def _backend_degraded(self, event: DegradationEvent) -> None:
         self.metrics.increment("backend_degradations")
@@ -361,20 +371,39 @@ class ClusteringService:
             add_vertices=add_vertices,
             idempotency_key=idempotency_key,
         )
-        # Local-query entries first: those whose read set is disjoint
-        # from the update survive (re-keyed to the new fingerprint);
-        # only results whose cluster was actually touched are evicted.
-        # The global invalidation then sweeps whatever remains under
-        # the old fingerprint.
+        return self._migrate_cache(
+            {
+                "graph": name,
+                "fingerprint": stats.new_fingerprint,
+                "previous_fingerprint": stats.old_fingerprint,
+                "vertices_added": stats.vertices_added,
+                "inserted": stats.inserted,
+                "deleted": stats.deleted,
+                "sigma_recomputations": stats.sigma_recomputations,
+                "index_rows_refreshed": stats.index_rows_refreshed,
+                "affected_vertices": [
+                    int(v) for v in stats.affected_vertices
+                ],
+            }
+        )
+
+    def _migrate_cache(self, body: Dict[str, object]) -> Dict[str, object]:
+        """Carry this process's cache across the update ``body`` reports.
+
+        Local-query entries first: those whose read set is disjoint
+        from the update survive (re-keyed to the new fingerprint); only
+        results whose cluster was actually touched are evicted.  The
+        global invalidation then sweeps whatever remains under the old
+        fingerprint.  Fleet workers run this on the writer's answer.
+        """
+        old = str(body["previous_fingerprint"])
         migration = self.cache.migrate_local(
-            stats.old_fingerprint,
-            stats.new_fingerprint,
-            stats.affected_vertices,
-            renumbered=stats.vertices_added > 0,
+            old,
+            str(body["fingerprint"]),
+            list(body["affected_vertices"]),
+            renumbered=int(body["vertices_added"]) > 0,
         )
-        invalidated = self.cache.invalidate_fingerprint(
-            stats.old_fingerprint
-        )
+        invalidated = self.cache.invalidate_fingerprint(old)
         self.metrics.increment("edge_updates")
         self.metrics.increment("cache_invalidated", invalidated)
         self.metrics.increment(
@@ -383,22 +412,12 @@ class ClusteringService:
         self.metrics.increment(
             "local_results_evicted", migration["evicted"]
         )
-        return {
-            "graph": name,
-            "fingerprint": stats.new_fingerprint,
-            "previous_fingerprint": stats.old_fingerprint,
-            "vertices_added": stats.vertices_added,
-            "inserted": stats.inserted,
-            "deleted": stats.deleted,
-            "sigma_recomputations": stats.sigma_recomputations,
-            "index_rows_refreshed": stats.index_rows_refreshed,
-            "cache_entries_invalidated": invalidated,
-            "affected_vertices": [
-                int(v) for v in stats.affected_vertices
-            ],
-            "local_results_migrated": migration["moved"],
-            "local_results_evicted": migration["evicted"],
-        }
+        return dict(
+            body,
+            cache_entries_invalidated=invalidated,
+            local_results_migrated=migration["moved"],
+            local_results_evicted=migration["evicted"],
+        )
 
     # ------------------------------------------------------------------
     # seeded local clustering
@@ -1122,15 +1141,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="durable mode: journal every accepted mutation to a "
-        "write-ahead log under PATH and checkpoint periodically "
-        "(graphs, clustering indexes, idempotency keys, paused jobs)",
+        "write-ahead log under PATH; checkpoint periodically and on "
+        "SIGTERM (graphs, indexes, idempotency keys, paused jobs)",
     )
     parser.add_argument(
         "--recover",
         action="store_true",
         help="restore the newest checkpoint under --data-dir and replay "
-        "the WAL tail before serving; without it a non-empty data "
-        "directory is refused rather than silently rebuilt",
+        "the WAL tail before serving; without it a data directory that "
+        "holds state is refused (exit 2), with or without --processes",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -1156,24 +1175,19 @@ def _worker_options(args) -> Dict[str, object]:
     }
 
 
-def _parse_graph_specs(specs) -> Optional[List[Tuple[str, str]]]:
-    graphs: List[Tuple[str, str]] = []
-    for spec in specs or []:
+def _preload_specs(args) -> Optional[List[List[object]]]:
+    """``--graph`` preloads as JSON-ready rows: ``[name, path, weighted,
+    build_cluster_index]``; ``None`` after a malformed spec."""
+    rows: List[List[object]] = []
+    for spec in args.graph or []:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             print(f"--graph expects NAME=PATH, got {spec!r}", file=sys.stderr)
             return None
-        graphs.append((name, path))
-    return graphs
-
-
-def _preload_specs(args, graphs) -> List[List[object]]:
-    """``--graph`` preloads as JSON-ready rows: ``[name, path, weighted,
-    build_cluster_index]``."""
-    return [
-        [name, path, bool(args.weighted), bool(args.build_cluster_index)]
-        for name, path in graphs
-    ]
+        rows.append(
+            [name, path, bool(args.weighted), bool(args.build_cluster_index)]
+        )
+    return rows
 
 
 def preload_graphs(service: ClusteringService, specs) -> None:
@@ -1181,8 +1195,8 @@ def preload_graphs(service: ClusteringService, specs) -> None:
 
     A graph that recovery already restored is skipped: re-adding it
     would journal it twice.  Every other add journals and publishes
-    like any other mutation.  Both the single-process server and the
-    durable fleet writer preload through here.
+    like any other mutation.  Every serve mode preloads through
+    :func:`open_service`, before its writer publishes anything.
     """
     from repro.graph.io import load_edge_list
 
@@ -1207,57 +1221,55 @@ def preload_graphs(service: ClusteringService, specs) -> None:
         )
 
 
-def serve_main(argv=None) -> int:
-    """Entry point behind ``repro serve`` (and ``anyscan serve``)."""
-    args = _build_parser().parse_args(argv)
-    # Shared-memory hygiene: a SIGTERM'd server must not leak segments.
-    from repro.parallel.processes import install_signal_cleanup
-
-    install_signal_cleanup()
-    if args.fault_plan:
+def arm_fault_plan(options: Dict[str, object]) -> Dict[str, object]:
+    """Arm the options' ``fault_plan`` file (every ``repro serve``
+    process does); returns the other :class:`ClusteringService` kwargs."""
+    options = dict(options)
+    path = options.pop("fault_plan", None)
+    if path:
         from repro.faults import FaultPlan, arm
 
-        with open(args.fault_plan, "r", encoding="utf-8") as handle:
+        with open(str(path), "r", encoding="utf-8") as handle:
             plan = arm(FaultPlan.from_json(handle.read()))
         print(
             f"fault plan {plan.name or 'unnamed'!r} armed "
-            f"({len(plan.rules)} rules) from {args.fault_plan}",
+            f"({len(plan.rules)} rules) from {path}",
             file=sys.stderr,
         )
-    graphs = _parse_graph_specs(args.graph)
-    if graphs is None:
-        return 2
-    if args.processes > 1 and args.data_dir:
-        # Durable fleet: the writer runs as its own subprocess so the
-        # supervisor can survive its SIGKILL and respawn it onto the
-        # live manifest.
-        return _serve_fleet_durable(args, graphs)
-    durability = None
-    recovered = None
-    metrics = None
-    if args.data_dir:
+    return options
+
+
+def open_service(
+    options: Dict[str, object],
+    graphs: List[List[object]],
+    *,
+    data_dir: Optional[str] = None,
+    recover: bool = False,
+    checkpoint_every: int = 64,
+) -> ClusteringService:
+    """The writer service of every ``repro serve`` mode, built from
+    :class:`ClusteringService` kwargs, with the :func:`preload_graphs`
+    rows ``graphs`` loaded.  With ``data_dir`` the store is recovered
+    (checkpoint + WAL tail) and journals every mutation; a data dir
+    holding state is refused unless ``recover`` is set."""
+    if data_dir is None:
+        service = ClusteringService(**options)
+    else:
         from repro.service.durability import DurabilityManager
 
         metrics = ServiceMetrics()
         durability = DurabilityManager(
-            args.data_dir,
-            checkpoint_every=args.checkpoint_every,
-            metrics=metrics,
+            data_dir, checkpoint_every=checkpoint_every, metrics=metrics
         )
         recovered = durability.recover()
-        if not args.recover and (
-            recovered.last_seq > 0 or len(recovered.store) > 0
-        ):
-            print(
-                f"data dir {args.data_dir!r} holds existing state "
-                f"(WAL seq {recovered.last_seq}, "
-                f"{len(recovered.store)} graphs); pass --recover to "
-                "restore it",
-                file=sys.stderr,
-            )
+        if not recover and (recovered.last_seq or len(recovered.store)):
             durability.close()
-            return 2
-        if args.recover:
+            raise ConfigError(
+                f"data dir {data_dir!r} holds existing state "
+                f"(WAL seq {recovered.last_seq}, {len(recovered.store)} "
+                "graphs); pass --recover to restore it"
+            )
+        if recover:
             print(
                 f"recovered {len(recovered.store)} graph(s) from "
                 f"checkpoint seq {recovered.checkpoint_seq} + "
@@ -1265,108 +1277,99 @@ def serve_main(argv=None) -> int:
                 f"{len(recovered.job_blobs)} suspended job(s)",
                 file=sys.stderr,
             )
-    service = ClusteringService(
-        workers=args.workers,
-        slice_iterations=args.slice_iterations,
-        cache_capacity=args.cache_capacity,
-        default_alpha=args.alpha,
-        default_beta=args.beta,
-        request_timeout=args.request_timeout,
-        max_pending_jobs=args.max_pending or None,
-        store=recovered.store if recovered is not None else None,
-        metrics=metrics,
-    )
-    if durability is not None and recovered is not None:
+        service = ClusteringService(
+            store=recovered.store, metrics=metrics, **options
+        )
         service.seed_update_keys(recovered.update_keys)
         service.import_recovered_jobs(recovered.job_blobs)
         service.store.attach_journal(durability)
         service.durability = durability
-        # Graceful SIGTERM: drain and flush a final checkpoint instead
-        # of dying mid-request (install_signal_cleanup would re-raise).
-        signal.signal(
-            signal.SIGTERM,
-            lambda signum, frame: service.shutdown_event.set(),
-        )
-    preload_graphs(service, _preload_specs(args, graphs))
-    if args.processes > 1:
-        from repro.service.fleet import ServiceSupervisor
+    preload_graphs(service, graphs)
+    return service
 
-        supervisor = ServiceSupervisor(
-            service,
-            host=args.host,
-            port=args.port,
-            processes=args.processes,
-            worker_options=_worker_options(args),
-        )
-        supervisor.start()
-        # Connections queue on the shared listener until a worker
-        # accepts them; announce the port once every worker registered.
-        supervisor.wait_ready()
-        print(
-            f"serving on {supervisor.url} "
-            f"({args.processes} processes, control {supervisor.control_url})",
-            flush=True,
-        )
-        try:
-            _wait_for_shutdown(service.shutdown_event)
-        finally:
-            supervisor.close()
-        return 0
-    server = ClusteringServer(service, host=args.host, port=args.port)
-    server.start()
-    print(f"serving on {server.url}", flush=True)
+
+def serve_main(argv=None) -> int:
+    """Entry point behind ``repro serve`` (and ``anyscan serve``).
+
+    Every mode opens its writer through :func:`open_service` — here, or
+    in the durable fleet's writer subprocess — and shares one tail:
+    banner, SIGTERM drains, wait for shutdown, close.
+    """
+    args = _build_parser().parse_args(argv)
+    # Shared-memory hygiene: a server signalled before it serves must
+    # not leak segments.
+    from repro.parallel.processes import install_signal_cleanup
+
+    install_signal_cleanup()
+    specs = _preload_specs(args)
+    if specs is None:
+        return 2
+    options = _worker_options(args)
+    durable = {
+        "data_dir": args.data_dir,
+        "recover": args.recover,
+        "checkpoint_every": args.checkpoint_every,
+    }
+    host = None
     try:
-        _wait_for_shutdown(service.shutdown_event)
+        service_options = arm_fault_plan(options)
+        if args.processes > 1:
+            from repro.service.fleet import ServiceSupervisor
+
+            # The durable fleet's writer is its own subprocess, so the
+            # supervisor can survive its SIGKILL and respawn it onto the
+            # live manifest; otherwise the writer runs in this process.
+            host = ServiceSupervisor(
+                None if args.data_dir
+                else open_service(service_options, specs),
+                host=args.host,
+                port=args.port,
+                processes=args.processes,
+                worker_options=options,
+                writer_graphs=specs,
+                **durable,
+            )
+            shutdown = host.shutdown_event
+            # Connections queue on the shared listener until a worker
+            # accepts them; announce the port once every worker
+            # registered.
+            host.start().wait_ready()
+            writer = "durable writer, " if args.data_dir else ""
+            banner = (
+                f"serving on {host.url} ({args.processes} processes, "
+                f"{writer}control {host.control_url})"
+            )
+        else:
+            service = open_service(service_options, specs, **durable)
+            host = ClusteringServer(service, host=args.host, port=args.port)
+            host.start()
+            shutdown = service.shutdown_event
+            banner = f"serving on {host.url}"
+        print(banner, flush=True)
+        wait_for_shutdown(shutdown)
+    except ConfigError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
     finally:
-        server.close()
-        if durability is not None:
-            # The scheduler is drained; checkpoint whatever jobs stayed
-            # paused/pending so `--recover` can revive them.
-            durability.checkpoint(service.durability_snapshot())
-            durability.close()
+        if host is not None:
+            host.close()
     return 0
 
 
-def _wait_for_shutdown(event) -> None:
-    """Block the serve loop until the shutdown event is set."""
+def wait_for_shutdown(event, *, supervised: bool = False) -> None:
+    """Serve until ``event`` is set, SIGTERM arrives or ^C.
+
+    SIGTERM drains every serving process instead of killing it
+    mid-request: the caller's close then takes the durable writer's
+    final checkpoint and unlinks the segments.  A ``supervised`` fleet
+    subprocess also stops once its supervisor died without reaping it
+    (it was re-parented to init), rather than serve or journal for a
+    fleet nobody manages.
+    """
+    signal.signal(signal.SIGTERM, lambda signum, frame: event.set())
     try:
         while not event.wait(timeout=0.2):
-            pass
+            if supervised and os.getppid() == 1:
+                break
     except KeyboardInterrupt:  # repro: allow[swallow] - ^C is the shutdown signal
         print("interrupted; shutting down", file=sys.stderr)
-
-
-def _serve_fleet_durable(args, graphs) -> int:
-    """`repro serve --processes N --data-dir PATH`: HA fleet mode."""
-    from repro.service.fleet import ServiceSupervisor
-
-    supervisor = ServiceSupervisor(
-        None,
-        host=args.host,
-        port=args.port,
-        processes=args.processes,
-        worker_options=_worker_options(args),
-        data_dir=args.data_dir,
-        recover=args.recover,
-        checkpoint_every=args.checkpoint_every,
-        writer_graphs=_preload_specs(args, graphs),
-    )
-    supervisor.start()
-    supervisor.wait_ready()
-    print(
-        f"serving on {supervisor.url} "
-        f"({args.processes} processes, durable writer, "
-        f"control {supervisor.control_url})",
-        flush=True,
-    )
-    # SIGTERM drains the fleet: the writer checkpoints on its own
-    # SIGTERM (forwarded by close()) before the segments are retired.
-    signal.signal(
-        signal.SIGTERM,
-        lambda signum, frame: supervisor.shutdown_event.set(),
-    )
-    try:
-        _wait_for_shutdown(supervisor.shutdown_event)
-    finally:
-        supervisor.close()
-    return 0

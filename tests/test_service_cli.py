@@ -2,12 +2,15 @@
 
 Drives the CLI entry exactly as an operator would — including the
 ``--graph NAME=PATH`` preload — then clusters, snapshots, cancels, and
-shuts the server down cleanly over HTTP (exit status 0).
+shuts the server down cleanly over HTTP (exit status 0).  The last
+tests hold every serve mode (single process or ``--processes 2``, with
+or without ``--data-dir``) to one startup refusal and one SIGTERM drain.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -48,7 +51,8 @@ def _spawn(args):
 def _read_url(proc):
     line = proc.stdout.readline().strip()
     assert line.startswith("serving on http://"), line
-    return line.removeprefix("serving on ")
+    # A fleet's banner goes on: " (2 processes, control http://...)".
+    return line.removeprefix("serving on ").split(" ")[0]
 
 
 def _finish(proc):
@@ -133,3 +137,113 @@ def test_serve_rejects_malformed_graph_spec():
     proc = _spawn(["--port", "0", "--graph", "missing-equals-sign"])
     assert _finish(proc) == 2
     assert proc.returncode == 2
+
+
+# ----------------------------------------------------------------------
+# every serve mode: one refusal, one SIGTERM drain
+# ----------------------------------------------------------------------
+_MODES = {
+    "single": [],
+    "single-durable": ["--data-dir"],
+    "fleet": ["--processes", "2"],
+    "fleet-durable": ["--processes", "2", "--data-dir"],
+}
+
+
+def _mode_args(mode, data_dir):
+    return [
+        arg for flag in _MODES[mode]
+        for arg in ([flag, data_dir] if flag == "--data-dir" else [flag])
+    ]
+
+
+def _edge_file(tmp_path):
+    graph, _ = lfr_graph(
+        LFRParams(n=100, average_degree=6, max_degree=20, seed=33)
+    )
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v, _w in graph.edges()))
+    return graph, path
+
+
+def _segments():
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.glob("repro_*")} if shm.is_dir() else set()
+
+
+def _exit_and_stderr(proc, timeout=60):
+    """Wait for ``proc`` to exit; returns (exit status, stderr)."""
+    try:
+        _, stderr = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, stderr
+
+
+@pytest.mark.parametrize("mode", ["single-durable", "fleet-durable"])
+def test_data_dir_holding_state_is_refused_the_same_in_every_mode(
+    mode, tmp_path
+):
+    """Without ``--recover`` both durable modes exit 2 with the hint,
+    no traceback and no leaked segment."""
+    data_dir = str(tmp_path / "data")
+    _, path = _edge_file(tmp_path)
+    proc = _spawn(
+        ["--port", "0", "--data-dir", data_dir, "--graph", f"g={path}"]
+    )
+    try:
+        with ServiceClient(_read_url(proc), timeout=60.0) as client:
+            client.shutdown()
+    except BaseException:
+        proc.kill()
+        raise
+    assert _finish(proc) == 0
+
+    before = _segments()
+    proc = _spawn(["--port", "0", *_mode_args(mode, data_dir)])
+    code, stderr = _exit_and_stderr(proc)
+    assert code == 2, stderr
+    assert "pass --recover" in stderr
+    assert "Traceback" not in stderr
+    assert _segments() - before == set()
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_sigterm_drains_every_mode(mode, tmp_path):
+    """SIGTERM exits 0 without leaking a segment; a durable server's
+    drain checkpoints, so ``--recover`` replays no WAL record."""
+    graph, path = _edge_file(tmp_path)
+    args = [
+        "--port", "0", "--workers", "1", "--graph", f"g={path}",
+        *_mode_args(mode, str(tmp_path / "data")),
+    ]
+    before = _segments()
+    proc = _spawn(args)
+    try:
+        with ServiceClient(_read_url(proc), timeout=60.0) as client:
+            assert client.graph_info("g")["num_edges"] == graph.num_edges
+        proc.send_signal(signal.SIGTERM)
+    except BaseException:
+        proc.kill()
+        raise
+    code, stderr = _exit_and_stderr(proc)
+    assert code == 0, stderr
+    assert _segments() - before == set()
+    if "--data-dir" not in args:
+        return
+
+    proc = _spawn(args + ["--recover"])
+    try:
+        with ServiceClient(_read_url(proc), timeout=60.0) as client:
+            assert client.graph_info("g")["num_edges"] == graph.num_edges
+            client.shutdown()
+    except BaseException:
+        proc.kill()
+        raise
+    code, stderr = _exit_and_stderr(proc)
+    assert code == 0, stderr
+    assert "+ 0 replayed WAL record(s)" in stderr
+    assert "skipping preload of 'g': already recovered" in stderr
+    assert _segments() - before == set()

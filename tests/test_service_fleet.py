@@ -541,9 +541,11 @@ def test_fleet_job_of_a_departed_shard_answers_410():
 
 
 def test_fleet_metrics_have_one_shape_with_a_durable_writer(tmp_path):
-    """`/fleet/metrics` answers the same ``fleet`` keys whether the
-    writer lives in the supervisor or in a durable subprocess."""
+    """`/fleet/metrics` answers the same ``fleet`` keys, and shard 0 is
+    the writer, whether the writer lives in the supervisor or in a
+    durable subprocess."""
     shapes = []
+    roles = []
     for data_dir in (None, str(tmp_path / "data")):
         supervisor = ServiceSupervisor(
             None if data_dir else ClusteringService(workers=2),
@@ -554,9 +556,12 @@ def test_fleet_metrics_have_one_shape_with_a_durable_writer(tmp_path):
         try:
             supervisor.start().wait_ready()
             with ServiceClient(supervisor.url, timeout=_WAIT) as client:
-                shapes.append(client.fleet_metrics()["fleet"])
+                merged = client.fleet_metrics()
+            shapes.append(merged["fleet"])
+            roles.append(merged["shards"][0]["gauges"]["process"]["role"])
         finally:
             supervisor.close()
+    assert roles == ["writer", "writer"]
     plain, durable = shapes
     assert sorted(durable) == sorted(plain)
     for fleet in shapes:

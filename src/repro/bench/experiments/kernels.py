@@ -96,12 +96,12 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
     batched_s, batched_vals = _best_of(
         lambda: batch_oracle.sigma_pairs_unrecorded(us, vs)
     )
-    if not np.allclose(scalar_vals, batched_vals, atol=1e-12):
+    if not np.array_equal(scalar_vals, batched_vals):
         raise AssertionError("batched kernel disagrees with scalar sigma")
 
     build_s, index = _time(lambda: ClusteringIndex.build(graph, config))
     stored = index.edge.forward_edges()[2]
-    if not np.allclose(stored, batched_vals, atol=1e-12):
+    if not np.array_equal(stored, batched_vals):
         raise AssertionError("indexed sigma disagrees with batched sigma")
 
     speedup = scalar_s / batched_s if batched_s > 0 else float("inf")

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.anyscan import AnySCAN
 from repro.core.config import AnyScanConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphFormatError
 from repro.faults import FaultInjected, fault_point
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
@@ -1195,7 +1195,8 @@ def preload_graphs(service: ClusteringService, specs) -> None:
 
     A graph that recovery already restored is skipped: re-adding it
     would journal it twice.  Every other add journals and publishes
-    like any other mutation.  Every serve mode preloads through
+    like any other mutation.  An unreadable or malformed edge list
+    raises :class:`ConfigError` naming the spec.  Every serve mode preloads through
     :func:`open_service`, before its writer publishes anything.
     """
     from repro.graph.io import load_edge_list
@@ -1210,7 +1211,13 @@ def preload_graphs(service: ClusteringService, specs) -> None:
                 file=sys.stderr,
             )
             continue
-        graph, _ = load_edge_list(path, weighted=weighted)
+        try:
+            graph, _ = load_edge_list(path, weighted=weighted)
+        except (OSError, GraphFormatError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(
+                f"cannot load --graph {name}={path}: {reason}"
+            ) from exc
         service.store.add(
             name, graph, build_cluster_index=build_cluster_index
         )
@@ -1284,7 +1291,11 @@ def open_service(
         service.import_recovered_jobs(recovered.job_blobs)
         service.store.attach_journal(durability)
         service.durability = durability
-    preload_graphs(service, graphs)
+    try:
+        preload_graphs(service, graphs)
+    except BaseException:
+        service.close()  # the scheduler's threads, the journal
+        raise
     return service
 
 

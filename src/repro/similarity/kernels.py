@@ -1,7 +1,7 @@
 """Batched CSR σ-kernels: whole vertex blocks in one numpy pass.
 
-The scalar oracle evaluates σ(p, q) one pair at a time with a per-pair
-``np.intersect1d`` — a Python call and several allocations per edge.
+The scalar oracle evaluates σ(p, q) one pair at a time, in the same
+arithmetic but with a Python call and several allocations per edge.
 The GPUSCAN++ formulation of the σ phase replaces that with *segmented*
 intersections: all pairs of a vertex block are expanded at once and the
 sorted-merge becomes a single vectorized membership probe against the
@@ -40,15 +40,14 @@ __all__ = [
     "directed_edge_keys",
     "edge_weight_lookup",
     "pair_overlaps",
+    "sigma_denominator",
+    "sigma_ratio",
     "sigma_for_pairs",
     "lemma5_bounds",
     "block_pairs",
     "sigma_row_block",
     "sigma_all_edges",
 ]
-
-_SET_KINDS = ("jaccard", "dice", "overlap")
-
 
 def directed_edge_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Strictly increasing int64 key per directed CSR edge slot.
@@ -156,6 +155,33 @@ def pair_overlaps(
     return sums, costs
 
 
+def sigma_denominator(kind: str, overlap, a, b):
+    """σ's denominator, for scalars (the per-pair oracle) or arrays.
+
+    ``a``/``b``: the endpoints' squared lengths (cosine) or linear
+    weight sums (set kinds); only Jaccard reads ``overlap``.
+    """
+    if kind == "cosine":
+        return np.sqrt(a * b)
+    if kind == "jaccard":
+        return a + b - overlap
+    if kind == "dice":
+        return (a + b) / 2.0
+    if kind == "overlap":
+        return np.minimum(a, b)
+    raise ConfigError(f"unknown similarity kind {kind!r}")
+
+
+def sigma_ratio(num, denom):
+    """``num / denom``, 0.0 where ``denom`` is not positive: the same
+    IEEE division for a scalar (a float out) or an array."""
+    if isinstance(denom, np.ndarray):
+        out = np.zeros(denom.shape, dtype=np.float64)
+        np.divide(num, denom, out=out, where=denom > 0)
+        return out
+    return float(num / denom) if denom > 0 else 0.0
+
+
 def sigma_for_pairs(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -173,35 +199,20 @@ def sigma_for_pairs(
     """σ(p, q) and merge costs for arbitrary pair arrays, any kind.
 
     ``lengths``/``linear_sums`` are the oracle's precomputed per-vertex
-    invariants (self terms already folded in for closed mode), so the
-    denominators match the scalar path bit for bit.
+    invariants (self terms already folded in for closed mode).  The
+    oracle's per-pair σ sums the same terms in the same order and ends
+    in the same :func:`sigma_denominator`/:func:`sigma_ratio`, so every
+    value here equals its scalar σ bit for bit.
     """
-    if kind == "cosine":
-        num, costs = pair_overlaps(
-            indptr, indices, weights, edge_keys, ps, qs,
-            accumulate="dot", closed=closed, self_weight=self_weight,
-        )
-        denom = np.sqrt(lengths[ps] * lengths[qs])
-        out = np.zeros(num.shape[0], dtype=np.float64)
-        np.divide(num, denom, out=out, where=denom > 0)
-        return out, costs
-    if kind not in _SET_KINDS:
-        raise ConfigError(f"unknown similarity kind {kind!r}")
-    overlap, costs = pair_overlaps(
+    cosine = kind == "cosine"  # an unknown kind raises in the denominator
+    num, costs = pair_overlaps(
         indptr, indices, weights, edge_keys, ps, qs,
-        accumulate="min", closed=closed, self_weight=self_weight,
+        accumulate="dot" if cosine else "min",
+        closed=closed, self_weight=self_weight,
     )
-    s1p = linear_sums[ps]
-    s1q = linear_sums[qs]
-    if kind == "jaccard":
-        denom = s1p + s1q - overlap
-    elif kind == "dice":
-        denom = (s1p + s1q) / 2.0
-    else:  # overlap coefficient
-        denom = np.minimum(s1p, s1q)
-    out = np.zeros(overlap.shape[0], dtype=np.float64)
-    np.divide(overlap, denom, out=out, where=denom > 0)
-    return out, costs
+    invariants = lengths if cosine else linear_sums
+    denom = sigma_denominator(kind, num, invariants[ps], invariants[qs])
+    return sigma_ratio(num, denom), costs
 
 
 def lemma5_bounds(
@@ -217,8 +228,9 @@ def lemma5_bounds(
 
     Vectorization of :meth:`SimilarityOracle.lemma5_bound`:
     ``min(|N_p|, |N_q|) · w_p · w_q`` plus the closed-mode self terms.
-    Comparing against ``ε · sqrt(l_p · l_q)`` prunes a whole batch of
-    threshold tests in O(1) work each, before any row is expanded.
+    Dividing by σ's denominator and comparing with ε prunes a whole
+    batch of threshold tests in O(1) work each, before any row is
+    expanded.
     """
     wp = max_weights[ps]
     wq = max_weights[qs]
@@ -255,7 +267,7 @@ def sigma_row_block(
     self_weight: float,
     lengths: np.ndarray,
     linear_sums: np.ndarray,
-    edge_keys: np.ndarray | None = None,
+    edge_keys: np.ndarray,
 ) -> np.ndarray:
     """σ for every edge incident to the vertex block ``[lo, hi)``.
 
@@ -265,8 +277,6 @@ def sigma_row_block(
     range — sequential, thread chunks, process chunks — reassembles into
     the bitwise-identical array.
     """
-    if edge_keys is None:
-        edge_keys = directed_edge_keys(indptr, indices)
     ps, qs = block_pairs(indptr, indices, lo, hi)
     values, _ = sigma_for_pairs(
         indptr, indices, weights, edge_keys, ps, qs,

@@ -11,7 +11,11 @@ holds in that reading, so closed neighborhoods (with a configurable
 self-weight, default 1.0) are the default here, and an ``closed=False``
 literal mode implements Definition 1 verbatim.  Every algorithm in the
 repository shares one :class:`SimilarityOracle`, so comparisons between
-algorithms are always internally consistent.
+algorithms are always internally consistent.  Its per-pair σ is computed
+in the arithmetic of :mod:`repro.similarity.kernels` (the same terms,
+summed in the same order, over the same denominator), so per-pair,
+batched and indexed σ agree bit for bit, and every threshold test —
+pruned, early-exited or not — decides ``σ ≥ ε`` on that value.
 
 Per-vertex invariants are precomputed once (the paper's preprocessing
 step): the squared length ``l_p`` and the maximum incident weight ``w_p``
@@ -46,10 +50,12 @@ class SimilarityConfig:
         Weight of the implicit self-edge in closed mode.
     count_self:
         Whether ``p`` itself counts toward ``|N_p^ε|`` in the core test
-        (σ(p, p) = 1, so it always qualifies).  Classic SCAN counts it.
+        (also in open mode, where σ(p, p) need not be 1).  Classic SCAN
+        counts it.
     pruning:
-        Enable the Lemma 5 constant-time filter and two-sided early exit
-        in threshold tests (the Section III-D optimizations).  Only
+        Enable the Lemma 5 constant-time filter and early exit in
+        threshold tests (the Section III-D optimizations); they change
+        counters, never a σ ≥ ε answer.  Only
         available for the ``"cosine"`` kind, whose bound Lemma 5 targets.
     kind:
         Which structural similarity to use.  ``"cosine"`` is the paper's
@@ -80,10 +86,6 @@ class SimilarityConfig:
                 "Lemma 5 pruning is only sound for the cosine kind; "
                 "pass pruning=False for set-similarity variants"
             )
-        if self.count_self and not self.closed:
-            # Allowed, but then σ(p, p) is not 1 by Definition 1; the core
-            # test still treats p as trivially similar to itself.
-            pass
 
 
 class SimilarityOracle:
@@ -168,74 +170,53 @@ class SimilarityOracle:
     # ------------------------------------------------------------------
     # core similarity
     # ------------------------------------------------------------------
-    def _numerator(self, p: int, q: int) -> tuple:
-        """Return (numerator, merge_cost) of σ(p, q)."""
+    def _pair_rows(self, p: int, q: int) -> tuple:
+        """``((N_p, w_p, N_q, w_q), extra)``: both CSR rows, read straight
+        from ``indptr``/``indices``/``weights`` as the kernels read them,
+        and ``extra``, the closed-mode r = p and r = q numerator terms
+        (so σ(p, p) = 1), which :func:`kernels.pair_overlaps` also adds
+        once, after the common-neighbour sum."""
         graph, cfg = self.graph, self.config
-        np_row = graph.neighbors(p)
-        nq_row = graph.neighbors(q)
-        wp_row = graph.neighbor_weights(p)
-        wq_row = graph.neighbor_weights(q)
-        _, ip, iq = np.intersect1d(
-            np_row, nq_row, assume_unique=True, return_indices=True
-        )
-        total = float(np.dot(wp_row[ip], wq_row[iq]))
-        cost = float(np_row.shape[0] + nq_row.shape[0])
-        if cfg.closed:
-            sw = cfg.self_weight
-            # r = p contributes w_pp * w_qp when p ∈ Γ(q), i.e. p adjacent q
-            # or p == q; same for r = q.  σ(p, p) then equals 1 exactly.
-            if p == q:
-                total += sw * sw
-            else:
-                pos = int(np.searchsorted(nq_row, p))
-                adjacent = pos < nq_row.shape[0] and int(nq_row[pos]) == p
-                if adjacent:
-                    w_pq = float(wq_row[pos])
-                    total += sw * w_pq  # r = p
-                    total += w_pq * sw  # r = q
-        return total, cost
+        indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+        a, b, c, d = indptr[p], indptr[p + 1], indptr[q], indptr[q + 1]
+        p_nbrs, p_weights = indices[a:b], weights[a:b]
+        extra, sw, cosine = 0.0, cfg.self_weight, cfg.kind == "cosine"
+        if cfg.closed and p == q:
+            extra = sw * sw if cosine else sw
+        elif cfg.closed:
+            pos = int(p_nbrs.searchsorted(q))
+            if pos < p_nbrs.shape[0] and int(p_nbrs[pos]) == q:
+                w_pq = float(p_weights[pos])
+                extra = 2.0 * sw * w_pq if cosine else 2.0 * min(sw, w_pq)
+        return (p_nbrs, p_weights, indices[c:d], weights[c:d]), extra
 
-    def _min_overlap(self, p: int, q: int) -> tuple:
-        """Return (Σ min(w_pr, w_qr) over Γ_p ∩ Γ_q, merge_cost)."""
-        graph, cfg = self.graph, self.config
-        np_row = graph.neighbors(p)
-        nq_row = graph.neighbors(q)
-        wp_row = graph.neighbor_weights(p)
-        wq_row = graph.neighbor_weights(q)
+    def _running_sums(self, p_nbrs, p_weights, q_nbrs, q_weights):
+        """Running sum of the terms ``w_pr · w_qr`` (cosine) or
+        ``min(w_pr, w_qr)`` (set kinds) over the common r, ascending —
+        the order in which the kernels' ``bincount`` adds them (their
+        zero terms for other r add nothing), so the last entry plus the
+        closed term is the kernels' numerator bit for bit."""
         _, ip, iq = np.intersect1d(
-            np_row, nq_row, assume_unique=True, return_indices=True
+            p_nbrs, q_nbrs, assume_unique=True, return_indices=True
         )
-        total = float(np.minimum(wp_row[ip], wq_row[iq]).sum())
-        cost = float(np_row.shape[0] + nq_row.shape[0])
-        if cfg.closed:
-            sw = cfg.self_weight
-            if p == q:
-                total += sw
-            else:
-                pos = int(np.searchsorted(nq_row, p))
-                if pos < nq_row.shape[0] and int(nq_row[pos]) == p:
-                    w_pq = float(wq_row[pos])
-                    total += min(sw, w_pq)  # r = p
-                    total += min(w_pq, sw)  # r = q
-        return total, cost
+        wp, wq = p_weights[ip], q_weights[iq]
+        terms = wp * wq if self.config.kind == "cosine" else np.minimum(wp, wq)
+        return terms.cumsum()
+
+    def _denominator(self, p: int, q: int, overlap: float | None):
+        kind = self.config.kind
+        invariants = self._lengths if kind == "cosine" else self._linear_sums
+        return kernels.sigma_denominator(
+            kind, overlap, invariants[p], invariants[q]
+        )
 
     def _sigma_value(self, p: int, q: int) -> tuple:
-        """Dispatch on the configured kind; returns (σ, merge_cost)."""
-        kind = self.config.kind
-        if kind == "cosine":
-            num, cost = self._numerator(p, q)
-            denom = float(np.sqrt(self._lengths[p] * self._lengths[q]))
-            return (num / denom if denom > 0 else 0.0), cost
-        overlap, cost = self._min_overlap(p, q)
-        s1p = float(self._linear_sums[p])
-        s1q = float(self._linear_sums[q])
-        if kind == "jaccard":
-            denom = s1p + s1q - overlap
-        elif kind == "dice":
-            denom = (s1p + s1q) / 2.0
-        else:  # overlap coefficient
-            denom = min(s1p, s1q)
-        return (overlap / denom if denom > 0 else 0.0), cost
+        """``(σ, merge cost)`` of one pair, in the kernels' arithmetic."""
+        rows, extra = self._pair_rows(p, q)
+        running = self._running_sums(*rows)
+        num = (float(running[-1]) if running.shape[0] else 0.0) + extra
+        value = kernels.sigma_ratio(num, self._denominator(p, q, num))
+        return value, float(rows[0].shape[0] + rows[2].shape[0])
 
     def sigma(self, p: int, q: int) -> float:
         """Exact σ(p, q); records one full evaluation."""
@@ -301,32 +282,28 @@ class SimilarityOracle:
     ) -> np.ndarray:
         """Batched threshold tests σ(p, q) ≥ ε with Lemma 5 pre-filtering.
 
-        For the cosine kind with pruning enabled, the whole batch goes
-        through the vectorized Lemma 5 bound first; pruned pairs cost 1
-        work unit each and only the survivors are evaluated (at full
-        merge cost — the batch path has no per-pair early exit, so its
+        With pruning enabled, the whole batch goes through the scalar
+        path's Lemma 5 test first, vectorized; pruned pairs cost 1 work
+        unit each and only the survivors are evaluated (at full merge
+        cost — the batch path has no per-pair early exit, so its
         recorded work is an upper bound on the scalar path's).
         """
         qs = np.ascontiguousarray(qs, dtype=np.int64)
         if qs.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         cfg = self.config
-        if cfg.kind != "cosine" or not cfg.pruning:
-            ps = np.full(qs.shape[0], int(p), dtype=np.int64)
-            values, costs = self._pair_sigmas(ps, qs)
-            self.counters.record_sigma_batch(
-                int(qs.shape[0]), float(costs.sum())
-            )
-            return values >= epsilon
         ps = np.full(qs.shape[0], int(p), dtype=np.int64)
-        thresholds = epsilon * np.sqrt(self._lengths[p] * self._lengths[qs])
-        bounds = kernels.lemma5_bounds(
-            self.graph.degrees, self._max_weights, ps, qs,
-            closed=cfg.closed, self_weight=cfg.self_weight,
-        )
-        pruned = bounds < thresholds
+        survivors = np.ones(qs.shape[0], dtype=bool)
+        if cfg.pruning:  # the same prune test as the scalar path's
+            bounds = kernels.lemma5_bounds(
+                self.graph.degrees, self._max_weights, ps, qs,
+                closed=cfg.closed, self_weight=cfg.self_weight,
+            )
+            denom = kernels.sigma_denominator(
+                "cosine", None, self._lengths[p], self._lengths[qs]
+            )
+            survivors = ~(kernels.sigma_ratio(bounds, denom) < epsilon)
         out = np.zeros(qs.shape[0], dtype=bool)
-        survivors = ~pruned
         count = int(survivors.sum())
         if count:
             values, costs = self._pair_sigmas(ps[survivors], qs[survivors])
@@ -363,10 +340,10 @@ class SimilarityOracle:
         ``min(|N_p|, |N_q|) · w_p · w_q`` plus the self terms in closed
         mode.  The deviation is documented in DESIGN.md.
         """
-        graph, cfg = self.graph, self.config
-        dp, dq = graph.degree(p), graph.degree(q)
-        wp, wq = self._max_weights[p], self._max_weights[q]
-        bound = min(dp, dq) * wp * wq
+        cfg, indptr = self.config, self.graph.indptr
+        dp, dq = indptr[p + 1] - indptr[p], indptr[q + 1] - indptr[q]
+        wp, wq = float(self._max_weights[p]), float(self._max_weights[q])
+        bound = int(min(dp, dq)) * wp * wq
         if cfg.closed:
             bound += cfg.self_weight * (wp + wq)
         return float(bound)
@@ -374,12 +351,11 @@ class SimilarityOracle:
     def similar(self, p: int, q: int, epsilon: float) -> bool:
         """Whether σ(p, q) ≥ ε, using pruning when enabled.
 
-        The Lemma 5 filter answers in O(1) when the bound already fails;
-        otherwise the merge join is (conceptually) early-exited in both
-        directions: as soon as the accumulated dot product crosses the
-        threshold σ ≥ ε is certain, and as soon as the remaining mass
-        cannot reach it σ < ε is certain.  The recorded cost reflects the
-        consumed prefix of the merge.
+        The answer is always ``sigma(p, q) >= epsilon``.  The Lemma 5
+        filter answers in O(1) when the bound already fails; otherwise
+        the merge join is (conceptually) early-exited: as soon as the
+        accumulated dot product crosses the threshold σ ≥ ε is certain.
+        The recorded cost reflects the consumed prefix of the merge.
         """
         passed, cost, outcome = self._threshold_test(p, q, epsilon)
         if outcome == "prune":
@@ -394,53 +370,36 @@ class SimilarityOracle:
         The unrecorded core of :meth:`similar`; range queries aggregate
         many of these into a single counter record.
         """
-        if self.config.kind != "cosine" or not self.config.pruning:
+        if not self.config.pruning:
             value, cost = self._sigma_value(p, q)
             return value >= epsilon, cost, "full"
-        threshold = epsilon * float(
-            np.sqrt(self._lengths[p] * self._lengths[q])
-        )
-        if self.lemma5_bound(p, q) < threshold:
+        # Pruning implies the cosine kind (SimilarityConfig.validate).
+        # Each shortcut divides by σ's own denominator and compares with
+        # ε, like σ itself.  Rounding is monotone, so bound ≥ numerator
+        # gives bound / denom ≥ σ (a prune implies σ < ε), and the self
+        # terms ≤ numerator give extra / denom ≤ σ (a pass implies
+        # σ ≥ ε).  For an edge the bound also counts q ∈ N_p, which is
+        # not in N_q, so it exceeds the real numerator by a whole term.
+        denom = float(self._denominator(p, q, None))
+        if kernels.sigma_ratio(self.lemma5_bound(p, q), denom) < epsilon:
             return False, 1.0, "prune"
-        return self._similar_early_exit(p, q, threshold)
-
-    def _similar_early_exit(self, p: int, q: int, threshold: float) -> tuple:
-        """Threshold test charging only the consumed merge prefix."""
-        graph, cfg = self.graph, self.config
-        np_row = graph.neighbors(p)
-        nq_row = graph.neighbors(q)
-        wp_row = graph.neighbor_weights(p)
-        wq_row = graph.neighbor_weights(q)
-        full_cost = float(np_row.shape[0] + nq_row.shape[0])
-
-        acc = 0.0
-        if cfg.closed and p != q:
-            pos = int(np.searchsorted(nq_row, p))
-            if pos < nq_row.shape[0] and int(nq_row[pos]) == p:
-                acc += 2.0 * cfg.self_weight * float(wq_row[pos])
-        if acc >= threshold:
+        rows, extra = self._pair_rows(p, q)
+        if kernels.sigma_ratio(extra, denom) >= epsilon:
             return True, 2.0, "early"
-
-        # Vectorized merge with a cumulative-sum early-exit charge: the
-        # products are computed at C speed, then the crossing point tells
-        # how much of the merge a sequential implementation would consume.
-        _, ip, iq = np.intersect1d(
-            np_row, nq_row, assume_unique=True, return_indices=True
-        )
-        if ip.shape[0] == 0:
-            cost = min(full_cost, 2.0 + float(min(len(np_row), len(nq_row))))
-            return acc >= threshold, cost, "early"
-        order = np.argsort(ip)  # merge consumes common neighbors in id order
-        products = wp_row[ip[order]] * wq_row[iq[order]]
-        cumulative = acc + np.cumsum(products)
-        total = float(cumulative[-1])
-        if total >= threshold:
-            # σ ≥ ε; the merge could stop at the crossing product.
-            k = int(np.searchsorted(cumulative, threshold)) + 1
-            fraction = k / products.shape[0]
-            cost = max(2.0, fraction * full_cost)
-            return True, cost, ("early" if fraction < 1.0 else "full")
-        return False, full_cost, "full"
+        running = extra + self._running_sums(*rows)
+        dp, dq = rows[0].shape[0], rows[2].shape[0]
+        full_cost = float(dp + dq)
+        count = running.shape[0]
+        if count == 0:  # σ = extra / denom, below ε
+            return False, min(full_cost, 2.0 + float(min(dp, dq))), "early"
+        if kernels.sigma_ratio(float(running[-1]), denom) < epsilon:
+            return False, full_cost, "full"
+        # A sequential merge could stop at the term whose running sum
+        # first crosses ε · denom; the charge is that prefix.
+        k = min(int(running.searchsorted(epsilon * denom)) + 1, count)
+        fraction = k / count
+        cost = max(2.0, fraction * full_cost)
+        return True, cost, ("early" if fraction < 1.0 else "full")
 
     # ------------------------------------------------------------------
     # neighborhoods
@@ -493,17 +452,6 @@ class SimilarityOracle:
         )
         return np.asarray(passing, dtype=np.int64)
 
-    def eps_neighborhood_size(self, p: int, epsilon: float) -> int:
-        """``|N_p^ε|`` including ``p`` itself when ``count_self`` is set."""
-        size = int(self.eps_neighborhood(p, epsilon).shape[0])
-        if self.config.count_self:
-            size += 1
-        return size
-
     def max_possible_eps_neighbors(self, p: int) -> int:
         """Upper bound on ``|N_p^ε|``: degree plus the self term."""
         return self.graph.degree(p) + (1 if self.config.count_self else 0)
-
-    def core_threshold_deficit(self, mu: int) -> int:
-        """Neighbors (excluding self) needed to possibly reach ``μ``."""
-        return mu - (1 if self.config.count_self else 0)

@@ -4,7 +4,8 @@ Drives the CLI entry exactly as an operator would — including the
 ``--graph NAME=PATH`` preload — then clusters, snapshots, cancels, and
 shuts the server down cleanly over HTTP (exit status 0).  The last
 tests hold every serve mode (single process or ``--processes 2``, with
-or without ``--data-dir``) to one startup refusal and one SIGTERM drain.
+or without ``--data-dir``) to the same startup refusals and one SIGTERM
+drain.
 """
 
 from __future__ import annotations
@@ -206,6 +207,23 @@ def test_data_dir_holding_state_is_refused_the_same_in_every_mode(
     code, stderr = _exit_and_stderr(proc)
     assert code == 2, stderr
     assert "pass --recover" in stderr
+    assert "Traceback" not in stderr
+    assert _segments() - before == set()
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_unreadable_preload_path_is_refused_in_every_mode(mode, tmp_path):
+    """A ``--graph`` path that cannot be read exits 2 naming it, with
+    no traceback and no leaked segment, after closing what was open."""
+    missing = tmp_path / "absent" / "edges.txt"
+    before = _segments()
+    proc = _spawn([
+        "--port", "0", "--graph", f"g={missing}",
+        *_mode_args(mode, str(tmp_path / "data")),
+    ])
+    code, stderr = _exit_and_stderr(proc)
+    assert code == 2, stderr
+    assert f"cannot load --graph g={missing}" in stderr
     assert "Traceback" not in stderr
     assert _segments() - before == set()
 

@@ -122,13 +122,15 @@ class TestNeighborhoods:
 
     def test_eps_neighborhood_size_counts_self(self, triangle):
         oracle = SimilarityOracle(triangle)
-        assert oracle.eps_neighborhood_size(0, 0.9) == 3
+        assert oracle.eps_neighborhood(0, 0.9).shape[0] == 2
+        assert oracle.max_possible_eps_neighbors(0) == 3
 
     def test_count_self_off(self, triangle):
         oracle = SimilarityOracle(
             triangle, SimilarityConfig(count_self=False)
         )
-        assert oracle.eps_neighborhood_size(0, 0.9) == 2
+        assert oracle.eps_neighborhood(0, 0.9).shape[0] == 2
+        assert oracle.max_possible_eps_neighbors(0) == 2
 
     def test_max_possible(self, star_graph):
         oracle = SimilarityOracle(star_graph)

@@ -2,8 +2,8 @@
 
 The batched CSR kernels (:mod:`repro.similarity.kernels`) reformulate
 the per-pair sorted-merge intersection as whole-array segment sums; this
-battery pins them to the scalar reference to 1e-12 over random weighted
-graphs — including isolated vertices, degree-1 rows, every similarity
+battery pins them to the scalar reference bit for bit over random
+weighted graphs — including isolated vertices, degree-1 rows, every similarity
 kind, open and closed neighborhoods, and non-default self-weights — and
 checks that the batch entry points charge the counters exactly like the
 per-pair paths they replace.
@@ -70,7 +70,7 @@ def test_sigma_batch_equals_scalar(edges, kind, closed, self_weight):
     batched = oracle.sigma_pairs_unrecorded(ps, qs)
     for p, q, value in zip(ps, qs, batched):
         expected = oracle.sigma_unrecorded(int(p), int(q))
-        assert value == pytest.approx(expected, abs=1e-12), (
+        assert value == expected, (
             kind, closed, self_weight, int(p), int(q),
         )
 

@@ -20,18 +20,23 @@ def classify_non_members(graph: Graph, labels: np.ndarray) -> np.ndarray:
     """Replace provisional non-member labels with HUB / OUTLIER.
 
     ``labels`` uses cluster ids ≥ 0 for members and any negative value for
-    non-members; the returned copy refines the negatives.
+    non-members; the returned copy refines the negatives.  A non-member
+    touches two distinct clusters iff the smallest and the largest
+    cluster id among its member neighbors differ — one scatter-min and
+    one scatter-max over the CSR slots.
     """
+    n = graph.num_vertices
     out = labels.copy()
-    for v in np.flatnonzero(labels < 0):
-        seen: set = set()
-        for q in graph.neighbors(int(v)):
-            lbl = int(labels[int(q)])
-            if lbl >= 0:
-                seen.add(lbl)
-            if len(seen) >= 2:
-                break
-        out[int(v)] = HUB if len(seen) >= 2 else OUTLIER
+    owners = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    far = labels[graph.indices]
+    into_member = (labels[owners] < 0) & (far >= 0)
+    lowest = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    highest = np.full(n, -1, dtype=np.int64)
+    np.minimum.at(lowest, owners[into_member], far[into_member])
+    np.maximum.at(highest, owners[into_member], far[into_member])
+    non_member = labels < 0
+    # No member neighbor leaves lowest > highest: an outlier.
+    out[non_member] = np.where(lowest < highest, HUB, OUTLIER)[non_member]
     return out
 
 
@@ -47,17 +52,12 @@ def finalize_clustering(
     labels:
         Cluster ids ≥ 0 for members, negatives for non-members.
     core_mask:
-        Boolean array marking the vertices determined to be cores.
+        Array marking the vertices determined to be cores (cast to bool).
     """
     labels = classify_non_members(graph, labels)
-    roles = np.empty(graph.num_vertices, dtype=np.int8)
-    for v in range(graph.num_vertices):
-        if core_mask[v]:
-            roles[v] = int(VertexRole.CORE)
-        elif labels[v] >= 0:
-            roles[v] = int(VertexRole.BORDER)
-        elif labels[v] == HUB:
-            roles[v] = int(VertexRole.HUB)
-        else:
-            roles[v] = int(VertexRole.OUTLIER)
+    roles = np.select(
+        [np.asarray(core_mask, dtype=bool), labels >= 0, labels == HUB],
+        [int(VertexRole.CORE), int(VertexRole.BORDER), int(VertexRole.HUB)],
+        int(VertexRole.OUTLIER),
+    ).astype(np.int8)
     return Clustering(labels=labels, roles=roles)

@@ -13,8 +13,10 @@ Two claims back the kernel/index layers (DESIGN.md):
    the σ phase becomes a binary search over stored, sorted σ.
 
 Besides the usual tables, the experiment writes ``BENCH_kernels.json``
-(to ``$REPRO_BENCH_DIR`` or the working directory) so CI can archive the
-measured numbers per commit.
+to ``$REPRO_BENCH_DIR`` when that is set (CI archives it per commit);
+without it nothing is written, so a ``--quick`` run cannot overwrite the
+committed bench-scale record.  Re-record that one with
+``REPRO_BENCH_DIR=. python -m repro.bench kernels``.
 """
 
 from __future__ import annotations
@@ -183,11 +185,12 @@ def kernels(scale: str = "bench", quick: bool = False) -> List[ExperimentResult]
         "first_query_s": first_s,
         "second_query_s": second_s,
     }
-    out_dir = os.environ.get("REPRO_BENCH_DIR", ".")
-    out_path = os.path.join(out_dir, "BENCH_kernels.json")
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    throughput.notes.append(f"json written to {out_path}")
+    out_dir = os.environ.get("REPRO_BENCH_DIR")
+    if out_dir:
+        out_path = os.path.join(out_dir, "BENCH_kernels.json")
+        with open(out_path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        throughput.notes.append(f"json written to {out_path}")
 
     return [throughput, interactive]

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.graph.csr import Graph
 from repro.result import Clustering
+from repro.similarity import kernels
 from repro.similarity.weighted import SimilarityOracle
 
 __all__ = ["true_core_mask", "equivalent_clusterings", "explain_difference"]
@@ -34,23 +35,22 @@ def true_core_mask(
     mu: int,
     epsilon: float,
 ) -> np.ndarray:
-    """Ground-truth core indicator from exhaustive σ evaluation.
+    """Ground-truth core indicator from σ of every edge.
 
-    Uses unrecorded evaluations so the oracle's counters stay meaningful
-    for the algorithm under test.
+    One batched kernel pass, bitwise the σ the per-pair oracle computes;
+    it leaves the oracle's counters alone so they stay meaningful for
+    the algorithm under test.
     """
+    cfg = oracle.config
+    sigmas = kernels.sigma_all_edges(
+        graph.indptr, graph.indices, graph.weights,
+        kind=cfg.kind, closed=cfg.closed, self_weight=cfg.self_weight,
+        lengths=oracle.lengths, linear_sums=oracle.linear_sums,
+    )
     n = graph.num_vertices
-    mask = np.zeros(n, dtype=bool)
-    self_count = 1 if oracle.config.count_self else 0
-    for v in range(n):
-        count = self_count
-        for q in graph.neighbors(v):
-            if oracle.sigma_unrecorded(v, int(q)) >= epsilon:
-                count += 1
-            if count >= mu:
-                break
-        mask[v] = count >= mu
-    return mask
+    owners = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    similar = np.bincount(owners[sigmas >= epsilon], minlength=n)
+    return similar + (1 if cfg.count_self else 0) >= mu
 
 
 def _core_partition(

@@ -41,9 +41,10 @@ import pickle
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.anyscan import AnySCAN
 from repro.core.snapshots import Snapshot
@@ -55,6 +56,12 @@ from repro.validation import check_eps_mu
 __all__ = ["JobRecord", "JobScheduler", "JobState"]
 
 _SLICE_LOG_LIMIT = 10_000
+
+#: Terminal jobs a scheduler keeps readable (status, snapshot, result);
+#: beyond it the oldest finished job is forgotten and its id answers
+#: like an unknown one.  Pending, running and paused jobs are never
+#: dropped.
+_TERMINAL_JOB_LIMIT = 64
 
 #: Most recent failures kept per job (formatted tracebacks), and the
 #: size cap of each entry — enough for a full chain, bounded for JSON.
@@ -86,7 +93,8 @@ class JobRecord:
     ``algorithm`` is ``None`` for jobs born terminal (index-served
     answers via :meth:`JobScheduler.submit_completed`); such jobs never
     enter the ready queue, so the worker path always sees a real
-    algorithm.
+    algorithm.  Every job releases its algorithm when it turns
+    terminal, once ``on_done`` has read its statistics.
     """
 
     job_id: str
@@ -176,6 +184,9 @@ class JobScheduler:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
+        # Terminal job ids, oldest first: the retention queue that
+        # bounds how many finished jobs stay in ``_jobs``.
+        self._terminal: Deque[str] = deque()
         # Ready queue: (-priority, seq, job_id).  Entries go stale when a
         # job is paused/cancelled/reprioritized; _pop_ready_locked skips
         # them lazily instead of rebuilding the heap.
@@ -284,7 +295,7 @@ class JobScheduler:
             job.latest = Snapshot(
                 step="index",
                 iteration=0,
-                labels=result.labels.copy(),
+                labels=result.labels,
                 num_supernodes=0,
                 num_clusters=int(result.num_clusters),
                 work_units=0.0,
@@ -365,6 +376,11 @@ class JobScheduler:
     def info(self, job_id: str) -> Dict[str, object]:
         with self._lock:
             return self._require_locked(job_id).info()
+
+    def __contains__(self, job_id: object) -> bool:
+        """Whether ``job_id`` is known (not yet dropped by retention)."""
+        with self._lock:
+            return job_id in self._jobs
 
     def list_jobs(self) -> List[Dict[str, object]]:
         with self._lock:
@@ -505,7 +521,8 @@ class JobScheduler:
     # worker internals
     # ------------------------------------------------------------------
     def _notify_done_locked(self, job: JobRecord) -> None:
-        """Run ``on_done`` while still holding the scheduler lock.
+        """Run ``on_done`` while still holding the scheduler lock, then
+        retire the job.
 
         A job must never be *observably* terminal (via ``wait``/``info``)
         before its completion callback ran — the serving layer fills the
@@ -513,9 +530,18 @@ class JobScheduler:
         let a repeat query race the cache fill and miss.  The callback
         must therefore only take leaf locks (cache, metrics) and must
         not call back into the scheduler.
+
+        Retiring releases the algorithm (a finished anySCAN holds its
+        whole σ cache and cluster state) and drops the oldest terminal
+        jobs beyond ``_TERMINAL_JOB_LIMIT``, so a long-lived server's
+        finished-job memory stays bounded.
         """
         if self.on_done is not None:
             self.on_done(job)
+        job.algorithm = None
+        self._terminal.append(job.job_id)
+        while len(self._terminal) > _TERMINAL_JOB_LIMIT:
+            self._jobs.pop(self._terminal.popleft(), None)
 
     def _require_locked(self, job_id: str) -> JobRecord:
         job = self._jobs.get(job_id)

@@ -562,7 +562,9 @@ class ClusteringService:
             # same request must not both schedule a job.
             with self._idempotency_lock:
                 job_id = self._idempotency.get(map_key)
-                if job_id is None:
+                # A key whose job retention already dropped submits
+                # afresh rather than pointing at an unknown id.
+                if job_id is None or job_id not in self.scheduler:
                     self._admit_or_reject()
                     job_id = self._submit_cluster_job(
                         payload, entry, name, mu, epsilon, key
@@ -933,6 +935,11 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # keep-alive response).  ``StreamRequestHandler.setup`` sets
+    # TCP_NODELAY on the connection when this is true.
+    disable_nagle_algorithm = True
 
     # The metrics histograms carry the traffic story; per-request stderr
     # lines would swamp test output.

@@ -232,6 +232,9 @@ class StorePublisher:
           moves the generation by 2, so no reader can hold any entry at
           an epoch that high — equality on (name, epoch) can therefore
           never confuse an old segment group with a new one;
+        * the adopted graph records stay in the manifest until each is
+          republished, so readers keep seeing every graph while the
+          recovered store republishes them one by one;
         * the previous writer's segments are remembered and retired via
           :meth:`retire_foreign_segments` *after* the recovered store
           republished, so mid-read attachments never dangle.
@@ -278,6 +281,7 @@ class StorePublisher:
                         "manifest_adopt_unreadable", {"error": str(exc)}
                     )
             for name, record in (payload.get("graphs") or {}).items():
+                self._graphs[name] = record
                 self._slugs[name] = len(self._slugs)
                 self._epochs[name] = int(record.get("epoch", 0))
                 for spec in (record.get("arrays") or {}).values():
@@ -288,10 +292,23 @@ class StorePublisher:
     def retire_foreign_segments(self) -> int:
         """Unlink the dead writer's segments (call after republishing).
 
+        Adopted records that were not republished (epoch at or below
+        the adoption floor) leave the manifest first, in one commit, so
+        no reader can attach to a segment about to be unlinked.
         Readers mid-attach keep their mappings (POSIX unlink removes
         the name, not the memory); new attachments can only land on the
         epochs this publisher republished.
         """
+        with self._lock:
+            stale = [
+                name
+                for name, record in self._graphs.items()
+                if int(record.get("epoch", 0)) <= self._epoch_floor
+            ]
+            if stale:
+                for name in stale:
+                    del self._graphs[name]
+                self._block.write(self._payload())
         retired = 0
         names, self._foreign_segments = self._foreign_segments, []
         for name in names:

@@ -19,11 +19,12 @@ precomputed-σ input every query path takes.  Its parts:
   (μ − self)-th largest σ in its sorted row.  All n thresholds are one
   O(n) gather over the sorted rows (zero σ), so the core set of any
   (ε, μ) is one comparison against them.
-* **cluster extraction** — a union-find sweep over the qualifying
-  (σ ≥ ε) core-core edges, followed by the reference border attachment
-  rule, reproducing :func:`repro.baselines.scan.scan` labels *exactly*
-  (same seed ⇒ byte-identical labels and roles, hubs/outliers included;
-  see :meth:`ClusteringIndex.query` for why the replay is exact).
+* **cluster extraction** — whole-array connected components (hook and
+  pointer jumping) over the qualifying (σ ≥ ε) core-core slots,
+  followed by the reference border attachment rule, reproducing
+  :func:`repro.baselines.scan.scan` labels *exactly* (same seed ⇒
+  byte-identical labels and roles, hubs/outliers included; see
+  :meth:`ClusteringIndex.query` for why the replay is exact).
 
 Construction reuses the batched σ kernels through the backends'
 ``sigma_rows`` (thread/process/auto backends produce the
@@ -54,7 +55,6 @@ from repro.similarity.index import (
     _payload_checksum,
 )
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
-from repro.structures.disjoint_set import DisjointSet
 from repro.validation import check_eps_mu
 
 __all__ = ["ClusteringIndex"]
@@ -272,7 +272,7 @@ class ClusteringIndex:
         return np.sort(self._sorted_neighbors[lo : lo + plen])
 
     # ------------------------------------------------------------------
-    # the query: cores → union-find sweep → border/hub/outlier epilogue
+    # the query: cores → components → border/hub/outlier epilogue
     # ------------------------------------------------------------------
     def query(
         self, epsilon: float, mu: int, *, seed: int = 0
@@ -289,7 +289,7 @@ class ClusteringIndex:
         * cores connected through qualifying (σ ≥ ε) core-core edges
           always share a cluster regardless of visit order (σ is
           symmetric), so the member partition of cores equals the
-          union-find components of the qualifying core subgraph;
+          connected components of the qualifying core subgraph;
         * the reference assigns cluster ids in the order clusters are
           *discovered* along its seeded vertex permutation — component
           ids here are ranked by the minimal permutation position of
@@ -315,10 +315,7 @@ class ClusteringIndex:
         us = self._owners[slots]
         vs = self._sorted_neighbors[slots]
         into_core = mask[vs]
-        core_us, core_vs = us[into_core], vs[into_core]
-        dsu = DisjointSet(n)
-        for a, b in zip(core_us.tolist(), core_vs.tolist()):
-            dsu.union(a, b)
+        root = _component_roots(n, us[into_core], vs[into_core])
         # Cluster ids in reference discovery order: rank vertices by the
         # seeded permutation, rank components by their best core.
         rng = np.random.default_rng(seed)
@@ -326,38 +323,23 @@ class ClusteringIndex:
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n, dtype=np.int64)
         cores = np.flatnonzero(mask)
-        roots = np.asarray(
-            [dsu.find(v) for v in cores.tolist()], dtype=np.int64
+        best_rank = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best_rank, root[cores], rank[cores])
+        components = np.flatnonzero(best_rank < n)
+        num_components = int(components.shape[0])
+        cid_of = np.empty(n, dtype=np.int64)
+        cid_of[components[np.argsort(best_rank[components])]] = np.arange(
+            num_components, dtype=np.int64
         )
         labels = np.full(n, -4, dtype=np.int64)  # -4: non-member
-        num_components = 0
-        if cores.shape[0]:
-            comp_rank: Dict[int, int] = {}
-            for root, pos in zip(roots.tolist(), rank[cores].tolist()):
-                best = comp_rank.get(root)
-                if best is None or pos < best:
-                    comp_rank[root] = pos
-            ordered = sorted(comp_rank, key=comp_rank.__getitem__)
-            cid_of = {root: cid for cid, root in enumerate(ordered)}
-            num_components = len(ordered)
-            labels[cores] = np.asarray(
-                [cid_of[root] for root in roots.tolist()], dtype=np.int64
-            )
-            # Borders: non-core q with a qualifying core neighbor joins
-            # the smallest adjacent cluster id (the first to reach it).
-            border_us, border_vs = us[~into_core], vs[~into_core]
-            if border_us.shape[0]:
-                cand = np.asarray(
-                    [
-                        cid_of[dsu.find(u)]
-                        for u in border_us.tolist()
-                    ],
-                    dtype=np.int64,
-                )
-                best_cid = np.full(n, n, dtype=np.int64)
-                np.minimum.at(best_cid, border_vs, cand)
-                attach = best_cid < n
-                labels[attach] = best_cid[attach]
+        labels[cores] = cid_of[root[cores]]
+        # Borders: non-core q with a qualifying core neighbor joins the
+        # smallest adjacent cluster id (the first to reach it).
+        border = ~into_core
+        best_cid = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best_cid, vs[border], cid_of[root[us[border]]])
+        attach = best_cid < n
+        labels[attach] = best_cid[attach]
         self.counters.record_neighborhood_query(0.0, evaluations=0)
         self.last_query = {
             "epsilon": float(epsilon),
@@ -605,3 +587,29 @@ def _consecutive_runs(ids: np.ndarray) -> List[Tuple[int, int]]:
         (int(ids[s]), int(ids[e]) + 1)
         for s, e in zip(starts.tolist(), ends.tolist())
     ]
+
+
+def _component_roots(
+    n: int, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """Connected components of the graph on ``n`` vertices with edges
+    ``(us[i], vs[i])``: per vertex, the smallest id in its component.
+
+    Whole-array hook-and-shortcut: every root adjacent to a smaller
+    root hooks onto the smallest one (pointers only ever decrease, so
+    they form a forest), then pointer jumping flattens each tree onto
+    its root; rounds repeat until no edge joins two trees.
+    """
+    root = np.arange(n, dtype=np.int64)
+    while True:
+        ru, rv = root[us], root[vs]
+        split = ru != rv
+        if not split.any():
+            return root
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped

@@ -64,3 +64,12 @@ class TestKernelsExperiment:
         assert payload["speedup"] > 1.0
         assert payload["second_query_sigma_evals"] == 0
         assert payload["quick"] is True
+
+
+def test_no_bench_dir_writes_nothing(tmp_path, monkeypatch):
+    """Without ``REPRO_BENCH_DIR`` a run leaves the working directory
+    alone (the committed bench-scale record lives there)."""
+    monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    run_experiment("kernels", quick=True)
+    assert list(tmp_path.iterdir()) == []

@@ -257,6 +257,34 @@ class TestPublisherAttachment:
             finally:
                 attached.close()
 
+    def test_adopted_manifest_keeps_every_graph_until_republished(self):
+        """A respawned writer republishes entries one at a time; readers
+        must keep seeing the graphs not yet republished, and only the
+        retire step drops what was never republished."""
+        dead_store = GraphStore()
+        dead = StorePublisher(durable=True)
+        try:
+            dead_store.attach_publisher(dead)
+            dead_store.add("a", _lfr(n=60, seed=7))
+            dead_store.add("b", _lfr(n=60, seed=8))
+            adopted = StorePublisher.adopt(dead.manifest_name)
+            try:
+                adopted.publish_entry(dead_store.get("a"))
+                attached = AttachedGraphStore(adopted.manifest_name)
+                try:
+                    assert attached.names() == ["a", "b"]
+                    assert attached.epochs()["a"] > attached.epochs()["b"]
+                    adopted.retire_foreign_segments()
+                    attached.refresh()
+                    assert attached.names() == ["a"]
+                finally:
+                    attached.close()
+            finally:
+                adopted.close()
+        finally:
+            dead.close()
+        assert _segments(os.getpid()) == []
+
     def test_fill_cache_guard_rejects_stale_fingerprint(self):
         graph = _lfr(n=60, seed=6)
         store = GraphStore()

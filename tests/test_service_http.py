@@ -74,6 +74,19 @@ def test_health_and_graph_listing(client):
     assert client.graph_info("listing")["fingerprint"] == info["fingerprint"]
 
 
+def test_keepalive_round_trips_skip_the_delayed_ack_stall(client):
+    """Headers and body leave the server in two writes; with Nagle on,
+    each keep-alive response would wait ~40 ms for the client's delayed
+    ACK.  TCP_NODELAY keeps a trivial round trip far below that."""
+    client.health()  # open the persistent connection
+    trips = []
+    for _ in range(20):
+        started = time.perf_counter()
+        client.health()
+        trips.append(time.perf_counter() - started)
+    assert float(np.median(trips)) < 0.020, trips
+
+
 def test_load_graph_from_raw_edges(client):
     info = client.load_graph(
         "triangle", edges=[[0, 1], [1, 2], [0, 2], [2, 3, 0.5]]

@@ -8,7 +8,9 @@ This file carries the issue's E2E criteria at the scheduler layer:
   (0, 1) — the anytime contract, not a before/after artifact;
 * pause → export → import into a *fresh* scheduler → resume finishes
   with the exact result (the suspended cursor survives the restart);
-* priorities order the queue; failures are contained per-job.
+* priorities order the queue; failures are contained per-job;
+* finished-job memory is bounded: the oldest terminal jobs are dropped
+  beyond a fixed count and every terminal job releases its algorithm.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from repro.core.config import AnyScanConfig
 from repro.errors import ConfigError, ReproError
 from repro.graph.generators.lfr import LFRParams, lfr_graph
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.service.jobs import JobScheduler, JobState
+from repro.result import Clustering
+from repro.service.jobs import _TERMINAL_JOB_LIMIT, JobScheduler, JobState
 
 _POLL = 0.002
 _DEADLINE = 60.0
@@ -295,3 +298,76 @@ def test_scheduler_validation_and_shutdown():
     graph = gnm_random_graph(20, 40, seed=12)
     with pytest.raises(ReproError):
         scheduler.submit(_algo(graph, 2, 0.5))
+
+
+def _completed(scheduler):
+    return scheduler.submit_completed(
+        Clustering(labels=np.zeros(4, dtype=np.int64)), mu=2, epsilon=0.5
+    )
+
+
+def test_terminal_jobs_are_capped_oldest_first():
+    with JobScheduler(workers=1) as scheduler:
+        ids = [_completed(scheduler) for _ in range(_TERMINAL_JOB_LIMIT + 5)]
+        kept = [job["job_id"] for job in scheduler.list_jobs()]
+        assert kept == ids[5:]
+        assert scheduler.state_counts() == {"done": _TERMINAL_JOB_LIMIT}
+
+
+def test_a_dropped_job_answers_like_an_unknown_one():
+    with JobScheduler(workers=1) as scheduler:
+        dropped = _completed(scheduler)
+        for _ in range(_TERMINAL_JOB_LIMIT):
+            _completed(scheduler)
+        assert dropped not in scheduler
+        for read in (scheduler.info, scheduler.snapshot, scheduler.result):
+            with pytest.raises(ReproError, match="unknown job"):
+                read(dropped)
+        with pytest.raises(ReproError, match="unknown job"):
+            scheduler.cancel(dropped)
+
+
+def test_non_terminal_jobs_are_never_dropped():
+    """A running, a pending and a paused job outlive a flood of finished
+    ones; the finished ones alone are capped."""
+    graph = gnm_random_graph(60, 150, seed=14)
+    config = AnyScanConfig(
+        mu=2, epsilon=0.5, alpha=8, beta=8, record_costs=False
+    )
+    _HeldAnySCAN.entered.clear()
+    _HeldAnySCAN.release.clear()
+    with JobScheduler(workers=1, slice_iterations=1) as scheduler:
+        running = scheduler.submit(_HeldAnySCAN(graph, config))
+        assert _HeldAnySCAN.entered.wait(_DEADLINE)
+        pending = scheduler.submit(_algo(graph, 2, 0.5))
+        paused = scheduler.submit(_algo(graph, 2, 0.5))
+        scheduler.pause(paused)
+        for _ in range(2 * _TERMINAL_JOB_LIMIT):
+            _completed(scheduler)
+        states = {j["job_id"]: j["state"] for j in scheduler.list_jobs()}
+        assert states[running] == "running"
+        assert states[pending] == "pending"
+        assert states[paused] == "paused"
+        assert list(states.values()).count("done") == _TERMINAL_JOB_LIMIT
+        _HeldAnySCAN.release.set()
+        for job in (running, pending):
+            assert scheduler.wait(job, timeout=_DEADLINE)["state"] == "done"
+        assert scheduler.export_job(paused)
+
+
+def test_terminal_jobs_release_their_algorithm():
+    """on_done still reads the run's statistics; afterwards the record
+    keeps only the result, not the whole AnySCAN."""
+    graph = gnm_random_graph(60, 150, seed=15)
+    seen = []
+
+    def on_done(job):
+        seen.append(job.algorithm.statistics()["sigma_evaluations"])
+
+    with JobScheduler(workers=1, on_done=on_done) as scheduler:
+        job = scheduler.submit(_algo(graph, 2, 0.5))
+        assert scheduler.wait(job, timeout=_DEADLINE)["state"] == "done"
+        record = scheduler._jobs[job]
+        assert record.algorithm is None
+        assert record.result is not None
+    assert seen and seen[0] > 0

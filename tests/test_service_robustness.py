@@ -5,7 +5,8 @@ Covers the HTTP-layer robustness contract end to end:
 * a saturated scheduler answers 503 with a ``Retry-After`` hint and a
   ``backpressure_rejections`` counter, instead of queueing unboundedly;
 * resubmitting a ``cluster`` POST with the same idempotency key replays
-  the already-scheduled job — no duplicate work;
+  the already-scheduled job — no duplicate work — unless job retention
+  already dropped that job, when the retry submits afresh;
 * the client retries transient failures on idempotent GETs (connection
   refused, 503) with backoff, and honors the server's ``Retry-After``;
 * malformed request bodies surface as 400 + a ``bad_request_bodies``
@@ -29,6 +30,7 @@ from repro.faults import FaultPlan, FaultRule, armed
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.processes import DegradationEvent, _emit_degradation
 from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.jobs import _TERMINAL_JOB_LIMIT
 from repro.service.server import ClusteringServer
 
 pytestmark = pytest.mark.timeout(120)
@@ -105,6 +107,28 @@ class TestIdempotency:
         first = client.cluster("g", 2, 0.5, wait=60.0, idempotency_key="a")
         second = client.cluster("g", 2, 0.5, wait=60.0, idempotency_key="b")
         assert first["job_id"] != second["job_id"]
+
+    def test_key_of_a_dropped_job_submits_afresh(self):
+        with ClusteringServer(workers=1, cache_capacity=1) as live:
+            client = ServiceClient(live.url, timeout=30.0, max_retries=0)
+            client.load_graph(
+                "g", graph=gnm_random_graph(80, 240, seed=7),
+                build_cluster_index=True,
+            )
+            first = client.cluster("g", 2, 0.5, wait=30.0, idempotency_key="k")
+            # Fresh (ε, μ) answers push the keyed job out of retention
+            # and its result out of the one-entry cache.
+            for i in range(_TERMINAL_JOB_LIMIT):
+                client.cluster("g", 2, 0.3 + i / 1000, wait=30.0)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.status(first["job_id"])
+            assert excinfo.value.status == 400
+            assert "unknown job" in str(excinfo.value)
+            retry = client.cluster("g", 2, 0.5, wait=30.0, idempotency_key="k")
+            assert retry["job_id"] != first["job_id"]
+            assert retry["labels"] == first["labels"]
+            assert client.status(retry["job_id"])["state"] == "done"
+            assert _counter(client, "idempotent_replays") == 0
 
     def test_non_string_key_is_rejected(self, server, client):
         _load(client)

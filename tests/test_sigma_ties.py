@@ -110,25 +110,8 @@ ALGORITHMS = {
 }
 
 
-@pytest.fixture
-def true_cores_once(monkeypatch):
-    """``explain_difference`` re-derives the true cores per call; they
-    depend only on (μ, ε), so each is computed once per test."""
-    derive = comparison.true_core_mask
-    cache = {}
-
-    def cached(graph, oracle, mu, epsilon):
-        if (mu, epsilon) not in cache:
-            cache[mu, epsilon] = derive(graph, oracle, mu, epsilon)
-        return cache[mu, epsilon]
-
-    monkeypatch.setattr(comparison, "true_core_mask", cached)
-
-
 @pytest.mark.parametrize("mu", [3, 5, 8])
-def test_every_algorithm_matches_scan_at_suggested_epsilons(
-    tie_graph, true_cores_once, mu
-):
+def test_every_algorithm_matches_scan_at_suggested_epsilons(tie_graph, mu):
     """26 of the explorer's ε candidates per μ — each one a σ value, so
     a tie for some vertex — give every algorithm scan's core set."""
     candidates = ParameterExplorer(tie_graph).epsilon_candidates(mu)

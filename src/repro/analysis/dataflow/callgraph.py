@@ -17,7 +17,7 @@ constructors, ``target=`` keywords on ``threading.Thread``, anything
 listed under ``concurrency-roots`` in ``[tool.repro-analysis]``, and —
 one level of indirection — functions passed into a *spawn-through*
 parameter (a parameter the callee itself hands to ``.map``/``.submit``),
-which is how ``ProcessBackend._run_chunks(fn, …)`` workers are found.
+so a worker handed to a generic ``run_chunks(fn, …)`` helper is found.
 Every root is treated as running on at least two concurrent workers:
 pool targets are replicated by construction, and a single spawned
 thread still runs concurrently with its spawner.

@@ -13,6 +13,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -21,18 +22,23 @@ from repro.baselines import pscan, scan, scan_b, scanpp
 from repro.core import AnySCAN, AnyScanConfig, parallel_scan
 from repro.errors import ConfigError
 from repro.graph.io import load_edge_list
-from repro.parallel.backends import (
-    BACKEND_NAMES,
-    backend_kind,
-    close_backend,
-    create_backend,
-)
+from repro.parallel.threads import ThreadBackend
 from repro.result import HUB, Clustering
 from repro.similarity.gsindex import ClusteringIndex
 
 __all__ = ["main"]
 
 _BATCH = {"scan": scan, "scan-b": scan_b, "pscan": pscan, "scanpp": scanpp}
+
+#: ``--backend`` choices: the sequential kernel or the thread pool.
+_BACKENDS = ("sequential", "thread")
+
+
+def _thread_backend(args) -> ThreadBackend | None:
+    """The ``--backend``/``--workers`` flags as a σ-pass backend."""
+    if args.backend == "sequential":
+        return None
+    return ThreadBackend(threads=args.workers or os.cpu_count() or 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,16 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["sequential"] + list(BACKEND_NAMES),
+        choices=_BACKENDS,
         default="sequential",
-        help="execution backend; thread/process/auto run the σ phase on a "
-        "real pool (exact SCAN only, requires --algorithm scan)",
+        help="execution backend; thread runs the σ phase on a real "
+        "thread pool (exact SCAN only, requires --algorithm scan)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool width for --backend thread/process/auto",
+        help="pool width for --backend thread (default: CPU count)",
     )
     parser.add_argument(
         "--cluster-index",
@@ -204,12 +210,10 @@ def _prepare_cluster_index(graph, args) -> ClusteringIndex | None:
     if args.cluster_index == "off":
         return None
     path = args.cluster_index_path or (args.graph + ".gsindex.npz")
-    backend = args.backend if args.backend != "sequential" else None
+    backend = _thread_backend(args)
     if args.cluster_index == "build":
         started = time.perf_counter()
-        cluster_index = ClusteringIndex.build(
-            graph, backend=backend, workers=args.workers
-        )
+        cluster_index = ClusteringIndex.build(graph, backend=backend)
         cluster_index.save(path)
         print(
             f"clustering index built in "
@@ -218,7 +222,7 @@ def _prepare_cluster_index(graph, args) -> ClusteringIndex | None:
         )
         return cluster_index
     cluster_index, recovered = ClusteringIndex.load_or_rebuild(
-        path, graph, backend=backend, workers=args.workers
+        path, graph, backend=backend
     )
     if recovered:
         print(
@@ -268,7 +272,7 @@ def _build_local_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cluster-index-path", default=None)
     parser.add_argument(
         "--backend",
-        choices=["sequential"] + list(BACKEND_NAMES),
+        choices=_BACKENDS,
         default="sequential",
         help="backend for --cluster-index build",
     )
@@ -343,21 +347,15 @@ def _local_cluster_main(argv) -> int:
 
 
 def _run_parallel(graph, args) -> Clustering:
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        result = parallel_scan(
-            graph, args.mu, args.epsilon, backend=backend, seed=args.seed
-        )
-        # Report after the run: a lazy fallback (no shared memory, dead
-        # pool) only shows up in the backend's kind once it has executed.
-        print(
-            f"backend {args.backend} resolved to {backend_kind(backend)} "
-            f"(workers={args.workers or 'auto'})",
-            file=sys.stderr,
-        )
-        return result
-    finally:
-        close_backend(backend)
+    backend = _thread_backend(args)
+    print(
+        f"backend thread: {backend.threads} threads, "
+        f"{backend.chunk_size}-row blocks",
+        file=sys.stderr,
+    )
+    return parallel_scan(
+        graph, args.mu, args.epsilon, backend=backend, seed=args.seed
+    )
 
 
 def _run_anyscan(graph, args) -> Clustering:

@@ -1,22 +1,22 @@
-"""Exact SCAN on a real execution backend (Figure 4, executed for real).
+"""Exact SCAN with the σ pass on real threads (Figure 4, executed for real).
 
 The σ-evaluation phase dominates SCAN's runtime and is embarrassingly
 parallel; everything after it (core test, cluster expansion, hub/outlier
 split) is a cheap sequential epilogue.  This module runs that dominant
-phase on a registry backend — real threads or a shared-memory process
-pool — as the σ pass of a
-:class:`~repro.similarity.gsindex.ClusteringIndex` build, and answers
-the (ε, μ) query from the index.  The index query reproduces
+phase on a :class:`~repro.parallel.threads.ThreadBackend` — the numpy
+kernels release the GIL, so the threads share the cores — as the σ pass
+of a :class:`~repro.similarity.gsindex.ClusteringIndex` build, and
+answers the (ε, μ) query from the index.  The index query reproduces
 :func:`repro.baselines.scan.scan` byte for byte for a given ``seed``,
 so the result is identical to the sequential reference regardless of
-worker count, chunk size, or backend kind.  The cross-backend
-differential tests pin this conformance contract.
+thread count or chunk size.  The cross-backend differential tests pin
+this conformance contract.
 """
 
 from __future__ import annotations
 
 from repro.graph.csr import Graph
-from repro.parallel.backends import Backend
+from repro.parallel.threads import ThreadBackend
 from repro.result import Clustering
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig
@@ -30,23 +30,19 @@ def parallel_scan(
     mu: int,
     epsilon: float,
     *,
-    backend: Backend | str = "auto",
-    workers: int | None = None,
+    backend: ThreadBackend | None = None,
     config: SimilarityConfig | None = None,
     seed: int = 0,
 ) -> Clustering:
-    """Cluster ``graph`` with SCAN, σ phase on a real parallel backend.
+    """Cluster ``graph`` with SCAN, σ phase on a real thread pool.
 
     Parameters
     ----------
     graph, mu, epsilon:
         As for :func:`repro.baselines.scan.scan`.
     backend:
-        A registry name (``"thread" | "process" | "auto"``) or an
-        already-built backend object.  A backend built here is also
-        closed here; a caller-supplied object stays open for reuse.
-    workers:
-        Pool width when ``backend`` is a registry name.
+        The :class:`~repro.parallel.threads.ThreadBackend` that computes
+        the σ pass; ``None`` runs the sequential batched kernel.
     config:
         Similarity semantics (defaults match the sequential reference).
     seed:
@@ -62,6 +58,5 @@ def parallel_scan(
         graph,
         config or SimilarityConfig(pruning=False),
         backend=backend,
-        workers=workers,
     )
     return index.query(epsilon, mu, seed=seed)

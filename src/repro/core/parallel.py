@@ -17,7 +17,7 @@ edge σ evaluations as one embarrassingly parallel block.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -27,9 +27,9 @@ from repro.core.anyscan import AnySCAN
 from repro.core.config import AnyScanConfig
 from repro.errors import SimulationError
 from repro.graph.csr import Graph
-from repro.parallel.backends import backend_kind, close_backend, create_backend
 from repro.parallel.costs import IterationCosts, ParallelBlock
 from repro.parallel.simulator import MachineSpec, MulticoreSimulator
+from repro.parallel.threads import ThreadBackend
 from repro.result import Clustering
 from repro.similarity.weighted import SimilarityConfig
 
@@ -209,58 +209,52 @@ def ideal_speedups(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MeasuredSpeedup:
-    """Wall-clock measurement of the σ phase at one worker count."""
+    """Wall-clock measurement of the σ phase at one thread count."""
 
     workers: int
-    kind: str          # "process" or "thread" (fallback-aware)
     seconds: float
-    speedup: float     # over the first (usually 1-worker) measurement
+    speedup: float     # over the first (usually 1-thread) measurement
 
 
 def measured_sigma_speedups(
     graph: Graph,
     worker_counts: Sequence[int],
     *,
-    backend: str = "auto",
+    backend: Optional[ThreadBackend] = None,
     config: Optional[SimilarityConfig] = None,
-    chunk_size: Optional[int] = None,
     repeats: int = 1,
 ) -> List[MeasuredSpeedup]:
     """Measured wall-clock speedups of the σ-evaluation phase.
 
     The simulator above *predicts* scalability from cost logs; this
     times the same embarrassingly parallel phase (σ for every edge, in
-    vertex-range row blocks — the index build's σ pass) for real on the
-    selected registry backend, giving the real-hardware column next to
-    Figures 10–12.  The first entry of ``worker_counts`` is the
-    baseline, so pass ``[1, 2, 4, ...]``.  ``repeats`` keeps the best of
-    N timings to damp scheduler noise.
+    vertex-range row blocks — the index build's σ pass) for real on a
+    :class:`~repro.parallel.threads.ThreadBackend`, giving the
+    real-hardware column next to Figures 10–12.  ``backend`` sets the
+    block geometry (``None`` is the default ``ThreadBackend()``); its
+    thread count is replaced by each entry of ``worker_counts``.  The
+    first entry is the baseline, so pass ``[1, 2, 4, ...]``.
+    ``repeats`` keeps the best of N timings to damp scheduler noise.
     """
     if not worker_counts:
         raise SimulationError("need at least one worker count")
     if repeats < 1:
         raise SimulationError("repeats must be >= 1")
+    template = backend or ThreadBackend()
     out: List[MeasuredSpeedup] = []
     baseline: Optional[float] = None
     for count in worker_counts:
-        runner = create_backend(
-            backend, workers=int(count), chunk_size=chunk_size
-        )
-        try:
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                runner.sigma_rows(graph, config)
-                best = min(best, time.perf_counter() - started)
-            kind = backend_kind(runner)
-        finally:
-            close_backend(runner)
+        runner = replace(template, threads=int(count))
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            runner.sigma_rows(graph, config)
+            best = min(best, time.perf_counter() - started)
         if baseline is None:
             baseline = best
         out.append(
             MeasuredSpeedup(
                 workers=int(count),
-                kind=kind,
                 seconds=best,
                 speedup=baseline / best if best > 0 else float("nan"),
             )

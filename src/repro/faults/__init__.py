@@ -12,8 +12,7 @@ those disasters:
   armed, so production code pays nothing;
 * :func:`arm` / :func:`disarm` / :class:`armed` — process-wide plan
   activation (also via the :data:`FAULT_PLAN_ENV` environment variable,
-  which is how pool worker processes and subprocess tests inherit a
-  plan);
+  which is how subprocess tests inherit a plan);
 * :mod:`repro.faults.corruption` — seeded on-disk corruption helpers for
   the index-file battery.
 

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Environment variable holding a JSON-serialized plan.  Read at import
-#: time, so pool workers spawned with it set (and fork children, which
+#: time, so subprocesses spawned with it set (and fork children, which
 #: inherit the armed module state directly) run under the same plan.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
@@ -255,8 +255,9 @@ class FaultPlan:
         """A seeded random plan over a site vocabulary.
 
         ``exit_sites`` lists the sites where process death is survivable
-        (worker chunks); ``kind="exit"`` rules are only generated there —
-        an exit anywhere else would kill the test process itself.
+        (code running in a subprocess the test watches); ``kind="exit"``
+        rules are only generated there — an exit anywhere else would
+        kill the test process itself.
         """
         rng = random.Random(f"fault-plan:{int(seed)}")
         rules: List[FaultRule] = []

@@ -34,8 +34,8 @@ Degradation
 σ resolution goes through the tier chain from :mod:`repro.local.tiers`;
 if a tier faults mid-query the search restarts on the next tier and a
 :class:`~repro.parallel.processes.DegradationEvent` is emitted through
-the same listener channel the process backend uses (the service bridges
-it into ``/metrics``).
+the process-wide listener channel (the service bridges it into
+``/metrics``).
 """
 
 from __future__ import annotations

@@ -1,18 +1,7 @@
-"""Parallel execution: simulated machine, real threads, real processes."""
+"""Parallel execution: the simulated machine and the real-thread σ pass."""
 
-from repro.parallel.backends import (
-    BACKEND_NAMES,
-    backend_kind,
-    close_backend,
-    create_backend,
-    resolve_backend_name,
-)
 from repro.parallel.costs import IterationCosts, ParallelBlock
-from repro.parallel.processes import (
-    ProcessBackend,
-    SharedGraph,
-    shared_memory_available,
-)
+from repro.parallel.processes import shared_memory_available
 from repro.parallel.sync import (
     atomic_add,
     atomic_max,
@@ -37,14 +26,7 @@ __all__ = [
     "MulticoreSimulator",
     "speedup_curve",
     "ThreadBackend",
-    "ProcessBackend",
-    "SharedGraph",
     "shared_memory_available",
-    "BACKEND_NAMES",
-    "resolve_backend_name",
-    "create_backend",
-    "backend_kind",
-    "close_backend",
     "atomic_add",
     "atomic_store",
     "atomic_max",

@@ -1,48 +1,37 @@
-"""Real multicore execution: a shared-memory process-pool backend.
+"""Named POSIX shared-memory segments and their lifecycle.
 
-:class:`~repro.parallel.threads.ThreadBackend` proves result parity but
-is GIL-bound; this module is the path that actually escapes the GIL.
-The graph's CSR arrays (``indptr``, ``indices``, ``weights``) and the
-oracle's precomputed invariants (``l_p``, ``w_p``, linear sums) are
-published once through :mod:`multiprocessing.shared_memory`; worker
-processes attach by name and rebuild zero-copy numpy views, so the only
-per-task traffic is one vertex range going out; each worker writes that
-range's σ slice straight into the shared ``sigma_out`` segment.  The σ
-phase is embarrassingly parallel (every slot has exactly one writer),
-which is exactly the phase the paper's Figure 4 and the parallel-SCAN
-literature identify as the scalability carrier.
+The service's zero-copy store (:class:`~repro.service.shm.StorePublisher`
+and the attached readers of a ``--processes N`` fleet) publishes every
+array through :class:`SegmentRegistry`, so one lifecycle story holds for
+every ``/dev/shm`` entry the package creates:
 
-Lifecycle contract:
+* segments are named ``repro_{pid}_{label}_{token}`` so a leak check (or
+  an operator) can attribute every stray segment to its creator;
+* a registry owns its segments — :meth:`SegmentRegistry.close` (or the
+  context manager, or the GC finalizer) closes **and unlinks** them,
+  and :meth:`SegmentRegistry.release` retires single epochs;
+* readers attach close-only (:meth:`SegmentRegistry.attach`,
+  :func:`untrack_attachment`), so a dying reader never unlinks what the
+  owner still serves;
+* abnormal shutdown is covered: an atexit hook unlinks every live
+  segment on interpreter exit (``KeyboardInterrupt`` included),
+  :func:`install_signal_cleanup` extends that to SIGTERM, and after a
+  SIGKILL the multiprocessing resource tracker reaps tracked segments.
 
-* the pool and the shared segments spin up lazily on the first parallel
-  call and are reused while the (graph, similarity-config) pair stays
-  the same;
-* :meth:`ProcessBackend.close` (or the context manager, or the GC
-  finalizer) tears both down and **unlinks** the segments even when the
-  workload raised;
-* abnormal shutdown is covered too: an atexit hook unlinks every live
-  segment on interpreter exit (``KeyboardInterrupt`` included), and
-  :func:`install_signal_cleanup` extends that to SIGTERM — segments are
-  named ``repro_{pid}_…`` so a leak check can audit ``/dev/shm``;
-* when shared memory is unavailable (restricted ``/dev/shm``) the
-  backend degrades to an equivalent
-  :class:`~repro.parallel.threads.ThreadBackend` — same results, no
-  real speedup — unless ``allow_fallback=False``.
+Creating a segment is the ``process.segment.create`` fault site.  The
+module also carries the process-wide :class:`DegradationEvent` channel
+that execution tiers (e.g. :mod:`repro.local`) report through and the
+service bridges into ``/metrics``.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-import random
 import secrets
 import signal
 import threading
-import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,10 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults import FaultInjected, fault_point
-from repro.graph.csr import Graph
-from repro.parallel.threads import ThreadBackend
-from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
+from repro.faults import fault_point
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -65,8 +51,6 @@ __all__ = [
     "remove_degradation_listener",
     "emit_degradation",
     "shared_memory_available",
-    "SharedGraph",
-    "ProcessBackend",
     "cleanup_live_segments",
     "install_signal_cleanup",
 ]
@@ -74,13 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """Structured record of one backend degradation (process → thread).
+    """Structured record of one execution-tier degradation.
 
-    Emitted exactly once per :class:`ProcessBackend` instance, at the
-    moment the thread fallback is engaged, to the backend's own
-    ``on_degrade`` callback and every listener registered through
-    :func:`add_degradation_listener` (the service bridges these into
-    :class:`~repro.service.metrics.ServiceMetrics`).
+    Delivered by :func:`emit_degradation` to every listener registered
+    through :func:`add_degradation_listener` (the service bridges these
+    into :class:`~repro.service.metrics.ServiceMetrics`).
     """
 
     backend: str
@@ -134,20 +116,6 @@ def emit_degradation(event: DegradationEvent) -> None:
             listener(event)
         except Exception:  # repro: allow[swallow] - observers must not mask
             pass
-
-
-#: Backwards-compatible private alias (module-internal call sites).
-_emit_degradation = emit_degradation
-
-#: Labels of the arrays a :class:`SharedGraph` publishes.  ``sigma_out``
-#: is the only writable one: an all-edges σ buffer that
-#: :meth:`ProcessBackend.sigma_rows` workers fill in disjoint
-#: vertex-range slices (the index build's reduction lives in shared
-#: memory instead of pickling one float per edge back to the parent).
-_ARRAY_LABELS = (
-    "indptr", "indices", "weights", "lengths", "max_weights", "linear_sums",
-    "sigma_out",
-)
 
 
 #: Leading component of every shared-memory segment name this module
@@ -231,29 +199,17 @@ def shared_memory_available() -> bool:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SharedArraySpec:
-    """Picklable description of one shared-memory-backed array.
+    """Description of one shared-memory-backed array.
 
     A spec is the *attachment recipe* for a published array: segment
-    name, shape, and dtype string.  It travels over pickle (process
-    pools) or JSON-ish manifests (the service layer serialises the three
-    fields) and is everything :meth:`SegmentRegistry.attach` needs.
+    name, shape, and dtype string.  It travels in the service's JSON
+    manifests (the three fields serialised as a list) and is everything
+    :meth:`SegmentRegistry.attach` needs.
     """
 
     shm_name: str
     shape: Tuple[int, ...]
     dtype: str
-
-
-#: Backward-compatible internal alias (pre-registry name).
-_SharedSpec = SharedArraySpec
-
-
-@dataclass(frozen=True)
-class SharedGraphHandle:
-    """Everything a worker needs to rebuild the graph and oracle."""
-
-    specs: Tuple[Tuple[str, SharedArraySpec], ...]
-    similarity: SimilarityConfig
 
 
 def _release_named(
@@ -342,10 +298,9 @@ def _create_named_segment(label: str, size: int) -> shared_memory.SharedMemory:
 class SegmentRegistry:
     """Owner-side bookkeeping for a group of named shared segments.
 
-    Every shared-memory layer in the codebase (the process-pool backend
-    here, the service's zero-copy :class:`~repro.service.shm.StorePublisher`)
-    funnels segment creation through one of these so the lifecycle story
-    is identical everywhere: the registry owns its segments, `close`
+    The service's zero-copy :class:`~repro.service.shm.StorePublisher`
+    (and its manifest block) funnels segment creation through one of
+    these so the lifecycle story is identical everywhere: the registry owns its segments, `close`
     (or the GC finalizer, or the atexit/SIGTERM sweep over
     :data:`_LIVE_REGISTRIES`) closes **and unlinks** all of them, and
     per-segment :meth:`release` lets a long-lived owner retire old
@@ -410,21 +365,6 @@ class SegmentRegistry:
             self._owned[shm.name] = shm
         return shm
 
-    def read(self, spec: SharedArraySpec) -> np.ndarray:
-        """Copy one owned array out of its segment."""
-        with self._lock:
-            shm = self._owned.get(spec.shm_name)
-        if shm is None:
-            raise SimulationError(
-                f"no owned segment named {spec.shm_name!r}"
-            )
-        view = np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf
-        )
-        out = np.array(view)
-        del view  # drop the exported buffer so close() can unmap
-        return out
-
     def release(self, names: Sequence[str]) -> int:
         """Close + unlink the named owned segments; returns how many.
 
@@ -482,478 +422,3 @@ class SegmentRegistry:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class SharedGraph:
-    """Owner-side copy of one graph (plus oracle invariants) in shared memory.
-
-    Creating one copies the six arrays into fresh segments exactly once;
-    :attr:`handle` is the picklable attachment recipe handed to workers.
-    The segments are unlinked by :meth:`close`, the context manager, or —
-    as a last resort — a GC finalizer, so abandoned instances cannot leak
-    ``/dev/shm`` entries.
-    """
-
-    def __init__(self, graph: Graph, config: SimilarityConfig | None = None) -> None:
-        config = config or SimilarityConfig()
-        config.validate()
-        oracle = SimilarityOracle(graph, config)
-        lengths, max_weights, linear_sums = oracle.precomputed_arrays()
-        arrays = {
-            "indptr": graph.indptr,
-            "indices": graph.indices,
-            "weights": graph.weights,
-            "lengths": lengths,
-            "max_weights": max_weights,
-            "linear_sums": linear_sums,
-            "sigma_out": np.zeros(graph.indices.shape[0], dtype=np.float64),
-        }
-        registry = SegmentRegistry()
-        specs: List[Tuple[str, SharedArraySpec]] = []
-        try:
-            for label in _ARRAY_LABELS:
-                specs.append((label, registry.publish(label, arrays[label])))
-        except BaseException:
-            registry.close()
-            raise
-        self._registry = registry
-        self.handle = SharedGraphHandle(
-            specs=tuple(specs), similarity=config
-        )
-
-    def read_array(self, label: str) -> np.ndarray:
-        """Copy one published array out of its shared segment."""
-        if self.closed:
-            raise SimulationError("shared graph already closed")
-        for name, spec in self.handle.specs:
-            if name == label:
-                return self._registry.read(spec)
-        raise SimulationError(f"no shared array labelled {label!r}")
-
-    def close(self) -> None:
-        """Close and unlink every segment (safe to call repeatedly)."""
-        self._registry.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._registry.closed
-
-    def __enter__(self) -> "SharedGraph":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-#: Per-process attachment state, set once by the pool initializer.  Each
-#: worker process has its own copy of this module, so the global is
-#: process-local by construction and never shared between workers.
-_WORKER_STATE: Optional[dict] = None
-
-#: How often a worker checks that its parent is still alive (seconds).
-_PARENT_POLL_SECONDS = 0.5
-
-
-def _start_parent_watchdog() -> None:
-    """Exit this worker when the parent process disappears.
-
-    A SIGKILL'd parent runs no cleanup hook, so the only path back to a
-    clean ``/dev/shm`` is the multiprocessing resource tracker — and the
-    tracker only sweeps once *every* process holding its pipe has died.
-    Orphaned pool workers block on the call queue forever (the queue's
-    writers include the workers themselves, so no EOF ever arrives),
-    which would keep the tracker pipe open and the segments leaked.
-    Reparenting (``getppid`` changing) is the death signal; ``os._exit``
-    skips worker-side cleanup on purpose — the tracker owns it.
-    """
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(_PARENT_POLL_SECONDS)
-        os._exit(1)
-
-    threading.Thread(
-        target=watch, name="parent-watchdog", daemon=True
-    ).start()
-
-
-def _worker_init(handle: SharedGraphHandle) -> None:
-    """Attach the shared segments and rebuild graph + oracle, once.
-
-    Workers never unlink: pool processes share the parent's resource
-    tracker, so attaching re-registers the same name as a set no-op and
-    the parent's single unlink is the whole cleanup story.
-    """
-    _start_parent_watchdog()
-    fault_point("process.worker.init")
-    global _WORKER_STATE
-    segments = []
-    views = {}
-    for label, spec in handle.specs:
-        shm = shared_memory.SharedMemory(name=spec.shm_name)
-        segments.append(shm)
-        views[label] = np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf
-        )
-    # validate=False: the arrays were validated when the owner built the
-    # graph; ascontiguousarray on an aligned view is zero-copy.
-    graph = Graph(
-        views["indptr"], views["indices"], views["weights"], validate=False
-    )
-    oracle = SimilarityOracle(
-        graph,
-        handle.similarity,
-        precomputed=(
-            views["lengths"], views["max_weights"], views["linear_sums"]
-        ),
-    )
-    # Process-local cache: this module instance lives in exactly one
-    # worker process, so the write is not shared state.  # repro: allow[R1]
-    _WORKER_STATE = {
-        "segments": segments,
-        "graph": graph,
-        "oracle": oracle,
-        "sigma_out": views["sigma_out"],
-    }
-
-
-def _sigma_row_chunk(task: Tuple[int, int]) -> None:
-    """Fill ``sigma_out`` for one vertex range's CSR rows.
-
-    Vertex ranges are disjoint, so the slot slices
-    ``indptr[lo]:indptr[hi]`` are disjoint across workers — each shared
-    slice has exactly one writer and no reader until the barrier.
-    """
-    fault_point("process.worker.chunk")
-    lo, hi = task
-    if _WORKER_STATE is None:  # pragma: no cover - defensive
-        raise SimulationError("worker used before pool initialization")
-    oracle = _WORKER_STATE["oracle"]
-    indptr = _WORKER_STATE["graph"].indptr
-    sigma_out = _WORKER_STATE["sigma_out"]
-    sigma_out[int(indptr[lo]) : int(indptr[hi])] = oracle.sigma_row_block(
-        lo, hi
-    )
-
-
-# ----------------------------------------------------------------------
-# the backend
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _FallbackResult:
-    """Marks a result produced by the retry path (already final-shaped)."""
-
-    value: object
-
-
-class ProcessBackend:
-    """Chunked parallel map over a pool of real processes.
-
-    Mirrors :class:`~repro.parallel.threads.ThreadBackend`'s
-    :meth:`sigma_rows`, the one backend workload.  Worker callables must
-    be module-level functions (they are pickled); closures stay the
-    thread backend's territory.
-
-    Parameters
-    ----------
-    workers:
-        Pool width; defaults to ``os.cpu_count()``.
-    chunk_size:
-        Vertices handed to a worker per task, as in OpenMP's
-        ``schedule(dynamic, chunk)``.
-    allow_fallback:
-        Degrade to an equivalent thread backend when shared memory is
-        unavailable, or after the failure budget is
-        spent; when ``False`` such conditions raise
-        :class:`~repro.errors.SimulationError` instead.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheapest on Linux) and the platform default elsewhere.
-    max_chunk_retries:
-        How many times one chunk may fail with an ordinary exception
-        (not a pool death) before the backend gives up on the process
-        path; retries back off exponentially with jitter.
-    failure_budget:
-        How many pool deaths (:class:`BrokenProcessPool`) the backend
-        absorbs — respawning the pool and reassigning the dead workers'
-        chunks — before it degrades to the thread fallback for good.
-    retry_backoff:
-        Base sleep (seconds) before re-running a failed chunk; attempt
-        ``k`` sleeps ``retry_backoff * 2**(k-1)`` scaled by a random
-        jitter in ``[1, 2)``.
-    on_degrade:
-        Optional callback receiving the :class:`DegradationEvent` when
-        the fallback engages (process-wide listeners fire as well).
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int = 256,
-        *,
-        allow_fallback: bool = True,
-        start_method: str | None = None,
-        max_chunk_retries: int = 2,
-        failure_budget: int = 2,
-        retry_backoff: float = 0.05,
-        on_degrade: Optional[Callable[[DegradationEvent], None]] = None,
-    ) -> None:
-        self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-        self.chunk_size = int(chunk_size)
-        self.allow_fallback = bool(allow_fallback)
-        self.start_method = start_method
-        self.max_chunk_retries = int(max_chunk_retries)
-        self.failure_budget = int(failure_budget)
-        self.retry_backoff = float(retry_backoff)
-        self.on_degrade = on_degrade
-        self._shared: Optional[SharedGraph] = None
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._graph: Optional[Graph] = None
-        self._config: Optional[SimilarityConfig] = None
-        self._fallback: Optional[ThreadBackend] = None
-        self._failures = 0
-        self._degraded = False
-        self._retry_rng = random.Random(0xC0FFEE)
-
-    # -- lifecycle ------------------------------------------------------
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise SimulationError("need at least one worker")
-        if self.chunk_size < 1:
-            raise SimulationError("chunk_size must be >= 1")
-        if self.max_chunk_retries < 0:
-            raise SimulationError("max_chunk_retries must be >= 0")
-        if self.failure_budget < 0:
-            raise SimulationError("failure_budget must be >= 0")
-        if self.retry_backoff < 0:
-            raise SimulationError("retry_backoff must be >= 0")
-
-    @property
-    def kind(self) -> str:
-        """``"process"``, or ``"thread"`` once the fallback engaged."""
-        return "thread" if self._fallback is not None else "process"
-
-    def close(self) -> None:
-        """Shut the pool down and unlink the shared segments."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        shared, self._shared = self._shared, None
-        if shared is not None:
-            shared.close()
-        self._graph = None
-        self._config = None
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        # repro: allow[swallow] - interpreter may already be tearing down
-        except Exception:
-            pass
-
-    # -- session management --------------------------------------------
-    def _thread_fallback(self, reason: str) -> ThreadBackend:
-        if not self.allow_fallback:
-            raise SimulationError(
-                f"process backend unavailable ({reason}) and fallback "
-                "is disabled"
-            )
-        if self._fallback is None:
-            self._fallback = ThreadBackend(
-                threads=self.workers, chunk_size=self.chunk_size
-            )
-            event = DegradationEvent(
-                backend="process",
-                reason=reason,
-                failures=self._failures,
-                workers=self.workers,
-            )
-            if self.on_degrade is not None:
-                try:
-                    self.on_degrade(event)
-                except Exception:  # repro: allow[swallow] - observers must not mask
-                    pass
-            _emit_degradation(event)
-        return self._fallback
-
-    def _make_executor(self) -> ProcessPoolExecutor:
-        """A fresh pool attached to the current shared graph."""
-        fault_point("process.pool.spawn")
-        assert self._shared is not None
-        mp_context = None
-        method = self.start_method
-        if method is None and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
-        if method is not None:
-            mp_context = multiprocessing.get_context(method)
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=mp_context,
-            initializer=_worker_init,
-            initargs=(self._shared.handle,),
-        )
-
-    def _ensure_session(
-        self, graph: Graph, config: SimilarityConfig
-    ) -> Optional[ThreadBackend]:
-        """Spin up (or reuse) the pool; a ThreadBackend means fallback."""
-        self.validate()
-        if self._degraded:
-            return self._thread_fallback("degraded after repeated failures")
-        if not shared_memory_available():
-            return self._thread_fallback("shared memory unavailable")
-        if (
-            self._executor is not None
-            and self._graph is graph
-            and self._config == config
-        ):
-            return None
-        self.close()
-        try:
-            self._shared = SharedGraph(graph, config)
-            self._executor = self._make_executor()
-        except (OSError, ValueError, MemoryError, FaultInjected) as exc:
-            self.close()
-            return self._thread_fallback(f"pool setup failed: {exc}")
-        self._graph = graph
-        self._config = config
-        return None
-
-    def _sleep_backoff(self, attempt: int) -> None:
-        """Exponential backoff with jitter before re-running a chunk."""
-        if self.retry_backoff <= 0:
-            return
-        delay = self.retry_backoff * (2 ** max(0, attempt - 1))
-        delay *= 1.0 + self._retry_rng.random()
-        time.sleep(min(delay, 1.0))
-
-    def _give_up(self, reason: str, cause: BaseException, retry):
-        """Abandon the process path: degrade for good or raise."""
-        self.close()
-        if not self.allow_fallback:
-            raise SimulationError(
-                f"process backend failed ({reason}) and fallback is disabled"
-            ) from cause
-        self._degraded = True
-        self._thread_fallback(reason)
-        return _FallbackResult(retry())
-
-    def _run_chunks(self, fn, tasks, retry):
-        """Order-preserving map over the pool with failure recovery.
-
-        Chunks that fail with an ordinary exception are re-submitted up
-        to ``max_chunk_retries`` times with exponential backoff.  A dead
-        pool (OOM-killed or crashed worker) is detected as
-        :class:`BrokenProcessPool`: completed chunks keep their results,
-        the pool is respawned, and the dead workers' chunks are
-        reassigned — until ``failure_budget`` deaths, after which the
-        backend degrades for good to the thread fallback and re-runs the
-        whole batch via ``retry`` (returned wrapped in
-        :class:`_FallbackResult` because it is already final-shaped).
-        Chunks are idempotent by construction (disjoint slice writes
-        re-written whole on retry), so reassignment cannot corrupt
-        results.
-        """
-        tasks = list(tasks)
-        results: List[object] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        attempts = [0] * len(tasks)
-        while pending:
-            assert self._executor is not None
-            futures = [
-                (self._executor.submit(fn, tasks[i]), i) for i in pending
-            ]
-            requeue: List[int] = []
-            pool_broke: Optional[BaseException] = None
-            for future, i in futures:
-                if pool_broke is not None:
-                    # The pool is dead; keep whatever finished cleanly
-                    # and reassign the rest after the respawn.
-                    if future.done() and future.exception() is None:
-                        results[i] = future.result()
-                    else:
-                        requeue.append(i)
-                    continue
-                try:
-                    results[i] = future.result()
-                # Accounted after the drain loop: failure budget, pool
-                # respawn, or degradation.  # repro: allow[swallow]
-                except BrokenProcessPool as exc:
-                    pool_broke = exc
-                    requeue.append(i)
-                except Exception as exc:
-                    attempts[i] += 1
-                    if attempts[i] > self.max_chunk_retries:
-                        return self._give_up(
-                            f"chunk failed {attempts[i]} times: {exc}",
-                            exc,
-                            retry,
-                        )
-                    requeue.append(i)
-                    self._sleep_backoff(attempts[i])
-            if pool_broke is not None:
-                self._failures += 1
-                if self._failures > self.failure_budget:
-                    return self._give_up(
-                        f"process pool died {self._failures} times: "
-                        f"{pool_broke}",
-                        pool_broke,
-                        retry,
-                    )
-                try:
-                    self._respawn_pool()
-                except (OSError, ValueError, FaultInjected) as exc:
-                    return self._give_up(
-                        f"pool respawn failed: {exc}", exc, retry
-                    )
-            pending = requeue
-        return results
-
-    def _respawn_pool(self) -> None:
-        """Replace a dead executor, keeping the shared segments."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = self._make_executor()
-
-    # -- the workload -------------------------------------------------
-    def sigma_rows(
-        self, graph: Graph, config: SimilarityConfig | None = None
-    ) -> np.ndarray:
-        """σ for every directed CSR edge (the index build's σ phase).
-
-        Workers fill disjoint vertex-range slices of the shared
-        ``sigma_out`` segment through the batched kernels; after the
-        barrier the parent copies the assembled array out in one read.
-        Because slot (u, v) is always computed by expanding v's row, the
-        result is bitwise-identical to the sequential and thread paths.
-        """
-        config = config or SimilarityConfig()
-        if graph.indices.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-
-        def sequentialize():
-            return self._fallback.sigma_rows(graph, config)
-
-        if self._ensure_session(graph, config) is not None:
-            return sequentialize()
-        n = graph.num_vertices
-        tasks = [
-            (lo, min(lo + self.chunk_size, n))
-            for lo in range(0, n, self.chunk_size)
-        ]
-        out = self._run_chunks(_sigma_row_chunk, tasks, sequentialize)
-        if isinstance(out, _FallbackResult):
-            return out.value
-        assert self._shared is not None
-        return self._shared.read_array("sigma_out")

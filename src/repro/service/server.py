@@ -172,8 +172,9 @@ class ClusteringService:
             OrderedDict()
         )
         self._idempotency_lock = threading.Lock()
-        # Backend degradations (process pool → threads) land in the
-        # metrics audit trail so operators see them without log scraping.
+        # Execution-tier degradations (a local-cluster tier falling back
+        # to the next) land in the metrics audit trail so operators see
+        # them without log scraping.
         self._degradation_listener = add_degradation_listener(
             self._backend_degraded
         )

@@ -15,9 +15,9 @@ module is the storage half of that design:
 * :class:`StorePublisher` — the single writer's mirror.  Each
   :class:`~repro.service.store.GraphEntry` is published as a group of
   immutable named segments (``repro_{pid}_g{slug}e{epoch}_{label}_…``)
-  through the same :class:`~repro.parallel.processes.SegmentRegistry`
-  machinery as the process-pool backend, so the atexit/SIGTERM sweep and
-  the ``/dev/shm`` leak audit cover the service layer for free.  A
+  through a :class:`~repro.parallel.processes.SegmentRegistry`, so the
+  atexit/SIGTERM sweep and the ``/dev/shm`` leak audit cover the
+  service layer.  A
   mutation publishes a **new epoch** (fresh segments), rewrites the
   manifest, then unlinks the previous epoch's segments — attached
   readers keep their mappings (POSIX unlink removes the name, not the

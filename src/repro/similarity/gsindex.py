@@ -26,9 +26,9 @@ precomputed-σ input every query path takes.  Its parts:
   byte-identical labels and roles, hubs/outliers included; see
   :meth:`ClusteringIndex.query` for why the replay is exact).
 
-Construction reuses the batched σ kernels through the backends'
-``sigma_rows`` (thread/process/auto backends produce the
-bitwise-identical index), persistence reuses the ``.npz`` + checksum +
+Construction reuses the batched σ kernels, in-process or through the
+thread backend's ``sigma_rows`` (both produce the bitwise-identical
+index), persistence reuses the ``.npz`` + checksum +
 quarantine machinery of :mod:`repro.similarity.index` — a
 ``ClusteringIndex`` archive is exactly the edge-index format, so either
 class loads it.  Dynamic updates patch the index through
@@ -93,19 +93,17 @@ class ClusteringIndex:
         config: SimilarityConfig | None = None,
         *,
         backend=None,
-        workers: int | None = None,
     ) -> "ClusteringIndex":
-        """Materialize σ (via the batched kernels, optionally fanned out
-        over the thread/process backends) and derive the query structure.
+        """Materialize σ (via the batched kernels, in-process for
+        ``backend=None`` or fanned out over a
+        :class:`~repro.parallel.threads.ThreadBackend`) and derive the
+        query structure.
 
-        Every backend produces the bitwise-identical index: the σ array
-        is slot-deterministic (see ``ThreadBackend.sigma_rows``) and the
-        derived order is a deterministic function of it.
+        Both paths produce the bitwise-identical index: the σ array is
+        slot-deterministic (see ``ThreadBackend.sigma_rows``) and the
+        derived structure is a deterministic function of it.
         """
-        edge = EdgeSimilarityIndex.build(
-            graph, config, backend=backend, workers=workers
-        )
-        return cls(edge)
+        return cls(EdgeSimilarityIndex.build(graph, config, backend=backend))
 
     def _derive(self) -> None:
         """σ-sorted rows from the σ array (no σ work)."""
@@ -115,14 +113,10 @@ class ClusteringIndex:
         degrees = graph.degrees.astype(np.int64, copy=False)
         owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
         self._owners = owners
-        if sigmas.shape[0]:
-            # Primary: owner (keeps rows contiguous); secondary: σ
-            # descending; tertiary: neighbor id ascending (tie order is
-            # thereby pinned — and provably irrelevant to queries).
-            order = np.lexsort((graph.indices, -sigmas, owners))
-        else:
-            order = np.zeros(0, dtype=np.int64)
-        self._order = order
+        # Primary: owner (keeps rows contiguous); secondary: σ descending;
+        # tertiary: neighbor id ascending (tie order is thereby pinned —
+        # and provably irrelevant to queries).
+        order = np.lexsort((graph.indices, -sigmas, owners))
         self._sorted_sigmas = sigmas[order]
         self._sorted_neighbors = graph.indices[order].astype(
             np.int64, copy=False
@@ -133,7 +127,6 @@ class ClusteringIndex:
     #: them under these names and :meth:`from_derived` re-imports them.
     DERIVED_LABELS: Tuple[str, ...] = (
         "owners",
-        "order",
         "sorted_sigmas",
         "sorted_neighbors",
     )
@@ -149,7 +142,6 @@ class ClusteringIndex:
         """
         return {
             "owners": self._owners,
-            "order": self._order,
             "sorted_sigmas": self._sorted_sigmas,
             "sorted_neighbors": self._sorted_neighbors,
         }
@@ -183,7 +175,6 @@ class ClusteringIndex:
         index.last_query = {}
         m = edge.sigmas.shape[0]
         index._owners = arrays["owners"]
-        index._order = arrays["order"]
         index._sorted_sigmas = arrays["sorted_sigmas"]
         index._sorted_neighbors = arrays["sorted_neighbors"]
         index._self_count = 1 if edge.config.count_self else 0
@@ -386,7 +377,6 @@ class ClusteringIndex:
             "bytes": int(
                 self._sorted_sigmas.nbytes
                 + self._sorted_neighbors.nbytes
-                + self._order.nbytes
                 + self.edge.sigmas.nbytes
             ),
         }
@@ -550,7 +540,6 @@ class ClusteringIndex:
         *,
         config: SimilarityConfig | None = None,
         backend=None,
-        workers: int | None = None,
     ) -> Tuple["ClusteringIndex", bool]:
         """Load ``path``; on damage, quarantine it and rebuild from σ.
 
@@ -569,9 +558,7 @@ class ClusteringIndex:
                 os.replace(final, final + ".quarantined")
             except FileNotFoundError:
                 pass  # missing archive: nothing to quarantine
-            index = cls.build(
-                graph, config, backend=backend, workers=workers
-            )
+            index = cls.build(graph, config, backend=backend)
             index.save(final)
             return index, True
 

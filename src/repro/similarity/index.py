@@ -12,8 +12,8 @@ is that σ array; :class:`~repro.similarity.gsindex.ClusteringIndex`
   slice.
 * The build runs through the batched kernels
   (:mod:`repro.similarity.kernels`), optionally fanned out over the
-  thread/process backends; every path produces the bitwise-identical
-  array (each slot (u, v) is always computed by expanding v's row).
+  thread backend; both paths produce the bitwise-identical array (each
+  slot (u, v) is always computed by expanding v's row).
 * ``save``/``load`` round-trip through ``.npz`` with a graph fingerprint,
   the similarity config, and a payload checksum embedded.  Saves are
   atomic (write-to-temp + ``os.replace``), so a crashed writer can never
@@ -120,41 +120,26 @@ class EdgeSimilarityIndex:
         config: SimilarityConfig | None = None,
         *,
         backend=None,
-        workers: int | None = None,
     ) -> "EdgeSimilarityIndex":
         """Materialize σ for every edge through the batched kernels.
 
         ``backend`` selects how the row blocks are computed: ``None``
-        runs in-process (one bounded-memory kernel sweep), a registry
-        name (``"thread" | "process" | "auto"``) or backend object fans
-        the blocks out over the parallel backends — the process path
-        reduces directly into a shared-memory σ segment (see
-        :meth:`~repro.parallel.processes.ProcessBackend.sigma_rows`).
-        All paths yield the bitwise-identical array.
+        runs in-process (one bounded-memory kernel sweep), a
+        :class:`~repro.parallel.threads.ThreadBackend` fans the row
+        blocks out over its thread pool.  Both yield the
+        bitwise-identical array.
         """
         config = config or SimilarityConfig()
         config.validate()
-        if backend is None:
-            oracle = SimilarityOracle(graph, config)
-            sigmas = kernels.sigma_all_edges(
-                graph.indptr, graph.indices, graph.weights,
-                kind=config.kind, closed=config.closed,
-                self_weight=config.self_weight,
-                lengths=oracle.lengths, linear_sums=oracle.linear_sums,
-            )
-            return cls(graph, config, sigmas)
-        # Local import: repro.parallel imports this package.
-        from repro.parallel.backends import close_backend, create_backend
-
-        owned = isinstance(backend, str)
-        resolved = (
-            create_backend(backend, workers=workers) if owned else backend
+        if backend is not None:
+            return cls(graph, config, backend.sigma_rows(graph, config))
+        oracle = SimilarityOracle(graph, config)
+        sigmas = kernels.sigma_all_edges(
+            graph.indptr, graph.indices, graph.weights,
+            kind=config.kind, closed=config.closed,
+            self_weight=config.self_weight,
+            lengths=oracle.lengths, linear_sums=oracle.linear_sums,
         )
-        try:
-            sigmas = resolved.sigma_rows(graph, config)
-        finally:
-            if owned:
-                close_backend(resolved)
         return cls(graph, config, sigmas)
 
     # ------------------------------------------------------------------

@@ -100,23 +100,14 @@ class SimilarityOracle:
         self,
         graph: Graph,
         config: SimilarityConfig | None = None,
-        *,
-        precomputed: tuple | None = None,
     ) -> None:
         self.graph = graph
         self.config = config or SimilarityConfig()
         self.config.validate()
         self.counters = SimilarityCounters()
-        if precomputed is not None:
-            # Trusted (lengths, max_weights, linear_sums) arrays, e.g.
-            # zero-copy views over the shared-memory buffers published by
-            # repro.parallel.processes — they must have been produced by
-            # _precompute() on the same graph and config.
-            self._lengths, self._max_weights, self._linear_sums = precomputed
-        else:
-            self._lengths, self._max_weights, self._linear_sums = (
-                self._precompute()
-            )
+        self._lengths, self._max_weights, self._linear_sums = (
+            self._precompute()
+        )
         self._edge_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -157,15 +148,6 @@ class SimilarityOracle:
     def linear_sums(self) -> np.ndarray:
         """Per-vertex linear weight sums (set-similarity denominators)."""
         return self._linear_sums
-
-    def precomputed_arrays(self) -> tuple:
-        """The ``(lengths, max_weights, linear_sums)`` invariants.
-
-        Publishing these alongside the CSR arrays lets another process
-        rebuild an equivalent oracle without repeating the O(|E|)
-        preprocessing (see :mod:`repro.parallel.processes`).
-        """
-        return (self._lengths, self._max_weights, self._linear_sums)
 
     # ------------------------------------------------------------------
     # core similarity

@@ -158,22 +158,3 @@ def sigma_passes(monkeypatch):
 
     monkeypatch.setattr(EdgeSimilarityIndex, "build", classmethod(spy_build))
     return calls
-
-
-@pytest.fixture()
-def no_shared_memory(monkeypatch):
-    """Make creating a POSIX shared-memory segment raise ``OSError`` —
-    what a restricted or full ``/dev/shm`` does, and the condition the
-    process backend's thread fallback exists for.  Attaching to an
-    existing segment by name still works."""
-    from multiprocessing import shared_memory
-
-    original = shared_memory.SharedMemory
-
-    def refuse_creation(*args, **kwargs):
-        create = kwargs.get("create", args[1] if len(args) > 1 else False)
-        if create:
-            raise OSError("shared memory creation refused")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", refuse_creation)

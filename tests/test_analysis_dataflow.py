@@ -55,12 +55,43 @@ class TestCallGraph:
         }
         assert {"_bump", "_tally", "_bump_safe"} <= callees
 
-    def test_spawn_through_parameters_root_real_chunk_workers(self):
+    def test_spawn_through_parameters_root_real_chunk_workers(
+        self, tmp_path
+    ):
+        # A worker handed through a helper's parameter to the pool is a
+        # root, one level of indirection deep.
+        spawner = tmp_path / "spawner.py"
+        spawner.write_text(
+            textwrap.dedent(
+                """
+                from concurrent.futures import ThreadPoolExecutor
+
+                def run_chunks(fn, tasks):
+                    with ThreadPoolExecutor(2) as pool:
+                        return list(pool.map(fn, tasks))
+
+                def chunk_worker(task):
+                    return task
+
+                def drive(tasks):
+                    return run_chunks(chunk_worker, tasks)
+                """
+            )
+        )
+        program = Program.build([spawner])
+        graph = build_call_graph(program, AnalysisConfig())
+        reasons = {
+            root.function.qualname: root.reason for root in graph.roots
+        }
+        assert "spawn-through" in reasons["chunk_worker"]
+        # The library's real chunk worker and scheduler loop are roots.
         program = Program.build([REPO / "src" / "repro"])
         graph = build_call_graph(program, AnalysisConfig())
         roots = {root.function.ref for root in graph.roots}
-        assert "repro.parallel.processes:_sigma_row_chunk" in roots
-        assert "repro.parallel.processes:_worker_init" in roots
+        assert (
+            "repro.parallel.threads:ThreadBackend.sigma_rows.block_sigmas"
+            in roots
+        )
         assert "repro.service.jobs:JobScheduler._worker_loop" in roots
 
     def test_configured_concurrency_roots_are_added(self):

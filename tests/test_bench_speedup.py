@@ -7,6 +7,7 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.core.parallel import MeasuredSpeedup, measured_sigma_speedups
 from repro.errors import SimulationError
 from repro.graph.generators.random_graphs import gnm_random_graph
+from repro.parallel.threads import ThreadBackend
 
 
 class TestRegistry:
@@ -19,21 +20,10 @@ class TestRegistry:
         table = tables[0]
         assert table.headers[0] == "backend"
         assert [h for h in table.headers[1:]] == ["t=1", "t=2"]
-        backends = table.column("backend")
-        assert any(b.startswith("process") for b in backends)
-        assert "thread" in backends
-        assert "simulated" in backends
+        assert table.column("backend") == ["thread", "simulated"]
         # Every row is normalized to its own 1-worker baseline.
         for row in table.rows:
             assert row[1] == pytest.approx(1.0)
-
-    def test_quick_run_under_forced_fallback(self, no_shared_memory):
-        """The shm-off path must still produce a complete table."""
-        tables = run_experiment("speedup", quick=True)
-        backends = tables[0].column("backend")
-        # The process row records that it degraded to threads.
-        assert any("thread" in b for b in backends if b.startswith("process"))
-        assert any("fell back" in note for note in tables[0].notes)
 
 
 class TestBenchCli:
@@ -47,21 +37,29 @@ class TestBenchCli:
 class TestMeasuredSpeedups:
     def test_baseline_is_first_worker_count(self):
         graph = gnm_random_graph(120, 360, seed=5)
-        rows = measured_sigma_speedups(
-            graph, [1, 2], backend="thread", repeats=2
-        )
+        rows = measured_sigma_speedups(graph, [1, 2], repeats=2)
         assert [r.workers for r in rows] == [1, 2]
         assert isinstance(rows[0], MeasuredSpeedup)
         assert rows[0].speedup == pytest.approx(1.0)
-        assert all(r.kind == "thread" for r in rows)
         assert all(r.seconds > 0 for r in rows)
 
-    def test_chunking(self):
+    def test_chunking(self, monkeypatch):
+        """The backend argument sets the block geometry; each worker
+        count replaces only its thread count."""
         graph = gnm_random_graph(120, 360, seed=5)
+        timed = []
+        sigma_rows = ThreadBackend.sigma_rows
+
+        def recording(backend, *args, **kwargs):
+            timed.append((backend.threads, backend.chunk_size))
+            return sigma_rows(backend, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadBackend, "sigma_rows", recording)
         rows = measured_sigma_speedups(
-            graph, [1], backend="thread", chunk_size=2
+            graph, [1, 3], backend=ThreadBackend(threads=8, chunk_size=2)
         )
-        assert len(rows) == 1
+        assert len(rows) == 2
+        assert timed == [(1, 2), (3, 2)]
 
     def test_empty_worker_counts_rejected(self):
         graph = gnm_random_graph(20, 40, seed=5)

@@ -8,8 +8,9 @@ workers*, or *delay* — they never corrupt data — so
 * any run that reports success is **byte-identical** to the sequential
   ``scan`` reference;
 * any run that fails does so with a structured exception (never a hang);
-* no run leaks a ``repro_*`` shared-memory segment or leaves a corrupt
-  index file under its real name.
+* no run leaks a ``repro_*`` shared-memory segment (the store
+  publisher's segment battery) or leaves a corrupt index file under its
+  real name.
 
 Seeds come from ``REPRO_CHAOS_SEEDS`` (comma-separated) so CI can shard
 the battery across a seed matrix; every plan is dumped as JSON into
@@ -37,9 +38,11 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultRule, armed
 from repro.faults.corruption import CORRUPTION_MODES, corrupt_file
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.parallel.processes import ProcessBackend, shared_memory_available
+from repro.parallel.processes import shared_memory_available
 from repro.parallel.sync import atomic_add, critical, set_lock_order_watch
+from repro.parallel.threads import ThreadBackend
 from repro.service.jobs import JobScheduler
+from repro.service.shm import AttachedGraphStore, StorePublisher
 from repro.service.store import GraphStore
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import EdgeSimilarityIndex, IndexIntegrityError
@@ -72,36 +75,80 @@ def _stray_segments():
 #: else (or a hang) is a hardening bug.
 _STRUCTURED = (ReproError, OSError, MemoryError, ValueError, TimeoutError)
 
-_BACKEND_SITES = [
-    "process.worker.chunk",
-    "process.pool.spawn",
-    "process.segment.create",
-]
-_EXIT_SITES = ["process.worker.chunk"]
-
-
 @pytest.mark.parametrize("seed", _seeds())
-def test_process_backend_differential_under_faults(seed):
-    """Battery A: the cross-backend differential holds under faults."""
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
+def test_thread_backend_differential_under_faults(seed):
+    """Battery A: the cross-backend differential holds under faults in
+    the thread backend's row blocks — a raise propagates out of the
+    pool (never a partial σ array), and a delay-only plan, which
+    reorders block completion, must still answer exactly."""
     graph = gnm_random_graph(120, 420, seed=31)
     reference = scan(graph, 2, 0.5, seed=0)
-    plan = FaultPlan.random(
-        seed, sites=_BACKEND_SITES, exit_sites=_EXIT_SITES
+    backend = ThreadBackend(threads=2, chunk_size=16)
+    delays = FaultPlan(
+        [
+            FaultRule(
+                site="thread.block",
+                kind="delay",
+                times=None,
+                probability=0.5,
+                delay=0.005,
+            )
+        ],
+        seed=seed,
+        name=f"delays-{seed}",
     )
-    _dump_plan(plan, "backend")
-    outcome = "success"
-    with ProcessBackend(workers=2, chunk_size=32, retry_backoff=0.01) as backend:
+    for plan in (FaultPlan.random(seed, sites=["thread.block"]), delays):
+        _dump_plan(plan, f"backend_{plan.name}")
         with armed(plan):
             try:
                 got = parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
             except _STRUCTURED:
-                outcome = "structured-failure"
-    if outcome == "success":
+                assert plan is not delays, plan.to_json()
+                continue
         np.testing.assert_array_equal(reference.labels, got.labels)
         np.testing.assert_array_equal(reference.roles, got.roles)
+    assert delays.fired_total() > 0
+
+
+@pytest.mark.parametrize("seed", _seeds())
+def test_store_publisher_segment_faults_never_leak(seed):
+    """Battery A': faults at ``process.segment.create`` while the store
+    publisher ships epochs.  A failed publish raises structured and
+    releases its half-published epoch; readers keep the last committed
+    epoch, byte for byte; ``close`` leaves no segment behind."""
+    if not shared_memory_available():
+        pytest.skip("POSIX shared memory unavailable")
+    graph = gnm_random_graph(80, 240, seed=41)
+    entry = GraphStore().add("chaos", graph, build_cluster_index=True)
+    plan = FaultPlan.random(seed, sites=["process.segment.create"])
+    _dump_plan(plan, "segments")
+    failures = 0
+    with StorePublisher() as publisher:
+        committed = publisher.publish_entry(entry)
+        attached = AttachedGraphStore(publisher.manifest_name)
+        try:
+            with armed(plan):
+                for _ in range(6):
+                    before = _stray_segments()
+                    try:
+                        committed = publisher.publish_entry(entry)
+                    except _STRUCTURED:
+                        failures += 1
+                        assert _stray_segments() == before, plan.to_json()
+                    attached.refresh()
+                    assert attached.epochs() == {"chaos": committed}
+                    got = attached.get("chaos")
+                    np.testing.assert_array_equal(
+                        got.graph.indices, graph.indices
+                    )
+                    np.testing.assert_array_equal(
+                        got.cluster_index.edge.sigmas,
+                        entry.cluster_index.edge.sigmas,
+                    )
+        finally:
+            attached.close()
     assert _stray_segments() == [], plan.to_json()
+    assert plan.fired_total() > 0, plan.to_json()
 
 
 @pytest.mark.parametrize("seed", _seeds())
@@ -144,65 +191,6 @@ def test_scheduler_jobs_under_slice_faults(seed):
                 assert info["state"] == "failed", plan.to_json()
                 assert info["error"], "failed jobs must carry an error"
                 assert info["error_chain"], plan.to_json()
-
-
-def test_worker_death_is_absorbed_within_budget():
-    """A deterministic pool-death plan: one worker is killed mid-chunk;
-    the run must still succeed exactly (chunk reassignment + respawn)."""
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
-    graph = gnm_random_graph(120, 420, seed=31)
-    reference = scan(graph, 2, 0.5, seed=0)
-    plan = FaultPlan(
-        [FaultRule(site="process.worker.chunk", kind="exit", after=2)],
-        name="one-worker-death",
-    )
-    with ProcessBackend(workers=2, chunk_size=16, retry_backoff=0.01) as backend:
-        with armed(plan):
-            got = parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
-    np.testing.assert_array_equal(reference.labels, got.labels)
-    np.testing.assert_array_equal(reference.roles, got.roles)
-    assert _stray_segments() == []
-
-
-def test_exhausted_failure_budget_degrades_with_event():
-    """Unlimited chunk faults blow the budget: the backend must degrade
-    to threads, emit a structured DegradationEvent, and still be exact."""
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
-    graph = gnm_random_graph(120, 420, seed=31)
-    reference = scan(graph, 2, 0.5, seed=0)
-    events = []
-    plan = FaultPlan(
-        [
-            FaultRule(
-                site="process.worker.chunk",
-                kind="raise",
-                exception="MemoryError",
-                times=None,
-            )
-        ],
-        name="budget-exhaustion",
-    )
-    backend = ProcessBackend(
-        workers=2,
-        chunk_size=16,
-        max_chunk_retries=1,
-        failure_budget=1,
-        retry_backoff=0.01,
-        on_degrade=events.append,
-    )
-    with backend:
-        with armed(plan):
-            got = parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
-        assert backend.kind == "thread"
-    assert len(events) == 1
-    assert events[0].backend == "process"
-    assert events[0].reason
-    assert events[0].workers == 2
-    np.testing.assert_array_equal(reference.labels, got.labels)
-    np.testing.assert_array_equal(reference.roles, got.roles)
-    assert _stray_segments() == []
 
 
 def test_faulted_index_save_never_tears_the_archive(tmp_path):
@@ -293,31 +281,26 @@ def test_lock_order_watch_armed_during_faulted_scan(seed):
     """Battery E: the lock-order sanitizer rides a faulted parallel scan.
 
     Every declared atomic/critical acquisition reports to the watch
-    while the process backend absorbs injected worker-chunk faults; the
-    acquisition-order graph observed across the whole run must stay
+    while the thread backend's row blocks run under injected faults;
+    the acquisition-order graph observed across the whole run must stay
     acyclic.
     """
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
     graph = gnm_random_graph(120, 420, seed=31)
-    plan = FaultPlan.random(seed, sites=["process.worker.chunk"])
+    plan = FaultPlan.random(seed, sites=["thread.block"])
     _dump_plan(plan, "lockorder")
     watch = LockOrderWatch()
     previous = set_lock_order_watch(watch)
     try:
-        # 15 chunks: every seed's plan fires in the workers.
-        with ProcessBackend(
-            workers=2, chunk_size=8, retry_backoff=0.01
-        ) as backend:
-            with armed(plan):
-                try:
-                    parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
-                except _STRUCTURED:
-                    pass
+        # 15 row blocks: every seed's plan fires.
+        backend = ThreadBackend(threads=2, chunk_size=8)
+        with armed(plan):
+            try:
+                parallel_scan(graph, 2, 0.5, backend=backend, seed=0)
+            except _STRUCTURED:
+                pass
     finally:
         set_lock_order_watch(previous)
     watch.assert_acyclic()
-    assert _stray_segments() == [], plan.to_json()
 
 
 def test_lock_order_watch_flags_injected_abba_cycle():

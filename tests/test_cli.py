@@ -98,7 +98,7 @@ class TestBackendFlag:
 
     def test_sequential_and_parallel_agree(self, graph_file, capsys):
         outputs = []
-        for backend in ("sequential", "thread", "process", "auto"):
+        for backend in ("sequential", "thread"):
             args = [graph_file, "--mu", "4", "--algorithm", "scan"]
             if backend != "sequential":
                 args += ["--backend", backend, "--workers", "2"]
@@ -108,22 +108,30 @@ class TestBackendFlag:
 
     def test_resolved_kind_reported(self, graph_file, capsys):
         assert main(
-            [graph_file, "--algorithm", "scan", "--backend", "thread"]
+            [graph_file, "--algorithm", "scan", "--backend", "thread",
+             "--workers", "3"]
         ) == 0
         err = self._summary(capsys)[1]
-        assert "resolved to thread" in err
+        assert "backend thread: 3 threads" in err
 
-    def test_forced_fallback_path(self, graph_file, capsys, no_shared_memory):
-        assert main(
-            [graph_file, "--mu", "4", "--algorithm", "scan",
-             "--backend", "process"]
-        ) == 0
-        out, err = self._summary(capsys)
-        assert "clusters" in out
-        assert "resolved to thread" in err  # fallback engaged and reported
+    @pytest.mark.parametrize(
+        "command",
+        [["--algorithm", "scan"], ["local-cluster", "--seed", "0"]],
+        ids=["run", "local-cluster"],
+    )
+    @pytest.mark.parametrize("name", ["process", "auto"])
+    def test_removed_backend_names_exit_2(
+        self, graph_file, capsys, name, command
+    ):
+        prefix = command[:1] if command[0] == "local-cluster" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, graph_file, *command[len(prefix):],
+                  "--backend", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in self._summary(capsys)[1]
 
     def test_backend_with_non_scan_algorithm_rejected(self, graph_file, capsys):
-        assert main([graph_file, "--backend", "process"]) == 2
+        assert main([graph_file, "--backend", "thread"]) == 2
         assert main(
             [graph_file, "--algorithm", "pscan", "--backend", "thread"]
         ) == 2
@@ -139,7 +147,7 @@ class TestBackendFlag:
         out_file = tmp_path / "labels.txt"
         assert main(
             [graph_file, "--mu", "4", "--algorithm", "scan",
-             "--backend", "process", "--workers", "2",
+             "--backend", "thread", "--workers", "2",
              "--output", str(out_file)]
         ) == 0
         assert len(out_file.read_text().strip().splitlines()) == 301
@@ -215,7 +223,15 @@ class TestClusterIndexFlag:
 
 
 class TestLocalClusterCommand:
-    @pytest.mark.parametrize("index_args", [[], ["--cluster-index", "build"]])
+    @pytest.mark.parametrize(
+        "index_args",
+        [
+            [],
+            ["--cluster-index", "build"],
+            ["--cluster-index", "build", "--backend", "thread",
+             "--workers", "2"],
+        ],
+    )
     def test_members_match_scan(self, graph_file, capsys, index_args):
         graph, _ = load_edge_list(graph_file)
         reference = scan(graph, 4, 0.5, seed=0)

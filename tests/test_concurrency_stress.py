@@ -4,9 +4,7 @@ The thread backend runs the σ-row pass with chunk sizes chosen to
 maximize interleaving (1, primes, n) and must reassemble the sequential
 σ array bitwise; the dynamic half of rule R1 — the
 :class:`ShadowArray` race audit — must still fire on a deliberately
-racy workload.  The process backend gets the complementary check — its
-workers write disjoint slices of one shared segment, so the contract is
-that no chunk geometry drops, duplicates or reorders a slot.
+racy workload.
 """
 
 import time
@@ -17,7 +15,6 @@ import pytest
 
 from repro.analysis.runtime import ShadowArray, ShadowWriteLog
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.parallel.processes import ProcessBackend, shared_memory_available
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.index import EdgeSimilarityIndex
 
@@ -66,22 +63,3 @@ class TestThreadBackendUnderShadow:
             pytest.skip("scheduler never interleaved two threads")
         with pytest.raises(AssertionError, match="unguarded"):
             log.assert_race_free()
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
-class TestProcessBackendChunkGeometry:
-    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_no_dropped_or_duplicated_results(
-        self, graph, expected_sigmas, chunk
-    ):
-        with ProcessBackend(workers=2, chunk_size=chunk) as backend:
-            got = backend.sigma_rows(graph)
-        np.testing.assert_array_equal(got, expected_sigmas)
-
-    def test_order_preserved_under_tiny_chunks(self, graph):
-        want = ThreadBackend(threads=1).sigma_rows(graph)
-        with ProcessBackend(workers=3, chunk_size=1) as backend:
-            got = backend.sigma_rows(graph)
-        np.testing.assert_array_equal(got, want)

@@ -1,10 +1,12 @@
-"""Cross-backend differential battery: one clustering, three executions.
+"""Cross-backend differential battery: one clustering, every execution.
 
-The conformance contract: sequential ``scan``, ``parallel_scan`` on the
-thread backend, and ``parallel_scan`` on the shared-memory process
-backend must produce **byte-identical** labels and roles for the same
-seed, on every graph family, every (ε, μ) cell of the grid, and every
-σ kind in closed and open mode.  AnySCAN
+The conformance contract: sequential ``scan`` and ``parallel_scan`` on
+the thread backend — at every block geometry (one-row blocks, odd
+blocks, one block larger than n) — must produce **byte-identical**
+labels and roles for the same seed, on every graph family (R-MAT
+included), every (ε, μ) cell of the grid, and every σ kind in closed
+and open mode; the σ array of a thread-built index is bitwise the
+sequential kernel's.  AnySCAN
 is held to the paper's own equivalence (Lemma 4): identical member sets,
 identical core partition, valid border attachments — shared borders may
 legitimately land in a different cluster.
@@ -21,8 +23,8 @@ from repro.graph.generators.random_graphs import (
     gnm_random_graph,
     planted_partition_graph,
 )
+from repro.graph.generators.rmat import rmat_graph
 from repro.metrics.comparison import explain_difference
-from repro.parallel.processes import ProcessBackend, shared_memory_available
 from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import EdgeSimilarityIndex
@@ -45,20 +47,20 @@ GRAPHS = {
         [40, 40, 40], 0.30, 0.02, seed=22
     ),
     "lfr": _lfr,
+    "rmat": lambda: rmat_graph(8, 6, seed=1),
 }
+
+#: Block geometries: one-row blocks, odd blocks, one block > n.
+GEOMETRIES = [
+    ThreadBackend(threads=2, chunk_size=1),
+    ThreadBackend(threads=3, chunk_size=13),
+    ThreadBackend(threads=2, chunk_size=10_000),
+]
 
 
 @pytest.fixture(scope="module", params=sorted(GRAPHS))
 def family(request):
     return request.param, GRAPHS[request.param]()
-
-
-@pytest.fixture(scope="module")
-def process_pool():
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
-    with ProcessBackend(workers=2, chunk_size=32) as backend:
-        yield backend
 
 
 class TestByteIdenticalExecutions:
@@ -76,34 +78,25 @@ class TestByteIdenticalExecutions:
         np.testing.assert_array_equal(ref.labels, got.labels)
         np.testing.assert_array_equal(ref.roles, got.roles)
 
-    @pytest.mark.parametrize("eps,mu", GRID)
-    def test_process_matches_sequential(self, family, eps, mu, process_pool):
-        _, graph = family
-        ref = scan(graph, mu, eps, seed=0)
-        got = parallel_scan(graph, mu, eps, backend=process_pool, seed=0)
-        np.testing.assert_array_equal(ref.labels, got.labels)
-        np.testing.assert_array_equal(ref.roles, got.roles)
-
-    def test_identity_holds_across_seeds(self, family, process_pool):
+    def test_identity_holds_across_seeds(self, family):
         _, graph = family
         for seed in (1, 7):
             ref = scan(graph, 3, 0.5, seed=seed)
-            got = parallel_scan(
-                graph, 3, 0.5, backend=process_pool, seed=seed
-            )
-            np.testing.assert_array_equal(ref.labels, got.labels)
+            for backend in GEOMETRIES:
+                got = parallel_scan(
+                    graph, 3, 0.5, backend=backend, seed=seed
+                )
+                np.testing.assert_array_equal(ref.labels, got.labels)
+                np.testing.assert_array_equal(ref.roles, got.roles)
 
     @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_every_sigma_kind_matches_sequential(
-        self, family, kind, closed, process_pool
-    ):
+    def test_every_sigma_kind_matches_sequential(self, family, kind, closed):
         _, graph = family
         config = SimilarityConfig(kind=kind, closed=closed, pruning=False)
-        backends = [ThreadBackend(threads=3, chunk_size=13), process_pool]
         for eps, mu in GRID:
             ref = scan(graph, mu, eps, similarity_config=config, seed=0)
-            for backend in backends:
+            for backend in GEOMETRIES:
                 got = parallel_scan(
                     graph, mu, eps, backend=backend, config=config, seed=0
                 )
@@ -111,8 +104,7 @@ class TestByteIdenticalExecutions:
                 np.testing.assert_array_equal(ref.roles, got.roles)
 
     def test_worker_and_chunk_counts_are_invisible(self, family):
-        """Same labels whatever the pool geometry (thread side; the
-        process side is pinned by test_process_matches_sequential)."""
+        """Same labels whatever the pool geometry."""
         _, graph = family
         ref = scan(graph, 3, 0.5, seed=0)
         for threads, chunk in [(1, 1), (2, 7), (4, graph.num_vertices)]:
@@ -186,21 +178,20 @@ class TestIndexedExecutions:
                 np.testing.assert_array_equal(ref.roles, got.roles)
 
     def test_index_builds_are_bitwise_identical_across_backends(
-        self, family, process_pool
+        self, family
     ):
         _, graph = family
-        config = SimilarityConfig(pruning=False)
-        inproc = EdgeSimilarityIndex.build(graph, config).sigmas
-        threaded = EdgeSimilarityIndex.build(
-            graph,
-            config,
-            backend=ThreadBackend(threads=3, chunk_size=17),
-        ).sigmas
-        processed = EdgeSimilarityIndex.build(
-            graph, config, backend=process_pool
-        ).sigmas
-        np.testing.assert_array_equal(inproc, threaded)
-        np.testing.assert_array_equal(inproc, processed)
+        for kind in KINDS:
+            for closed in (True, False):
+                config = SimilarityConfig(
+                    kind=kind, closed=closed, pruning=False
+                )
+                inproc = EdgeSimilarityIndex.build(graph, config).sigmas
+                for backend in GEOMETRIES:
+                    threaded = EdgeSimilarityIndex.build(
+                        graph, config, backend=backend
+                    ).sigmas
+                    assert threaded.tobytes() == inproc.tobytes()
 
     def test_indexed_requery_performs_no_sigma_evaluations(self, family):
         _, graph = family

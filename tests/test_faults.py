@@ -62,7 +62,7 @@ class TestFaultRule:
     def test_site_matching_exact_and_glob(self):
         assert FaultRule(site="index.load").matches("index.load")
         assert not FaultRule(site="index.load").matches("index.loader")
-        assert FaultRule(site="process.*").matches("process.worker.chunk")
+        assert FaultRule(site="process.*").matches("process.segment.create")
         assert not FaultRule(site="process.*").matches("index.load")
 
 

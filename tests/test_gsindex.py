@@ -16,6 +16,7 @@ from repro.baselines import scan
 from repro.errors import ConfigError, IndexIntegrityError
 from repro.graph.csr import Graph
 from repro.graph.generators.random_graphs import gnm_random_graph
+from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex, _consecutive_runs
 from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
@@ -195,7 +196,8 @@ def test_info_reports_structure(index, medium):
     info = index.info()
     assert info["num_vertices"] == medium.num_vertices
     assert info["slots"] == int(medium.indices.shape[0])
-    assert info["bytes"] > 0
+    # σ array + σ-sorted rows: 8 + 8 + 8 bytes per CSR slot.
+    assert info["bytes"] == 24 * int(medium.indices.shape[0])
     assert info["fingerprint"] == index.fingerprint
 
 
@@ -204,10 +206,12 @@ def test_info_reports_structure(index, medium):
 # ----------------------------------------------------------------------
 def test_build_bitwise_identical_across_backends(medium):
     base = ClusteringIndex.build(medium)
-    for backend in ("thread", "auto"):
-        other = ClusteringIndex.build(medium, backend=backend, workers=2)
-        np.testing.assert_array_equal(base.edge.sigmas, other.edge.sigmas)
-        np.testing.assert_array_equal(base._order, other._order)
+    for chunk_size in (1, 13, 1000):
+        backend = ThreadBackend(threads=2, chunk_size=chunk_size)
+        other = ClusteringIndex.build(medium, backend=backend)
+        assert other.edge.sigmas.tobytes() == base.edge.sigmas.tobytes()
+        for label, array in base.derived_arrays().items():
+            assert other.derived_arrays()[label].tobytes() == array.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +222,9 @@ def test_save_load_roundtrip(tmp_path, medium, index):
     index.save(path)
     loaded = ClusteringIndex.load(path, medium)
     np.testing.assert_array_equal(loaded.edge.sigmas, index.edge.sigmas)
-    np.testing.assert_array_equal(loaded._order, index._order)
+    np.testing.assert_array_equal(
+        loaded._sorted_neighbors, index._sorted_neighbors
+    )
 
 
 def test_archive_is_edge_index_superset(tmp_path, medium, index):
@@ -277,7 +283,9 @@ def test_archive_with_a_stored_mu_cap_still_loads(
     again, recovered = ClusteringIndex.load_or_rebuild(path, medium)
     assert not recovered
     assert not (tmp_path / "old.gsindex.npz.quarantined").exists()
-    np.testing.assert_array_equal(again._order, index._order)
+    np.testing.assert_array_equal(
+        again._sorted_neighbors, index._sorted_neighbors
+    )
     result = again.query(0.5, 3, seed=1)
     np.testing.assert_array_equal(
         result.labels, scan(medium, 3, 0.5, seed=1).labels
@@ -308,7 +316,9 @@ def test_refresh_bitwise_equals_fresh_build(medium, index):
     patched, stats = index.refresh(new_graph, affected)
     fresh = ClusteringIndex.build(new_graph)
     np.testing.assert_array_equal(patched.edge.sigmas, fresh.edge.sigmas)
-    np.testing.assert_array_equal(patched._order, fresh._order)
+    np.testing.assert_array_equal(
+        patched._sorted_neighbors, fresh._sorted_neighbors
+    )
     assert stats["rows_recomputed"] == len(affected)
     assert stats["slots_recomputed"] + stats["slots_copied"] == int(
         new_graph.indices.shape[0]

@@ -10,8 +10,9 @@ battery drives that claim three ways:
   μ=2 and ε pinned to *exact* σ ties (the ≥-vs-> off-by-one surface),
   plus one LFR benchmark graph with planted communities;
 * hypothesis-generated arbitrary small graphs and parameters;
-* the same checks through ``parallel_scan`` across every execution
-  backend (the index short-circuits them all identically);
+* the same checks through ``parallel_scan`` on the thread backend at
+  several block geometries (the index short-circuits them all
+  identically);
 * the two views over the index, ``ParameterExplorer.clustering_at``
   and ``EpsilonHierarchy.cut`` (labels and roles, at seed 0).
 
@@ -38,6 +39,7 @@ from repro.graph.generators.random_graphs import (
     gnm_random_graph,
     planted_partition_graph,
 )
+from repro.parallel.threads import ThreadBackend
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig
 
@@ -196,13 +198,23 @@ def test_exact_sigma_tie_boundaries(seed):
             _assert_exact(index, graph, float(epsilon), mu, seed)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+@pytest.mark.parametrize(
+    "backend",
+    [
+        ThreadBackend(threads=2, chunk_size=16),
+        ThreadBackend(threads=2, chunk_size=1),
+        ThreadBackend(threads=3, chunk_size=9),
+        ThreadBackend(threads=2, chunk_size=71),
+    ],
+    ids=["thread", "thread-chunk1", "thread-chunk9", "thread-chunk71"],
+)
 def test_index_built_on_any_backend_is_exact(backend):
-    """Build σ on each backend; the index (and its answers) must be
-    identical — and parallel_scan, which builds one on the backend
-    named, must answer the same."""
+    """Build σ on the thread backend at one-row, odd and larger-than-n
+    blocks; the index (and its answers) must be identical to the
+    sequential build — and parallel_scan, which builds one on the same
+    backend, must answer the same."""
     graph = gnm_random_graph(70, 240, seed=2)
-    index = ClusteringIndex.build(graph, backend=backend, workers=2)
+    index = ClusteringIndex.build(graph, backend=backend)
     reference_index = ClusteringIndex.build(graph)
     np.testing.assert_array_equal(
         index.edge.sigmas, reference_index.edge.sigmas
@@ -215,7 +227,6 @@ def test_index_built_on_any_backend_is_exact(backend):
             mu,
             epsilon,
             backend=backend,
-            workers=2,
             seed=3,
             config=SimilarityConfig(),
         )

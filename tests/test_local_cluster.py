@@ -39,6 +39,7 @@ from repro.parallel.processes import (
     add_degradation_listener,
     remove_degradation_listener,
 )
+from repro.parallel.threads import ThreadBackend
 from repro.result import VertexRole
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
@@ -154,9 +155,14 @@ def test_exact_sigma_tie_epsilons(tier):
                 )
 
 
-@pytest.mark.parametrize("backend", [None, "thread", "process"])
+@pytest.mark.parametrize(
+    "backend",
+    [None, ThreadBackend(threads=2, chunk_size=7)],
+    ids=["None", "thread"],
+)
 def test_index_backend_invariance(backend):
-    """Indexes built on any execution backend answer identically."""
+    """Indexes built sequentially or on the thread backend answer
+    identically."""
     graph = gnm_random_graph(60, 200, seed=9)
     index = ClusteringIndex.build(graph, backend=backend)
     reference = scan(graph, 3, 0.5, seed=0)

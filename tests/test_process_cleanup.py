@@ -1,11 +1,13 @@
 """Shared-memory hygiene on abnormal shutdown.
 
-PR 2's ProcessBackend publishes CSR arrays through POSIX shared memory;
-a SIGTERM mid-job used to leak the segments (they outlive the process
-in /dev/shm).  The backend now uses named ``repro_{pid}_…`` segments, a
-live-object registry, an atexit hook, and an opt-in signal hook
-(:func:`repro.parallel.processes.install_signal_cleanup`); these tests
-assert a killed session leaves no stray segments behind."""
+The service's store publisher ships arrays through POSIX shared memory
+owned by :class:`~repro.parallel.processes.SegmentRegistry`; segments
+outlive their process in /dev/shm unless something unlinks them.  The
+registry names them ``repro_{pid}_…`` and keeps a live-registry set
+swept by an atexit hook and an opt-in signal hook
+(:func:`repro.parallel.processes.install_signal_cleanup`); after a
+SIGKILL the multiprocessing resource tracker reaps tracked segments.
+These tests assert a killed session leaves no stray segments behind."""
 
 from __future__ import annotations
 
@@ -19,10 +21,11 @@ import time
 
 import pytest
 
-from repro.graph.generators.random_graphs import gnm_random_graph
+import numpy as np
+
 from repro.parallel.processes import (
     SEGMENT_PREFIX,
-    ProcessBackend,
+    SegmentRegistry,
     cleanup_live_segments,
     install_signal_cleanup,
 )
@@ -40,30 +43,27 @@ def _segments_of(pid: int) -> list:
 
 
 def test_segments_are_named_and_cleaned_in_process():
-    graph = gnm_random_graph(120, 480, seed=2)
-    backend = ProcessBackend(workers=2)
+    registry = SegmentRegistry()
     try:
-        backend.sigma_rows(graph)
-        if backend.kind != "process":
-            pytest.skip("process pool unavailable; thread fallback active")
+        spec = registry.publish("indptr", np.arange(121, dtype=np.int64))
+        assert spec.shm_name.startswith(f"{SEGMENT_PREFIX}_{os.getpid()}_")
         assert _segments_of(os.getpid())
     finally:
-        backend.close()
+        registry.close()
     assert not _segments_of(os.getpid())
 
 
-def test_cleanup_live_segments_sweeps_open_backends():
-    graph = gnm_random_graph(100, 400, seed=3)
-    backend = ProcessBackend(workers=2)
+def test_cleanup_live_segments_sweeps_open_registries():
+    registry = SegmentRegistry()
     try:
-        backend.sigma_rows(graph)
-        if backend.kind != "process":
-            pytest.skip("process pool unavailable; thread fallback active")
-        assert _segments_of(os.getpid())
+        registry.publish("sigmas", np.ones(400))
+        registry.create_block("manifest", 4096)
+        assert len(_segments_of(os.getpid())) == 2
         assert cleanup_live_segments() > 0
+        assert registry.closed
         assert not _segments_of(os.getpid())
     finally:
-        backend.close()
+        registry.close()
 
 
 def test_install_signal_cleanup_restores_previous_handler():
@@ -85,21 +85,23 @@ def test_install_signal_cleanup_restores_previous_handler():
 
 _CHILD = textwrap.dedent(
     """
-    import os, sys, threading, time
+    import threading, time
     from repro.graph.generators.random_graphs import gnm_random_graph
-    from repro.parallel.processes import ProcessBackend, install_signal_cleanup
+    from repro.parallel.processes import SegmentRegistry, install_signal_cleanup
+    from repro.parallel.threads import ThreadBackend
+    from repro.similarity.index import EdgeSimilarityIndex
 
     install_signal_cleanup()
     graph = gnm_random_graph(400, 1600, seed=1)
-    backend = ProcessBackend(workers=2)
-    backend.sigma_rows(graph)
-    if backend.kind != "process":
-        print("FALLBACK", flush=True)
-        sys.exit(0)
+    registry = SegmentRegistry()
+    for label in ("indptr", "indices", "weights"):
+        registry.publish(label, getattr(graph, label))
+    registry.publish("sigmas", EdgeSimilarityIndex.build(graph).sigmas)
 
     def spin():
+        # A σ pass keeps the process busy while its segments are live.
         while True:
-            backend.sigma_rows(graph)
+            ThreadBackend(threads=2, chunk_size=16).sigma_rows(graph)
 
     threading.Thread(target=spin, daemon=True).start()
     print("READY", flush=True)
@@ -109,13 +111,12 @@ _CHILD = textwrap.dedent(
 
 
 def test_sigkill_parent_mid_job_leaves_no_stray_segments():
-    """SIGKILL the parent mid-job; /dev/shm must still come back clean.
+    """SIGKILL the owner mid-job; /dev/shm must still come back clean.
 
     SIGKILL runs no handler and no atexit hook, so this path cannot be
-    cleaned by the parent: the guarantee comes from the worker-side
-    parent watchdog (orphaned workers exit when they are reparented)
-    plus the multiprocessing resource tracker, which sweeps every
-    registered segment once the last pipe holder is gone."""
+    cleaned by the owner: the guarantee comes from the multiprocessing
+    resource tracker, which sweeps every registered segment once the
+    last holder of its pipe is gone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -129,9 +130,6 @@ def test_sigkill_parent_mid_job_leaves_no_stray_segments():
     )
     try:
         line = proc.stdout.readline().strip()
-        if line == "FALLBACK":
-            proc.wait(timeout=30)
-            pytest.skip("process pool unavailable in this environment")
         assert line == "READY"
         deadline = time.monotonic() + 10
         while not _segments_of(proc.pid):
@@ -140,7 +138,7 @@ def test_sigkill_parent_mid_job_leaves_no_stray_segments():
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
-        # Watchdog poll (0.5s) + tracker sweep; allow generous slack.
+        # The tracker sweeps once it sees EOF; allow generous slack.
         deadline = time.monotonic() + 20
         while _segments_of(proc.pid):
             assert time.monotonic() < deadline, (
@@ -169,9 +167,6 @@ def test_sigterm_mid_job_leaves_no_stray_segments(tmp_path):
     )
     try:
         line = proc.stdout.readline().strip()
-        if line == "FALLBACK":
-            proc.wait(timeout=30)
-            pytest.skip("process pool unavailable in this environment")
         assert line == "READY"
         # The child is mid-job now; its segments are visible.
         deadline = time.monotonic() + 10

@@ -28,7 +28,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultRule, armed
 from repro.graph.generators.random_graphs import gnm_random_graph
-from repro.parallel.processes import DegradationEvent, _emit_degradation
+from repro.parallel.processes import DegradationEvent, emit_degradation
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.jobs import _TERMINAL_JOB_LIMIT
 from repro.service.server import ClusteringServer
@@ -261,12 +261,12 @@ class TestMalformedRequests:
 class TestDegradationBridge:
     def test_backend_degradation_lands_in_service_metrics(self, server, client):
         event = DegradationEvent(
-            backend="process",
+            backend="local-cluster-index",
             reason="unit-test bridge",
-            failures=2,
-            workers=4,
+            failures=1,
+            workers=0,
         )
-        _emit_degradation(event)
+        emit_degradation(event)
         metrics = client.metrics()
         assert metrics["counters"].get("backend_degradations", 0) >= 1
         recorded = metrics["events"]["degradation"]

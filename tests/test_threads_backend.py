@@ -1,4 +1,4 @@
-"""Tests for the real-threads backend (result parity, not speed)."""
+"""Tests for the real-threads backend: result parity and pool use."""
 
 import threading
 
@@ -43,7 +43,7 @@ class TestBackend:
     """``sigma_rows`` is an order-preserving map of the σ kernel over
     row blocks, with inline paths where a pool cannot help."""
 
-    def test_map_preserves_order(self):
+    def test_sigma_rows_preserve_slot_order(self):
         # 34 blocks of 3 rows on 4 threads: σ still lands in CSR slot
         # order, checked against one scalar σ call per slot.
         graph = gnm_random_graph(100, 400, seed=2)
@@ -56,8 +56,8 @@ class TestBackend:
         assert np.allclose(got, _scalar_sigma_rows(karate, SimilarityConfig()))
 
     def test_small_input_runs_inline(self, karate, pools):
-        # 34 vertices are one row block at chunk_size 64.
-        got = ThreadBackend(threads=8, chunk_size=64).sigma_rows(karate)
+        # 34 vertices are one row block at the default chunk_size.
+        got = ThreadBackend(threads=8).sigma_rows(karate)
         assert pools == []
         assert np.allclose(got, _scalar_sigma_rows(karate, SimilarityConfig()))
 
@@ -103,9 +103,9 @@ class TestParallelQueries:
 
 class TestSigmaRowsFanOut:
     def test_small_graph_starts_a_pool(self, monkeypatch, pools):
-        """n = 300 at the default chunk_size is 5 row blocks: with two
-        threads they run on one pool, off the calling thread, and the σ
-        array is bitwise the sequential one."""
+        """n = 300 at the default chunk_size (128) is 3 row blocks: with
+        two threads they run on one pool, off the calling thread, and
+        the σ array is bitwise the sequential one."""
         graph = gnm_random_graph(300, 900, seed=4)
         expected = ThreadBackend(threads=1).sigma_rows(graph)
         callers = []
@@ -118,7 +118,7 @@ class TestSigmaRowsFanOut:
         monkeypatch.setattr(SimilarityOracle, "sigma_row_block", recording_block)
         got = ThreadBackend(threads=2).sigma_rows(graph)
         assert len(pools) == 1
-        assert len(callers) == 5
+        assert len(callers) == 3
         assert threading.get_ident() not in callers
         assert got.tobytes() == expected.tobytes()
 

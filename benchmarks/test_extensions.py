@@ -25,9 +25,9 @@ def test_ext_dynamic_much_cheaper_than_fresh_batches(benchmark):
     once = rows["incremental (one read at the end)"]
     per_edge = rows["batch SCAN per edge (equivalent freshness)"]
     batch_once = rows["batch SCAN once (final state only)"]
-    # σ is counted in refreshed row slots: each edge refreshes the whole
-    # rows of {u, v} ∪ N(u) ∪ N(v), still an order of magnitude below a
-    # batch re-run per edge; a single read never costs more than one.
+    # σ is counted in recomputed slots: each edge recomputes the slots
+    # incident to u or v, orders of magnitude below a batch re-run per
+    # edge; a single read never costs more than one.
     assert incremental[1] < per_edge[1] / 10
     assert once[1] <= batch_once[1]
     # All end at the same clustering.

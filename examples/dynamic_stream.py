@@ -3,9 +3,9 @@
 Social networks change continuously (the DENGRAPH motivation the paper
 cites); re-clustering from scratch after every change is wasteful.
 :class:`~repro.dynamic.scan.DynamicSCAN` validates each edge update at
-once and, on the next read, recomputes only the σ rows the updates
-touched — ``{u, v} ∪ N(u) ∪ N(v)`` per edge — before answering from its
-clustering index with no further σ work.
+once and, on the next read, recomputes σ only on the edge slots
+incident to an updated endpoint before answering from its clustering
+index with no further σ work.
 
 Run with::
 

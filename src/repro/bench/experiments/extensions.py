@@ -110,8 +110,8 @@ def ext_dynamic(
         batch_run.clustering.num_clusters,
     )
     panel.notes.append(
-        "σ is refreshed per read: a read recomputes the σ rows of "
-        "{u, v} ∪ N(u) ∪ N(v) for every edge since the previous read; "
-        "the clustering itself is a σ-free index query"
+        "σ is refreshed per read: a read recomputes σ on the directed "
+        "slots incident to u or v for every edge (u, v) since the "
+        "previous read; the clustering itself is a σ-free index query"
     )
     return [panel]

@@ -13,7 +13,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -38,7 +37,9 @@ def _thread_backend(args) -> ThreadBackend | None:
     """The ``--backend``/``--workers`` flags as a σ-pass backend."""
     if args.backend == "sequential":
         return None
-    return ThreadBackend(threads=args.workers or os.cpu_count() or 1)
+    if args.workers:
+        return ThreadBackend(threads=args.workers)
+    return ThreadBackend()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,15 +3,15 @@
 The paper's related work cites DENGRAPH for clustering *dynamic* social
 networks; this module provides that capability as an extension.
 
-σ(x, y) depends only on the neighborhoods of ``x`` and ``y``, so an
-update of the edge ``(u, v)`` only changes the σ rows of
-``{u, v} ∪ N(u) ∪ N(v)`` (:func:`repro.graph.patch.affected_rows`).
-:class:`DynamicSCAN` validates and applies each update on a mutable
-:class:`~repro.dynamic.graph.AdjacencyGraph` and records its endpoints;
-a read refreshes exactly those rows of a
-:class:`~repro.similarity.gsindex.ClusteringIndex` with the batched σ
-kernels (every σ kind and neighborhood mode) and answers the (ε, μ)
-query from the index with no further σ work.
+σ(x, y) depends only on the rows of ``x`` and ``y``, so an update of
+the edge ``(u, v)`` only changes σ on the slots incident to ``u`` or
+``v``.  :class:`DynamicSCAN` validates and applies each update on a
+mutable :class:`~repro.dynamic.graph.AdjacencyGraph` and records its
+endpoints; a read hands them to
+:meth:`~repro.similarity.gsindex.ClusteringIndex.refresh`, which
+recomputes exactly those slots with the batched σ kernels (every σ kind
+and neighborhood mode), and answers the (ε, μ) query from the index
+with no further σ work.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.dynamic.graph import AdjacencyGraph
 from repro.errors import ConfigError
-from repro.graph.patch import affected_rows
 from repro.result import Clustering
 from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import EdgeSimilarityIndex
@@ -45,8 +44,9 @@ class DynamicSCAN:
         Similarity semantics, matching the batch oracle's defaults.
 
     ``sigma_recomputations`` counts the directed edge slots whose σ was
-    computed: all of them at construction, then each refresh's
-    ``slots_recomputed``.
+    computed: all of them at construction, then per read the slots
+    incident to an endpoint touched since the previous read (the
+    refresh's ``slots_recomputed``).
 
     Examples
     --------
@@ -89,17 +89,17 @@ class DynamicSCAN:
         return self.graph.add_vertex()
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Insert an edge; its σ rows are refreshed on the next read."""
+        """Insert an edge; its σ slots are refreshed on the next read."""
         self.graph.add_edge(u, v, weight)
         self._touch(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete an edge; its σ rows are refreshed on the next read."""
+        """Delete an edge; its σ slots are refreshed on the next read."""
         self.graph.remove_edge(u, v)
         self._touch(u, v)
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
-        """Change an edge weight; σ rows are refreshed on the next read."""
+        """Change an edge weight; σ slots are refreshed on the next read."""
         self.graph.set_weight(u, v, weight)
         self._touch(u, v)
 
@@ -111,12 +111,11 @@ class DynamicSCAN:
     # reading the clustering
     # ------------------------------------------------------------------
     def _refreshed(self) -> ClusteringIndex:
-        """The index, with the rows touched since the last read redone."""
+        """The index, with the slots touched since the last read redone."""
         old = self._index.graph
         if self._touched or old.num_vertices != self.graph.num_vertices:
             snapshot = self.graph.to_csr()
-            rows = affected_rows(old, self._touched, snapshot.num_vertices)
-            self._index, stats = self._index.refresh(snapshot, rows)
+            self._index, stats = self._index.refresh(snapshot, self._touched)
             self.sigma_recomputations += stats["slots_recomputed"]
             self._touched.clear()
         return self._index

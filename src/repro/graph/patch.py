@@ -10,7 +10,8 @@ merges the surviving changes into the arrays in one vectorized pass.
 The result is bitwise ``AdjacencyGraph.to_csr()`` of the same state.
 
 :func:`affected_rows` gives the σ rows such a batch can change; the
-service's index refresh and ``DynamicSCAN`` both use it.
+service store passes it to the index refresh and keeps the local-query
+cache entries whose read set avoids it.
 """
 
 from __future__ import annotations

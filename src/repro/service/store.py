@@ -10,10 +10,10 @@ The serving layer's data plane:
   oracle.
 * ``update-edges`` batches are applied straight to the CSR arrays
   (:func:`~repro.graph.patch.apply_edge_batch`); a clustering index
-  recomputes only the σ rows the batch can change, the fingerprint is
-  refreshed, and the old fingerprint is returned so the caller can
-  invalidate exactly the cache entries that answered for the
-  pre-update graph.
+  recomputes σ only for the slots incident to the rows the batch
+  changed, the fingerprint is refreshed, and the old fingerprint is
+  returned so the caller can invalidate exactly the cache entries that
+  answered for the pre-update graph.
 * :class:`ResultCache` is an LRU over :class:`CacheKey` — the full
   identity of a clustering query: exact graph content (fingerprint),
   the σ-semantics fields of the similarity config, μ and ε.  Anything
@@ -321,10 +321,12 @@ class GraphEntry:
 class UpdateStats:
     """Outcome of one update-edges request.
 
-    ``index_rows_refreshed`` counts the σ rows the clustering index
-    recomputed in place and ``sigma_recomputations`` the directed edge
-    slots among them (both 0 when no clustering index was present, or
-    when it had to be dropped instead of patched).
+    ``index_rows_refreshed`` counts the σ-sorted rows the clustering
+    index re-derived in place (the changed rows and their neighbors) and
+    ``sigma_recomputations`` the directed edge slots whose σ it
+    recomputed, those incident to a changed row (both 0 when no
+    clustering index was present, or when it had to be dropped instead
+    of patched).
     """
 
     old_fingerprint: str
@@ -650,8 +652,8 @@ class GraphStore:
         The batch is applied by :func:`~repro.graph.patch.apply_edge_batch`
         (add vertices, then inserts, then deletes, each in order).  If an
         op fails, the valid prefix before it is installed and then the
-        op's error is raised.  A clustering index recomputes only the
-        affected σ rows.
+        op's error is raised.  A clustering index recomputes σ only for
+        the slots incident to a changed row.
 
         With a journal attached the batch — including
         ``idempotency_key``, which the store records but does not
@@ -689,9 +691,14 @@ class GraphStore:
                 # answering for the pre-batch graph would be silent
                 # corruption once the prefix is visible.
                 entry.graph = batch.graph
-                entry.fingerprint = graph_fingerprint(entry.graph)
                 entry.updates_applied += 1
                 refresh = self._refresh_indexes_locked(entry, batch.affected)
+                # A patched index already hashed the new CSR.
+                entry.fingerprint = (
+                    entry.cluster_index.fingerprint
+                    if entry.cluster_index is not None
+                    else graph_fingerprint(entry.graph)
+                )
                 # One epoch bump per batch: attached readers flip to
                 # the post-update snapshot atomically (DESIGN.md §11).
                 self._publish_locked(entry)
@@ -713,13 +720,13 @@ class GraphStore:
     ) -> Dict[str, int]:
         """Carry the entry's clustering index across a graph mutation.
 
-        Only the ``affected`` σ rows are recomputed
+        Only the σ slots incident to a changed row are recomputed
         (:meth:`ClusteringIndex.refresh` — bitwise equal to a fresh
-        build).  A patch failure drops the index instead
-        (``auto_cluster_index`` entries rebuild it lazily on the next
-        query): the one unacceptable outcome is an index still
-        answering for the pre-update graph.  Returns the refresh's
-        stats (empty when nothing was refreshed).
+        build); ``affected`` covers those rows.  A patch failure drops
+        the index instead (``auto_cluster_index`` entries rebuild it
+        lazily on the next query): the one unacceptable outcome is an
+        index still answering for the pre-update graph.  Returns the
+        refresh's stats (empty when nothing was refreshed).
         """
         cluster_index = entry.cluster_index
         entry.cluster_index = None

@@ -32,15 +32,16 @@ index), persistence reuses the ``.npz`` + checksum +
 quarantine machinery of :mod:`repro.similarity.index` — a
 ``ClusteringIndex`` archive is exactly the edge-index format, so either
 class loads it.  Dynamic updates patch the index through
-:meth:`ClusteringIndex.refresh`: only the rows whose σ actually changed
-are recomputed; all others are copied, and the result is
-bitwise-identical to a fresh build on the updated graph.
+:meth:`ClusteringIndex.refresh` in time proportional to the batch: σ is
+recomputed only on the slots incident to a changed row, only the rows
+holding such a slot are re-sorted, everything else is copied, and the
+result is bitwise-identical to a fresh build on the updated graph.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -63,6 +64,10 @@ __all__ = ["ClusteringIndex"]
 _ALWAYS_CORE = 2.0
 #: Core-threshold sentinel: "core at no ε" (ε > 0 > −1).
 _NEVER_CORE = -1.0
+#: Cap on one refresh kernel pass's row expansion (Σ deg(q) over its
+#: pairs), as :func:`repro.similarity.kernels.sigma_all_edges` caps a
+#: build block.
+_EXPANSION_BUDGET = 1 << 20
 
 
 class ClusteringIndex:
@@ -155,9 +160,10 @@ class ClusteringIndex:
     ) -> "ClusteringIndex":
         """Rebuild an index around externally supplied derived arrays.
 
-        The zero-copy attach path: ``arrays`` typically holds read-only
+        The zero-copy attach path (``arrays`` then holds read-only
         views over shared-memory segments published by the single
-        writer, and no sorting or σ work happens here — only cheap shape
+        writer) and :meth:`refresh`'s patched arrays; no sorting or σ
+        work happens here — only cheap shape
         checks that catch a mismatched manifest before it can serve
         wrong answers.  Queries on the result are byte-identical to the
         source index: :meth:`query` is a pure function of these arrays.
@@ -389,28 +395,33 @@ class ClusteringIndex:
         new_graph: Graph,
         affected: Iterable[int],
     ) -> Tuple["ClusteringIndex", Dict[str, int]]:
-        """Patch the index for ``new_graph``, recomputing σ only for
-        ``affected`` rows.
+        """Patch the index for ``new_graph`` in time proportional to the
+        batch.
 
-        ``affected`` must cover every vertex whose σ row changed — for
-        an edge update (u, v) that is ``{u, v} ∪ N(u) ∪ N(v)`` with the
-        pre-update neighborhoods, which
-        :func:`repro.graph.patch.affected_rows` computes for a whole
-        batch (the service store and ``DynamicSCAN`` both use it).
-        Rows outside it are *copied*: their adjacency is required to be
-        unchanged (verified, :class:`ConfigError` otherwise), and σ of a
-        pair depends only on the two endpoint neighborhoods, so the
-        copied values are bitwise what a fresh build would produce.  The result
-        is therefore bitwise-identical to
-        ``ClusteringIndex.build(new_graph, config)`` while
-        charging σ-kernel work only for the affected rows.
+        σ(x, y) depends only on rows x and y, so an update changes only
+        the slots incident to the *changed rows* E: the rows whose
+        degree, neighbors or weights differ, plus any new vertices.
+        ``affected`` must cover E (:class:`ConfigError` otherwise) —
+        any superset is exact, e.g. the ``{u, v} ∪ N(u) ∪ N(v)`` sets of
+        :func:`repro.graph.patch.affected_rows`, or just the endpoints.
+        σ is recomputed for exactly the directed slots (x, y) with
+        x ∈ E or y ∈ E, as (owner, neighbor) pairs in batched kernel
+        passes of bounded expansion (one for a typical batch), so every
+        value is the build's bitwise; all other slots are copied.  Only
+        the rows holding a recomputed slot, E ∪ N(E), are re-sorted;
+        every other row's σ-sorted segment is copied, so
+        :meth:`_derive` never runs.  The result is bitwise-identical to
+        ``ClusteringIndex.build(new_graph, config)``.
 
-        Returns ``(patched_index, stats)`` with ``rows_recomputed``,
-        ``slots_recomputed`` and ``slots_copied`` in ``stats``.
+        Returns ``(patched_index, stats)`` with ``rows_recomputed``
+        (|E ∪ N(E)|), ``slots_recomputed`` and ``slots_copied`` in
+        ``stats``.
         """
         old_graph = self.edge.graph
         old_n = old_graph.num_vertices
         n = new_graph.num_vertices
+        if n < old_n:
+            raise ConfigError("refresh cannot drop vertices; rebuild")
         affected_ids = np.unique(
             np.asarray(list(affected), dtype=np.int64)
         )
@@ -420,60 +431,72 @@ class ClusteringIndex:
             raise ConfigError(
                 "affected vertex ids out of range for the updated graph"
             )
-        affected_mask = np.zeros(n, dtype=bool)
-        affected_mask[affected_ids] = True
-        # Vertices that did not exist before cannot be copied.
-        affected_mask[old_n:] = True
-        copy_owner = ~affected_mask
-        new_degrees = new_graph.degrees.astype(np.int64, copy=False)
-        old_degrees = np.zeros(n, dtype=np.int64)
-        old_degrees[:old_n] = old_graph.degrees
-        if not np.array_equal(
-            new_degrees[copy_owner], old_degrees[copy_owner]
-        ):
+        new_owners = np.repeat(
+            np.arange(n, dtype=np.int64),
+            new_graph.degrees.astype(np.int64, copy=False),
+        )
+        changed = _changed_rows(old_graph, new_graph, self._owners, new_owners)
+        uncovered = changed[:old_n].copy()
+        uncovered[affected_ids[affected_ids < old_n]] = False
+        if uncovered.any():
             raise ConfigError(
                 "refresh affected set does not cover every changed row "
-                "(a copied row's degree differs); pass the full "
-                "{u, v} ∪ N(u) ∪ N(v) set or rebuild the index"
+                f"(row {int(np.flatnonzero(uncovered)[0])}'s neighbors or "
+                "weights differ); pass a superset of the updated "
+                "endpoints or rebuild the index"
             )
-        m_new = int(new_graph.indices.shape[0])
-        new_sigmas = np.empty(m_new, dtype=np.float64)
-        owners = np.repeat(np.arange(n, dtype=np.int64), new_degrees)
-        slot_offsets = (
-            np.arange(m_new, dtype=np.int64)
-            - new_graph.indptr[:-1].astype(np.int64)[owners]
+        # Slots incident to E: the only σ values the batch can change.
+        # Rows outside E are identical in both CSRs, so the slots not
+        # incident to E come in the same order on both sides.
+        incident = changed[new_owners] | changed[new_graph.indices]
+        old_incident = (
+            changed[self._owners] | changed[old_graph.indices]
         )
-        old_starts = np.zeros(n, dtype=np.int64)
-        old_starts[:old_n] = old_graph.indptr[:-1]
-        copy_slots = copy_owner[owners]
-        slots_copied = int(copy_slots.sum())
-        if slots_copied:
-            src = old_starts[owners[copy_slots]] + slot_offsets[copy_slots]
-            if not np.array_equal(
-                new_graph.indices[copy_slots], old_graph.indices[src]
-            ):
-                raise ConfigError(
-                    "refresh affected set does not cover every changed "
-                    "row (a copied row's adjacency differs)"
-                )
-            new_sigmas[copy_slots] = self.edge.sigmas[src]
-        slots_recomputed = 0
-        if affected_ids.shape[0] or old_n < n:
+        new_sigmas = np.empty(new_owners.shape[0], dtype=np.float64)
+        new_sigmas[~incident] = self.edge.sigmas[~old_incident]
+        slots = np.flatnonzero(incident)
+        ps, qs = new_owners[slots], new_graph.indices[slots]
+        if slots.shape[0]:
             oracle = SimilarityOracle(new_graph, self.edge.config)
-            oracle.edge_keys  # shared probe structure for all blocks
-            runs = _consecutive_runs(np.flatnonzero(affected_mask))
-            for lo, hi in runs:
-                a = int(new_graph.indptr[lo])
-                b = int(new_graph.indptr[hi])
-                if b > a:
-                    new_sigmas[a:b] = oracle.sigma_row_block(lo, hi)
-                    slots_recomputed += b - a
+            # One kernel pass per bounded expansion (Σ deg(q)); any
+            # small batch is a single pass.
+            expansion = int(new_graph.degrees[qs].sum())
+            parts = 1 + expansion // _EXPANSION_BUDGET
+            for part in np.array_split(np.arange(slots.shape[0]), parts):
+                new_sigmas[slots[part]] = oracle.sigma_pairs_unrecorded(
+                    ps[part], qs[part]
+                )
+        # Rows holding a recomputed slot (E ∪ N(E)), plus E's rows that
+        # lost every slot: re-sorted; every other row's sorted segment
+        # is unchanged and shifts to its new offset.
+        rows = changed.copy()
+        rows[ps] = True
+        resort = rows[new_owners]
+        keep = ~rows[self._owners]
+        sorted_sigmas = np.empty_like(new_sigmas)
+        sorted_neighbors = np.empty_like(new_owners)
+        sorted_sigmas[~resort] = self._sorted_sigmas[keep]
+        sorted_neighbors[~resort] = self._sorted_neighbors[keep]
+        touched = np.flatnonzero(resort)
+        neighbors = new_graph.indices[touched]
+        sigmas = new_sigmas[touched]
+        # _derive's key restricted to whole rows, which it never crosses.
+        order = np.lexsort((neighbors, -sigmas, new_owners[touched]))
+        sorted_sigmas[touched] = sigmas[order]
+        sorted_neighbors[touched] = neighbors[order]
         edge = EdgeSimilarityIndex(new_graph, self.edge.config, new_sigmas)
-        patched = type(self)(edge)
+        patched = type(self).from_derived(
+            edge,
+            arrays={
+                "owners": new_owners,
+                "sorted_sigmas": sorted_sigmas,
+                "sorted_neighbors": sorted_neighbors,
+            },
+        )
         stats = {
-            "rows_recomputed": int(affected_mask.sum()),
-            "slots_recomputed": int(slots_recomputed),
-            "slots_copied": slots_copied,
+            "rows_recomputed": int(rows.sum()),
+            "slots_recomputed": int(slots.shape[0]),
+            "slots_copied": int(new_owners.shape[0] - slots.shape[0]),
         }
         return patched, stats
 
@@ -563,17 +586,28 @@ class ClusteringIndex:
             return index, True
 
 
-def _consecutive_runs(ids: np.ndarray) -> List[Tuple[int, int]]:
-    """Group sorted vertex ids into maximal [lo, hi) consecutive runs."""
-    if ids.shape[0] == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(ids) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [ids.shape[0] - 1]))
-    return [
-        (int(ids[s]), int(ids[e]) + 1)
-        for s, e in zip(starts.tolist(), ends.tolist())
-    ]
+def _changed_rows(
+    old: Graph,
+    new: Graph,
+    old_owners: np.ndarray,
+    new_owners: np.ndarray,
+) -> np.ndarray:
+    """Per vertex of ``new``: whether its CSR row differs from ``old``'s
+    in degree, neighbors or weights (new vertices always differ).
+
+    One vectorized comparison: the rows of unchanged degree line up
+    slot for slot once the other rows are masked out of both CSRs.
+    """
+    old_n = old.num_vertices
+    changed = np.ones(new.num_vertices, dtype=bool)
+    changed[:old_n] = old.degrees != new.degrees[:old_n]
+    old_slots = ~changed[old_owners]
+    new_slots = ~changed[new_owners]
+    differs = (old.indices[old_slots] != new.indices[new_slots]) | (
+        old.weights[old_slots] != new.weights[new_slots]
+    )
+    changed[new_owners[new_slots][differs]] = True
+    return changed
 
 
 def _component_roots(

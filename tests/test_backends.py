@@ -1,6 +1,8 @@
 """Backend dispatch: ``backend=None`` runs the sequential kernel, a
 ``ThreadBackend`` runs the same σ pass on a thread pool."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ class TestConstruction:
     def test_thread_backend_with_defaults(self):
         backend = ThreadBackend()
         backend.validate()
-        assert backend.threads == 4
+        assert backend.threads == (os.cpu_count() or 1)
         assert backend.chunk_size == 128
 
 

@@ -158,8 +158,8 @@ class TestDynamicSCAN:
         assert dyn.verify_cache()
 
     def test_update_cost_is_local(self, lfr_medium, monkeypatch):
-        """One insert plus one read refreshes exactly the rows
-        {u, v} ∪ N(u) ∪ N(v), and counts their slots."""
+        """One insert plus one read recomputes σ on exactly the slots
+        incident to u or v and re-sorts the rows {u, v} ∪ N(u) ∪ N(v)."""
         dyn = DynamicSCAN(AdjacencyGraph.from_csr(lfr_medium), 4, 0.5)
         base = dyn.sigma_recomputations
         refreshes = []
@@ -184,15 +184,17 @@ class TestDynamicSCAN:
         assert dyn.sigma_recomputations == base  # nothing until a read
         dyn.clustering()
         (rows, stats), = refreshes
+        assert sorted(rows) == sorted({u, v})  # the touched endpoints
         expected = {u, v}
         expected.update(lfr_medium.neighbors(u).tolist())
         expected.update(lfr_medium.neighbors(v).tolist())
-        assert sorted(rows) == sorted(expected)
         assert stats["rows_recomputed"] == len(expected)
         assert dyn.sigma_recomputations - base == stats["slots_recomputed"]
+        # Rows u and v, plus each neighbor's slot back to them; the
+        # slots (u, v) and (v, u) are in both counts.
         new_degrees = dyn.graph.to_csr().degrees
         assert stats["slots_recomputed"] == int(
-            new_degrees[sorted(expected)].sum()
+            2 * (new_degrees[u] + new_degrees[v]) - 2
         )
 
     def test_pending_changes_flag(self, triangle):

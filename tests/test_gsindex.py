@@ -3,8 +3,9 @@
 Covers the derived structures in isolation — σ-sorted rows, the core
 thresholds gathered from them, σ-sorted neighborhood prefixes — plus persistence, incremental
 refresh, and the zero-σ counter contract.  The differential battery
-against the sequential reference lives in ``test_index_differential``;
-metamorphic properties in ``test_index_properties``.
+against the sequential reference lives in ``test_index_differential``,
+the refresh battery in ``test_refresh_differential``; metamorphic
+properties in ``test_index_properties``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.errors import ConfigError, IndexIntegrityError
 from repro.graph.csr import Graph
 from repro.graph.generators.random_graphs import gnm_random_graph
 from repro.parallel.threads import ThreadBackend
-from repro.similarity.gsindex import ClusteringIndex, _consecutive_runs
+from repro.similarity.gsindex import ClusteringIndex
 from repro.similarity.index import EdgeSimilarityIndex
 from repro.similarity.weighted import SimilarityConfig, SimilarityOracle
 
@@ -335,13 +336,3 @@ def test_refresh_rejects_insufficient_affected_set(medium, index):
 def test_refresh_rejects_out_of_range_ids(medium, index):
     with pytest.raises(ConfigError, match="out of range"):
         index.refresh(medium, {medium.num_vertices + 3})
-
-
-def test_consecutive_runs():
-    assert _consecutive_runs(np.asarray([], dtype=np.int64)) == []
-    assert _consecutive_runs(np.asarray([4])) == [(4, 5)]
-    assert _consecutive_runs(np.asarray([1, 2, 3, 7, 9, 10])) == [
-        (1, 4),
-        (7, 8),
-        (9, 11),
-    ]

@@ -105,7 +105,11 @@ _CHILD = textwrap.dedent(
 
     threading.Thread(target=spin, daemon=True).start()
     print("READY", flush=True)
-    time.sleep(60)
+    # Short sleeps: the kernel may deliver SIGTERM to a pool thread,
+    # and Python runs the handler only once the main thread wakes.
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
     """
 )
 

@@ -276,12 +276,13 @@ def test_update_edges_refreshes_the_cluster_index(client):
     outcome = client.update_edges(
         "upd-c", insert=[[graph.num_vertices, 0]], add_vertices=1
     )
-    # The new vertex, vertex 0 and 0's neighbors are recomputed; their
-    # slots are the σ work reported.
+    # Rows 0 and the new vertex changed: σ is recomputed on the slots
+    # incident to them (0's row and each neighbor's slot back to 0,
+    # both ways for the new edge); those rows and 0's neighbors are
+    # re-sorted.
     rows = {graph.num_vertices, 0} | set(graph.neighbors(0).tolist())
     assert outcome["index_rows_refreshed"] == len(rows)
-    slots = sum(graph.degree(v) for v in rows if v < graph.num_vertices)
-    assert outcome["sigma_recomputations"] == slots + 2
+    assert outcome["sigma_recomputations"] == 2 * (graph.degree(0) + 1)
     assert client.graph_info("upd-c")["cluster_indexed"] is True
 
 

@@ -57,9 +57,12 @@ def test_two_jobs_interleave_and_finish_exact():
     the sequential baseline exactly (canonical labels)."""
     g1, _ = lfr_graph(LFRParams(n=300, average_degree=8, max_degree=25, seed=1))
     g2 = gnm_random_graph(300, 1400, seed=2)
+    # Both algorithms are built before either submit: building one
+    # between the submits lets job 1 run slices alone meanwhile.
+    algo1, algo2 = _algo(g1, 3, 0.6), _algo(g2, 3, 0.5)
     with JobScheduler(workers=1, slice_iterations=1) as scheduler:
-        job1 = scheduler.submit(_algo(g1, 3, 0.6), graph_name="g1")
-        job2 = scheduler.submit(_algo(g2, 3, 0.5), graph_name="g2")
+        job1 = scheduler.submit(algo1, graph_name="g1")
+        job2 = scheduler.submit(algo2, graph_name="g2")
         info1 = scheduler.wait(job1, timeout=_DEADLINE)
         info2 = scheduler.wait(job2, timeout=_DEADLINE)
         assert info1["state"] == "done" and info2["state"] == "done"

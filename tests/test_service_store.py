@@ -237,6 +237,31 @@ class TestUpdateEdges:
         assert stats.index_rows_refreshed == refreshes[0]["rows_recomputed"]
         assert store.get("g").cluster_index is not None
 
+    def test_update_hashes_the_new_csr_once(self, monkeypatch):
+        """The store takes the patched index's fingerprint instead of
+        hashing the post-batch CSR a second time."""
+        import repro.service.store as store_module
+        import repro.similarity.index as index_module
+
+        store = GraphStore()
+        store.add(
+            "g", gnm_random_graph(30, 70, seed=6), build_cluster_index=True
+        )
+        hashed = []
+
+        def counting(graph):
+            hashed.append(graph)
+            return graph_fingerprint(graph)
+
+        monkeypatch.setattr(store_module, "graph_fingerprint", counting)
+        monkeypatch.setattr(index_module, "graph_fingerprint", counting)
+        u, v = self._free_pair(store.get("g").graph)
+        stats = store.update_edges("g", insert=[[u, v]])
+        entry = store.get("g")
+        assert len(hashed) == 1
+        assert stats.new_fingerprint == graph_fingerprint(entry.graph)
+        assert entry.cluster_index.fingerprint == stats.new_fingerprint
+
     def test_updated_snapshot_matches_batch_rebuild(self):
         """Incremental maintenance must equal building from scratch."""
         store = self._store_with(n=40, m=90, seed=7)
